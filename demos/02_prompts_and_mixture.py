@@ -11,9 +11,9 @@ from txf.corpus import DataRecord, RoleSpec, SplitSpec, TaskManifest, assign_spl
 from txf.promptgen import (
     BinningSpec,
     MixtureSpec,
+    NeighborIndex,
     bin_label,
     build_mixture,
-    feature_similarity_fn,
     fit_length_budget,
     select_shots_knn,
     shot_source_splits,
@@ -72,18 +72,14 @@ print("shots used:", prompt.shot_ids, "estimated tokens:", prompt.estimated_leng
 print("\n=== Nearest-neighbor similarity by split ===")
 # Shots for train/valid queries come from train; test queries may also use
 # valid. Nearby records are usually easier to find inside the training set.
-similarity = feature_similarity_fn(manifest, pool)
+# One index over the pool fingerprints each distinct molecule once.
+index = NeighborIndex(manifest, pool)
 for split in ("train", "valid", "test"):
-    sims = []
-    for record in records:
-        if record.split != split:
-            continue
-        best = max(
-            similarity(record, i)
-            for i, cand in enumerate(pool)
-            if cand.record_id != record.record_id
-        )
-        sims.append(best)
+    sims = [
+        index.nearest(record, 1, exclude_id=record.record_id)[0][1]
+        for record in records
+        if record.split == split
+    ]
     print(f"{split:5}: mean best-neighbor similarity {statistics.mean(sims):.3f} over {len(sims)}")
 
 print("\n=== Training mixture ===")

@@ -17,7 +17,6 @@ __all__ = [
     "NUCLEOTIDE",
     "percent_identity",
     "top_k_identity",
-    "global_alignment_score",
 ]
 
 AMINO_ACID = "amino_acid"
@@ -55,8 +54,8 @@ class BioSequence:
         return len(self.residues)
 
 
-def _align(a: str, b: str) -> tuple[int, int, int]:
-    """Needleman-Wunsch; returns (score, matches, alignment_length)."""
+def _align(a: str, b: str) -> tuple[int, int]:
+    """Needleman-Wunsch; returns (matches, alignment_length)."""
     n, m = len(a), len(b)
     # score rows plus a traceback matrix (0 diag, 1 up/gap-in-b, 2 left/gap-in-a)
     prev = [j * GAP_SCORE for j in range(m + 1)]
@@ -81,7 +80,6 @@ def _align(a: str, b: str) -> tuple[int, int, int]:
             cur[j] = best
             row_trace[j] = t
         prev = cur
-    score = prev[m]
 
     i, j = n, m
     matches = 0
@@ -98,21 +96,14 @@ def _align(a: str, b: str) -> tuple[int, int, int]:
         else:
             j -= 1
         length += 1
-    return score, matches, length
-
-
-def global_alignment_score(a: "BioSequence", b: "BioSequence") -> int:
-    if a.kind != b.kind:
-        raise ValueError(f"sequence kinds differ: {a.kind} vs {b.kind}")
-    score, _, _ = _align(a.residues, b.residues)
-    return score
+    return matches, length
 
 
 def percent_identity(a: BioSequence, b: BioSequence) -> float:
     """Identity of the optimal global alignment, in [0, 100]."""
     if a.kind != b.kind:
         raise ValueError(f"sequence kinds differ: {a.kind} vs {b.kind}")
-    _, matches, length = _align(a.residues, b.residues)
+    matches, length = _align(a.residues, b.residues)
     return 100.0 * matches / length
 
 

@@ -105,6 +105,7 @@ def _shot_pool(records, eval_split: str):
 def _render_split(manifest, records, split, policy, seed):
     kind, k = policy
     pool = _shot_pool(records, split)
+    index = promptgen.NeighborIndex(manifest, pool) if kind == "knn" and pool else None
     out = []
     for record in records:
         if record.split != split:
@@ -116,8 +117,8 @@ def _render_split(manifest, records, split, policy, seed):
             shots = promptgen.select_shots_random(
                 pool, k, seed=record_seed, exclude_id=record.record_id,
             )
-        elif kind == "knn" and pool:
-            shots = promptgen.select_shots_knn(record, pool, k, manifest, seed=seed)
+        elif index is not None:
+            shots = index.select_shots(record, k, seed=seed)
         out.append(
             promptgen.fit_length_budget(record, manifest, shots, budget=2048)
         )

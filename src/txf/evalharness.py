@@ -27,8 +27,8 @@ from .promptgen import (
     ANSWER_NEGATIVE,
     ANSWER_POSITIVE,
     BinningSpec,
+    NeighborIndex,
     PromptRecord,
-    feature_similarity_fn,
     render_target,
     unbin_label,
 )
@@ -167,7 +167,7 @@ class NearestNeighborClient:
     def __init__(self, manifest: TaskManifest, train_records: Sequence[DataRecord]):
         self.manifest = manifest
         self.train = list(train_records)
-        self._similarity = feature_similarity_fn(manifest, self.train)
+        self._index = NeighborIndex(manifest, self.train)
 
     def _parse_features(self, prompt: str) -> dict[str, str] | None:
         features = {}
@@ -182,13 +182,10 @@ class NearestNeighborClient:
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         features = self._parse_features(request.prompt)
-        if features is None or self._similarity is None or not self.train:
+        if features is None or not self._index.kind or not self.train:
             return GenerationResponse(text="")
         probe = DataRecord(record_id="__query__", features=features, label="")
-        best_i = max(
-            range(len(self.train)),
-            key=lambda i: (self._similarity(probe, i), -i),
-        )
+        [(best_i, _)] = self._index.nearest(probe, 1)
         return GenerationResponse(text=render_target(self.train[best_i], self.manifest))
 
 
@@ -254,7 +251,18 @@ def parse_regression_answer(completion: str, spec: BinningSpec) -> tuple[float, 
     match = _INT.search(completion)
     if match is None:
         return unbin_label(spec.levels // 2, spec), False
-    b = min(int(match.group()), spec.levels)
+    # int() refuses more than 4,300 digits, so a run with more significant
+    # digits than the top bin is clamped without converting it. \d also
+    # matches non-ASCII decimal digits, whose zeros lstrip("0") would miss.
+    digits = match.group()
+    start = 0
+    while start < len(digits) - 1 and int(digits[start]) == 0:
+        start += 1
+    digits = digits[start:]
+    if len(digits) > len(str(spec.levels)):
+        b = spec.levels
+    else:
+        b = min(int(digits), spec.levels)
     return unbin_label(b, spec), True
 
 

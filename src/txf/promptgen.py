@@ -8,6 +8,7 @@ bare "Answer:" that the model must complete.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
@@ -32,7 +33,7 @@ __all__ = [
     "render_prompt",
     "select_shots_random",
     "select_shots_knn",
-    "feature_similarity_fn",
+    "NeighborIndex",
     "fit_length_budget",
     "build_mixture",
     "default_token_estimator",
@@ -225,54 +226,113 @@ def select_shots_random(
     return rng.sample(eligible, n)
 
 
-def feature_similarity_fn(manifest: TaskManifest, pool: Sequence[DataRecord]):
-    """similarity(query_record, pool_index) callable, or None when no
-    feature of the manifest supports a similarity measure."""
-    kind, roles = manifest.similarity_roles()
-    if not kind:
-        return None
-    if kind == "smiles":
-        role = roles[0].name
+class NeighborIndex:
+    """Nearest pool records by feature similarity, built once per shot pool.
 
-        def fp(record):
+    Molecules compare by fingerprint Tanimoto on the first smiles role;
+    sequence features by percent identity averaged over same-kind roles.
+    Each distinct feature string of the pool is parsed and fingerprinted, or
+    made into a BioSequence, once; identities are memoized by distinct
+    (query residues, pool residues) pair for the index's lifetime. Features
+    that do not parse score 0.0. ``kind`` is empty when no role of the
+    manifest supports similarity.
+    """
+
+    def __init__(self, manifest: TaskManifest, pool: Sequence[DataRecord]):
+        self.manifest = manifest
+        self.pool = pool
+        self.kind, roles = manifest.similarity_roles()
+        if self.kind == "smiles":
+            roles = roles[:1]
+        self._names = [r.name for r in roles]
+        # Both caches only ever gain deterministic values, so concurrent
+        # queries from worker threads are safe.
+        self._features: dict[str, object] = {}
+        self._identities: dict[tuple[str, str], float] = {}
+        for record in pool:
+            for name in self._names:
+                text = record.features[name]
+                if text not in self._features:
+                    self._features[text] = self._convert(text)
+        self._pool_features = [self._record_features(r) for r in pool]
+
+    def _convert(self, text: str):
+        """Fingerprint or BioSequence of one feature string; None if invalid."""
+        if self.kind == "smiles":
             try:
-                return morgan_fingerprint(parse_smiles(record.features[role]))
+                return morgan_fingerprint(parse_smiles(text))
             except SmilesParseError:
                 return None
-
-        pool_fps = [fp(r) for r in pool]
-
-        def similarity(query, i):
-            qfp = fp(query)
-            if qfp is None or pool_fps[i] is None:
-                return 0.0
-            return tanimoto(qfp, pool_fps[i])
-
-        return similarity
-
-    seq_kind = kind
-    names = [r.name for r in roles]
-
-    def seq(record, name):
         try:
-            return BioSequence(record.features[name], seq_kind)
+            return BioSequence(text, self.kind)
         except ValueError:
             return None
 
-    pool_seqs = [{name: seq(r, name) for name in names} for r in pool]
+    def _record_features(self, record: DataRecord) -> tuple:
+        """Converted features of a record, one per compared role. A string
+        not in the pool is converted again on every call, so the cache stays
+        the size of the pool."""
+        return tuple(
+            self._features[text] if text in self._features else self._convert(text)
+            for text in (record.features[name] for name in self._names)
+        )
 
-    def similarity(query, i):
+    def _identity(self, a: BioSequence, b: BioSequence) -> float:
+        key = (a.residues, b.residues)
+        value = self._identities.get(key)
+        if value is None:
+            value = self._identities[key] = percent_identity(a, b)
+        return value
+
+    def _similarity(self, query: tuple, candidate: tuple) -> float:
+        if self.kind == "smiles":
+            a, b = query[0], candidate[0]
+            return 0.0 if a is None or b is None else tanimoto(a, b)
         # Multi-sequence features average the per-role identities.
         total, count = 0.0, 0
-        for name in names:
-            qs, ps = seq(query, name), pool_seqs[i][name]
-            if qs is None or ps is None:
+        for a, b in zip(query, candidate):
+            if a is None or b is None:
                 continue
-            total += percent_identity(qs, ps)
+            total += self._identity(a, b)
             count += 1
         return total / count if count else 0.0
 
-    return similarity
+    def nearest(
+        self, query: DataRecord, k: int, exclude_id: str | None = None
+    ) -> list[tuple[int, float]]:
+        """(pool index, similarity) of the k most similar pool records,
+        descending, ties by ascending pool index; records whose id is
+        exclude_id are skipped. Empty when no record is eligible."""
+        if not self.kind:
+            raise ValueError(f"{self.manifest.task_id}: no similarity-capable role")
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        q = self._record_features(query)
+        scored = (
+            (-self._similarity(q, features), i)
+            for i, (record, features) in enumerate(zip(self.pool, self._pool_features))
+            if record.record_id != exclude_id
+        )
+        return [(i, -neg) for neg, i in heapq.nsmallest(k, scored)]
+
+    def select_shots(self, query: DataRecord, n: int, seed: int = 1) -> list[DataRecord]:
+        """The n nearest pool records other than the query, nearest first.
+
+        Falls back to random shots, with a warning, when no feature supports
+        similarity.
+        """
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if not self.kind:
+            warnings.warn(
+                f"{self.manifest.task_id}: no similarity-capable role; using random shots",
+                stacklevel=2,
+            )
+            return select_shots_random(self.pool, n, seed, exclude_id=query.record_id)
+        ranked = self.nearest(query, n, exclude_id=query.record_id)
+        if not ranked:
+            raise ValueError("empty shot pool")
+        return [self.pool[i] for i, _ in ranked]
 
 
 def select_shots_knn(
@@ -287,26 +347,10 @@ def select_shots_knn(
     Molecules compare by fingerprint Tanimoto on the first smiles role;
     sequence features by percent identity averaged over same-kind roles.
     Ties break on ascending pool index. Falls back to random shots, with a
-    warning, when no feature supports similarity.
+    warning, when no feature supports similarity. Builds a fresh
+    NeighborIndex; callers with many queries over one pool should keep one.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    eligible = [(i, r) for i, r in enumerate(pool) if r.record_id != query.record_id]
-    if not eligible:
-        raise ValueError("empty shot pool")
-    similarity = feature_similarity_fn(manifest, pool)
-    if similarity is None:
-        warnings.warn(
-            f"{manifest.task_id}: no similarity-capable role; using random shots",
-            stacklevel=2,
-        )
-        return select_shots_random(pool, n, seed, exclude_id=query.record_id)
-    scored = sorted(
-        ((i, similarity(query, i)) for i, _ in eligible),
-        key=lambda item: (-item[1], item[0]),
-    )
-    index = {i: r for i, r in eligible}
-    return [index[i] for i, _ in scored[: min(n, len(scored))]]
+    return NeighborIndex(manifest, pool).select_shots(query, n, seed)
 
 
 def shot_source_splits(eval_split: str) -> tuple[str, ...]:

@@ -1,12 +1,17 @@
 import itertools
 import json
 import random
+import re
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import golden_tasks
+from knn_reference import naive_nearest
 from txf.corpus import DataRecord, RoleSpec, TaskManifest
 from txf.evalharness import (
     EchoClient,
@@ -30,7 +35,7 @@ from txf.evalharness import (
     write_result_json,
     write_rows_csv,
 )
-from txf.promptgen import BinningSpec, render_prompt
+from txf.promptgen import BinningSpec, render_prompt, render_target, unbin_label
 
 
 # --- answer parsing ----------------------------------------------------
@@ -61,6 +66,36 @@ def test_parse_regression():
     value, valid = parse_regression_answer("n/a", spec)
     assert not valid
     assert value == pytest.approx(5.0)
+
+
+def test_parse_regression_clamps_huge_integers():
+    # int() refuses strings of more than 4,300 digits.
+    spec = BinningSpec(0.0, 1.0)
+    assert parse_regression_answer("9" * 5000, spec) == (1.0, True)
+    assert parse_regression_answer("0" * 5000 + "7", spec) == (pytest.approx(0.007), True)
+    assert parse_regression_answer("0" * 5000, spec) == (0.0, True)
+    # Non-ASCII decimal zeros are leading zeros too.
+    assert parse_regression_answer("\u0660" * 6 + "\u0665", spec) == (pytest.approx(0.005), True)
+
+
+def _parse_regression_by_int(completion, spec):
+    match = re.search(r"\d+", completion)
+    if match is None:
+        return unbin_label(spec.levels // 2, spec), False
+    return unbin_label(min(int(match.group()), spec.levels), spec), True
+
+
+@given(st.text())
+def test_parse_regression_never_raises(completion):
+    value, valid = parse_regression_answer(completion, BinningSpec(0.0, 1.0))
+    assert 0.0 <= value <= 1.0
+    assert valid == (re.search(r"\d", completion) is not None)
+
+
+@given(st.text(alphabet=st.characters(categories=["Nd", "Zs", "L"]), max_size=60))
+def test_parse_regression_agrees_with_int_below_its_limit(completion):
+    spec = BinningSpec(0.0, 1.0)
+    assert parse_regression_answer(completion, spec) == _parse_regression_by_int(completion, spec)
 
 
 # --- metrics -----------------------------------------------------------
@@ -236,6 +271,70 @@ def test_knn_stub_beats_majority_on_separable_task():
     assert knn_result.value is not None
     assert knn_result.value > majority_result.value
     assert majority_result.value == 0.5
+
+
+def _golden_train_pool(manifest, query):
+    """Twelve train records around the golden query: mutated and truncated
+    sequences, neighbouring molecules, and one invalid value per role."""
+    rng = random.Random(7)
+    smiles = [r.features["drug"] for r in golden_tasks.BBB_SHOTS[:6]] + ["C1CC("]
+    records = []
+    for i in range(12):
+        features = {}
+        for role in manifest.roles:
+            text = query.features[role.name]
+            if role.kind == "smiles":
+                options = [text, *smiles]
+                text = options[i % len(options)]
+            elif role.kind in ("amino_acid", "nucleotide"):
+                residues = list(text[: len(text) - i % 4])
+                for _ in range(i % 5):
+                    residues[rng.randrange(len(residues))] = rng.choice("ACGT")
+                text = "".join(residues) if i != 9 else "B" + text
+            elif i % 3:
+                text = f"{text} variant {i % 3}"
+            features[role.name] = text
+        if manifest.task_kind == "binary":
+            label = i % 2 == 0
+        elif manifest.task_kind == "regression":
+            label = 37.0 * i + 11.0
+        else:
+            label = f"C{'C' * i}O"
+        records.append(DataRecord(f"tr{i}", features, label, split="train"))
+    return records
+
+
+@pytest.mark.parametrize(
+    "name, manifest, query",
+    [(name, manifest, query) for name, manifest, query, shots in golden_tasks.GOLDEN_CASES if not shots],
+)
+def test_knn_stub_answers_match_naive_scan_on_golden_tasks(name, manifest, query):
+    train = _golden_train_pool(manifest, query)
+    knn = NearestNeighborClient(manifest, train)
+    for probe in [query, *train[::3]]:
+        prompt = render_prompt(probe, manifest).prompt
+        [(best, _)] = naive_nearest(manifest, probe, train, 1)
+        answer = knn.generate(GenerationRequest(prompt=prompt)).text
+        assert answer == render_target(train[best], manifest), name
+
+
+def test_knn_stub_shared_index_under_threads():
+    # The index's caches are shared by evaluate_task's worker threads; a
+    # short switch interval interleaves their reads and writes.
+    manifest = golden_tasks.MHC1_MANIFEST
+    train = _golden_train_pool(manifest, golden_tasks.MHC1_QUERY)
+    prompts = [render_prompt(r, manifest) for r in train * 4]
+    expected = [
+        (r.record_id, r.prediction)
+        for r in evaluate_task(manifest, prompts, NearestNeighborClient(manifest, train), concurrency=1).rows
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = evaluate_task(manifest, prompts, NearestNeighborClient(manifest, train), concurrency=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(r.record_id, r.prediction) for r in result.rows] == expected
 
 
 def test_regression_task_with_echo():

@@ -3,12 +3,16 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden_tasks
+from knn_reference import naive_nearest
 from txf.corpus import DataRecord, RoleSpec, TaskManifest
 from txf.promptgen import (
     BinningSpec,
     MixtureSpec,
+    NeighborIndex,
     bin_label,
     build_mixture,
     default_token_estimator,
@@ -237,6 +241,158 @@ def test_knn_without_similarity_role_warns_and_falls_back():
     with pytest.warns(UserWarning):
         shots = select_shots_knn(query, pool, 2, manifest, seed=3)
     assert len(shots) == 2
+
+
+def _records(manifest, rows):
+    names = [role.name for role in manifest.roles]
+    return [
+        DataRecord(f"p{i}", dict(zip(names, row)), True, split="train")
+        for i, row in enumerate(rows)
+    ]
+
+
+_SMILES_POOL = [
+    "CCO", "CCO", "C1CC(", "c1ccccc1O", "CCCO",
+    "c1ccccc1O", "OCCO", "not a molecule", "CCN", "CCO",
+]
+
+
+@pytest.mark.parametrize(
+    "manifest, rows, queries",
+    [
+        # Duplicate and unparseable SMILES, queries in and out of the pool.
+        (
+            golden_tasks.BBB_MANIFEST,
+            [(s,) for s in _SMILES_POOL],
+            [("CCO",), ("CCCCO",), ("C1CC(",), ("c1ccccc1N",)],
+        ),
+        # Two amino-acid roles averaged; "B" is outside the alphabet.
+        (
+            golden_tasks.MHC1_MANIFEST,
+            [
+                ("QLADETLLKV", "YFAMYGEKVAHTHVDTLYVRYHYYTWAEWAYTWY"),
+                ("QLADETLLKV", "YFAMYGEKVAHTHVDTLYVRYHYYTWAEWAYTWY"),
+                ("QLBDETLLKV", "YFAMYGEKVAHTHVDTLYVRYHYYTWAEWAYTWY"),
+                ("BBBB", "BBBB"),
+                ("GLADETLLKA", "YFAMYGEKVAHTHVDTLYVRYHYYTWAEWAYTWY"),
+                ("qladetllkv", "YSAMYEEKVAHTDENIAYLMFHYYTWAVLAYTWY"),
+                ("GGGGGGGGGG", "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"),
+            ],
+            [
+                ("QLADETLLKV", "YFAMYGEKVAHTHVDTLYVRYHYYTWAEWAYTWY"),
+                ("QLADETLLKB", "YSAMYEEKVAHTDENIAYLMFHYYTWAVLAYTWY"),
+                ("BB", "BB"),
+            ],
+        ),
+        # A nucleotide role first: only nucleotide roles are compared.
+        (
+            golden_tasks.MIRTARBASE_MANIFEST,
+            [
+                ("UUCCUGUCAGCCGUGGGUGCC", "MSVNMDELRH"),
+                ("UUCCUGUCAGCC", "MKTAYIAKQR"),
+                ("UUCCUGUCAGCCGUGGGUGCC", "MKTAYIAKQR"),
+                ("XXXX", "MSVNMDELRH"),
+                ("ACGUACGUACGU", "MSVNMDELRH"),
+            ],
+            [("UUCCUGUCAGCCGUGG", "MSVNMDELRH"), ("XX", "MSVNMDELRH")],
+        ),
+    ],
+)
+def test_neighbor_index_matches_naive_scan(manifest, rows, queries):
+    pool = _records(manifest, rows)
+    index = NeighborIndex(manifest, pool)
+    candidates = _records(manifest, queries) + pool[:3]
+    for query in candidates:
+        for k in (1, 3, len(pool) + 2):
+            for exclude_id in (None, query.record_id):
+                expected = naive_nearest(manifest, query, pool, k, exclude_id)
+                assert index.nearest(query, k, exclude_id=exclude_id) == expected
+
+
+_SMILES_TOKENS = ["C", "O", "N", "c1ccccc1", "(", ")", "=", "1", "Cl"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(
+        st.lists(st.sampled_from(_SMILES_TOKENS), min_size=1, max_size=5).map("".join),
+        min_size=1,
+        max_size=12,
+    ),
+    query=st.lists(st.sampled_from(_SMILES_TOKENS), min_size=1, max_size=5).map("".join),
+    k=st.integers(min_value=1, max_value=14),
+)
+def test_neighbor_index_matches_naive_scan_on_random_smiles(pool, query, k):
+    manifest = golden_tasks.BBB_MANIFEST
+    records = _records(manifest, [(s,) for s in pool])
+    probe = DataRecord("q", {"drug": query}, True)
+    got = NeighborIndex(manifest, records).nearest(probe, k)
+    assert got == naive_nearest(manifest, probe, records, k)
+
+
+def test_neighbor_index_fingerprints_each_distinct_smiles_once(monkeypatch):
+    import txf.promptgen as promptgen
+
+    calls = Counter()
+    original = promptgen.morgan_fingerprint
+
+    def counting(mol, *args, **kwargs):
+        calls["fp"] += 1
+        return original(mol, *args, **kwargs)
+
+    monkeypatch.setattr(promptgen, "morgan_fingerprint", counting)
+    distinct = ["CCO", "CCCO", "c1ccccc1O", "OCCO", "CCN", "CC(=O)O"]
+    pool = _records(golden_tasks.BBB_MANIFEST, [(distinct[i % 6],) for i in range(60)])
+    index = NeighborIndex(golden_tasks.BBB_MANIFEST, pool)
+    queries = [DataRecord(f"q{i}", {"drug": s}, True) for i, s in enumerate(distinct + ["CCCCN"] * 4)]
+    for query in queries:
+        index.nearest(query, 10, exclude_id=query.record_id)
+    assert calls["fp"] <= len(distinct) + len(queries)
+
+
+def test_neighbor_index_aligns_each_distinct_pair_once(monkeypatch):
+    import txf.promptgen as promptgen
+
+    pairs = Counter()
+    original = promptgen.percent_identity
+
+    def counting(a, b):
+        pairs[a.residues, b.residues] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(promptgen, "percent_identity", counting)
+    manifest = golden_tasks.MHC1_MANIFEST
+    peptides = ["QLADETLLKV", "GLADETLLKA", "QLADETLLKV", "GGGGGGGGGG"]
+    pool = _records(manifest, [(peptides[i % 4], "YFAMYGEKVAHTHVDTLYVRYHYY") for i in range(40)])
+    index = NeighborIndex(manifest, pool)
+    for query in pool[:8]:
+        index.select_shots(query, 5)
+    assert pairs and max(pairs.values()) == 1
+
+
+def test_neighbor_index_requires_a_similarity_role():
+    manifest = TaskManifest(
+        task_id="textonly",
+        task_kind="binary",
+        roles=(RoleSpec("note", "text", "Note", "Note"),),
+        instruction="Answer.",
+        context="None.",
+        question="Q?\n\n(A) no (B) yes",
+        label_column="Y",
+        metric="auroc",
+        split_method="random",
+    )
+    pool = [DataRecord(f"p{i}", {"note": f"n{i}"}, True, split="train") for i in range(3)]
+    index = NeighborIndex(manifest, pool)
+    assert index.kind == ""
+    with pytest.raises(ValueError):
+        index.nearest(pool[0], 1)
+
+
+def test_select_shots_rejects_a_pool_of_only_the_query():
+    pool = _records(golden_tasks.BBB_MANIFEST, [("CCO",)])
+    with pytest.raises(ValueError, match="empty shot pool"):
+        select_shots_knn(pool[0], pool, 2, golden_tasks.BBB_MANIFEST)
 
 
 def test_shot_source_splits():
