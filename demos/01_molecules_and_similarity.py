@@ -9,8 +9,8 @@ from txf.chem import (
     morgan_fingerprint,
     murcko_scaffold,
     parse_smiles,
-    reactant_set_equal,
     scaffold_key,
+    score_reactant_prediction,
     strip_atom_maps,
     tanimoto,
     top_k_tanimoto,
@@ -56,7 +56,7 @@ print("ethyl- and butylbenzene share a scaffold key:",
 print("\n=== Atom maps and reaction sets ===")
 mapped = "[CH3:1][OH:2]"
 print(f"{mapped} stripped ->", write_canonical(strip_atom_maps(parse_smiles(mapped))))
-print("order-invariant:", reactant_set_equal("CCO.CC", "CC.CCO"))
-print("missing member: ", reactant_set_equal("CCO", "CCO.CC"))
-print("maps ignored:   ", reactant_set_equal("[CH3:1][OH:2]", "CO"))
-print("garbage guess:  ", reactant_set_equal("C((", "CO"))
+print("order-invariant:", score_reactant_prediction("CCO.CC", "CC.CCO")[0])
+print("missing member: ", score_reactant_prediction("CCO", "CCO.CC")[0])
+print("maps ignored:   ", score_reactant_prediction("[CH3:1][OH:2]", "CO")[0])
+print("garbage guess:  ", score_reactant_prediction("C((", "CO")[0])

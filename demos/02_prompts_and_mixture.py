@@ -9,13 +9,12 @@ from collections import Counter
 
 from txf.corpus import DataRecord, RoleSpec, SplitSpec, TaskManifest, assign_splits
 from txf.promptgen import (
+    INPUT_BUDGET,
     BinningSpec,
-    MixtureSpec,
     NeighborIndex,
     bin_label,
     build_mixture,
     fit_length_budget,
-    select_shots_knn,
     shot_source_splits,
     unbin_label,
 )
@@ -63,8 +62,9 @@ print("\n=== A rendered prompt ===")
 test_records = [r for r in records if r.split == "test"]
 query = test_records[0]
 pool = [r for r in records if r.split in shot_source_splits("test")]
-shots = select_shots_knn(query, pool, 3, manifest)
-prompt = fit_length_budget(query, manifest, shots, budget=2048)
+index = NeighborIndex(manifest, pool)
+shots = index.select_shots(query, 3)
+prompt = fit_length_budget(query, manifest, shots, budget=INPUT_BUDGET)
 print(prompt.prompt)
 print("<target>", prompt.target)
 print("shots used:", prompt.shot_ids, "estimated tokens:", prompt.estimated_length)
@@ -72,8 +72,7 @@ print("shots used:", prompt.shot_ids, "estimated tokens:", prompt.estimated_leng
 print("\n=== Nearest-neighbor similarity by split ===")
 # Shots for train/valid queries come from train; test queries may also use
 # valid. Nearby records are usually easier to find inside the training set.
-# One index over the pool fingerprints each distinct molecule once.
-index = NeighborIndex(manifest, pool)
+# The index over the pool fingerprints each distinct molecule once.
 for split in ("train", "valid", "test"):
     sims = [
         index.nearest(record, 1, exclude_id=record.record_id)[0][1]
@@ -102,7 +101,7 @@ tasks = {
     "demo_permeability": (manifest, [r for r in records if r.split == "train"]),
     "demo_small": (small_task, small_records),
 }
-sample = list(build_mixture(tasks, MixtureSpec(seed=1), 5000))
+sample = list(build_mixture(tasks, 5000, seed=1))
 task_freq = Counter(p.task_id for p in sample)
 zero = sum(1 for p in sample if p.shot_count == 0)
 shot_hist = Counter(p.shot_count for p in sample if p.shot_count)

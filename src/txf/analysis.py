@@ -9,7 +9,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .evalharness import EvalResult, score_rows
+from .evalharness import EvalResult, average_ranks, score_rows
 
 __all__ = [
     "ScoreRow",
@@ -28,6 +28,12 @@ __all__ = [
     "load_score_rows",
     "load_pair_rows",
 ]
+
+# A row below its reference is "near" within 10 % (see _is_near).
+NEAR_THRESHOLD = 0.1
+# The signed-rank null is enumerated exactly up to this many nonzero pairs
+# and approximated normally above it.
+EXACT_LIMIT = 25
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,7 @@ class ScoreboardCounts:
 
 
 def scoreboard(
-    rows: Sequence[ScoreRow], near_threshold: float = 0.1, na_as_exceed: bool = True
+    rows: Sequence[ScoreRow], na_as_exceed: bool = True
 ) -> ScoreboardCounts:
     """Bucket each row as exceeding, near, or below the reference value.
 
@@ -114,7 +120,7 @@ def scoreboard(
         if relative_difference(row) > 0:
             counts.exceed += 1
             counts.exceed_tasks.append(row.task)
-        elif _is_near(row, near_threshold):
+        elif _is_near(row, NEAR_THRESHOLD):
             counts.near += 1
             counts.near_tasks.append(row.task)
         else:
@@ -189,14 +195,13 @@ def wilcoxon_signed_rank(
     a: Sequence[float],
     b: Sequence[float],
     lower_is_better: Sequence[bool] | bool = False,
-    exact_limit: int = 25,
 ) -> ComparisonResult:
     """Paired two-sided signed-rank test on mean-normalized differences.
 
     Per pair, d = (b - a) / mean(a, b), sign-reversed for lower-is-better
     metrics so positive d always means b performed better. Zero differences
     are dropped; |d| ties get average ranks. W = min(W+, W-); the null is
-    enumerated exactly up to exact_limit pairs and approximated normally
+    enumerated exactly up to EXACT_LIMIT pairs and approximated normally
     (with continuity correction) above.
     """
     if len(a) != len(b):
@@ -233,22 +238,11 @@ def wilcoxon_signed_rank(
             statistic=0.0, p_value=1.0, differences=diffs,
         )
 
-    order = sorted(range(n), key=lambda i: abs(nonzero[i]))
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and abs(nonzero[order[j + 1]]) == abs(nonzero[order[i]]):
-            j += 1
-        avg = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-
+    ranks = average_ranks([abs(d) for d in nonzero]).tolist()
     w_plus = sum(r for r, d in zip(ranks, nonzero) if d > 0)
     w_minus = sum(r for r, d in zip(ranks, nonzero) if d < 0)
     w = min(w_plus, w_minus)
-    if n <= exact_limit:
+    if n <= EXACT_LIMIT:
         p = _signed_rank_p_exact(ranks, w, n)
     else:
         p = _signed_rank_p_normal(w, n)
@@ -258,7 +252,7 @@ def wilcoxon_signed_rank(
     )
 
 
-def compare_pairs(pairs: Sequence[PairRow], exact_limit: int = 25) -> ComparisonResult:
+def compare_pairs(pairs: Sequence[PairRow]) -> ComparisonResult:
     """Signed-rank comparison over per-task pairs.
 
     Ties at the recorded precision are attributed to the side marked in
@@ -269,7 +263,6 @@ def compare_pairs(pairs: Sequence[PairRow], exact_limit: int = 25) -> Comparison
         [p.a for p in pairs],
         [p.b for p in pairs],
         [p.lower_is_better for p in pairs],
-        exact_limit=exact_limit,
     )
     for pair in pairs:
         if pair.a == pair.b and pair.tie_winner in ("a", "b"):
@@ -330,9 +323,6 @@ class AhoCorasick:
                     self._fail[s] = 0
                 self._output[s] |= self._output[self._fail[s]]
         self._built = True
-
-    def reset(self) -> None:
-        self._state = 0
 
     def feed(self, chunk: str) -> set[int]:
         """Advance through a chunk; returns ids of patterns that matched."""

@@ -9,9 +9,7 @@ from .fingerprint import (
     top_k_tanimoto,
 )
 from .reaction import (
-    ReactantSet,
     canonical_reactant_set,
-    reactant_set_equal,
     score_reactant_prediction,
 )
 from .scaffold import murcko_scaffold, scaffold_key
@@ -32,7 +30,6 @@ __all__ = [
     "Molecule",
     "SmilesParseError",
     "Fingerprint",
-    "ReactantSet",
     "parse_smiles",
     "parse_reaction_side",
     "strip_atom_maps",
@@ -45,6 +42,5 @@ __all__ = [
     "murcko_scaffold",
     "scaffold_key",
     "canonical_reactant_set",
-    "reactant_set_equal",
     "score_reactant_prediction",
 ]

@@ -9,17 +9,12 @@ from .smiles import (
     write_canonical,
 )
 
-__all__ = ["ReactantSet", "canonical_reactant_set", "reactant_set_equal", "score_reactant_prediction"]
+__all__ = ["canonical_reactant_set", "score_reactant_prediction"]
 
 
-class ReactantSet(frozenset):
-    """Set of canonical, map-stripped component serializations."""
-
-    __slots__ = ()
-
-
-def canonical_reactant_set(text: str) -> ReactantSet | None:
-    """Canonicalize a dot-separated SMILES into a component set.
+def canonical_reactant_set(text: str) -> frozenset[str] | None:
+    """Canonicalize a dot-separated SMILES into a set of canonical,
+    map-stripped component serializations.
 
     Atom maps are stripped before canonicalization so mapped and unmapped
     spellings compare equal. Returns None when the string does not parse.
@@ -28,7 +23,7 @@ def canonical_reactant_set(text: str) -> ReactantSet | None:
         molecules = parse_reaction_side(text)
     except SmilesParseError:
         return None
-    return ReactantSet(write_canonical(strip_atom_maps(m)) for m in molecules)
+    return frozenset(write_canonical(strip_atom_maps(m)) for m in molecules)
 
 
 def score_reactant_prediction(predicted: str, truth: str) -> tuple[int, bool]:
@@ -46,8 +41,3 @@ def score_reactant_prediction(predicted: str, truth: str) -> tuple[int, bool]:
         return 0, False
     return (1 if predicted_set == truth_set else 0), True
 
-
-def reactant_set_equal(predicted: str, truth: str) -> int:
-    """1 when predicted and truth contain exactly the same components."""
-    score, _ = score_reactant_prediction(predicted, truth)
-    return score

@@ -105,22 +105,26 @@ def _shot_pool(records, eval_split: str):
 def _render_split(manifest, records, split, policy, seed):
     kind, k = policy
     pool = _shot_pool(records, split)
+    pool_ids = {r.record_id for r in pool}
     index = promptgen.NeighborIndex(manifest, pool) if kind == "knn" and pool else None
     out = []
     for record in records:
         if record.split != split:
             continue
+        # The query never donates to itself, so a pool holding only the
+        # query renders zero-shot, like an empty pool.
+        donors = bool(pool_ids) and pool_ids != {record.record_id}
         shots = ()
-        if kind == "random" and pool:
+        if kind == "random" and donors:
             # Per-record seed must be stable across processes.
             record_seed = seed + zlib.crc32(record.record_id.encode("utf-8"))
             shots = promptgen.select_shots_random(
                 pool, k, seed=record_seed, exclude_id=record.record_id,
             )
-        elif index is not None:
+        elif index is not None and donors:
             shots = index.select_shots(record, k, seed=seed)
         out.append(
-            promptgen.fit_length_budget(record, manifest, shots, budget=2048)
+            promptgen.fit_length_budget(record, manifest, shots, budget=promptgen.INPUT_BUDGET)
         )
     return out
 
@@ -166,8 +170,7 @@ def cmd_build(config: RunConfig) -> int:
         )
 
     if config.mixture > 0:
-        spec = promptgen.MixtureSpec(seed=config.seed)
-        stream = promptgen.build_mixture(mixture_tasks, spec, config.mixture)
+        stream = promptgen.build_mixture(mixture_tasks, config.mixture, seed=config.seed)
         promptgen.write_prompt_jsonl(stream, config.out / "mixture.jsonl")
         print(f"mixture.jsonl: {config.mixture} prompts")
     return EXIT_OK

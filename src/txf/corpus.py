@@ -88,12 +88,6 @@ class TaskManifest:
         kinds = frozenset(r.kind for r in self.roles)
         return _FEATURE_TAGS.get(kinds, " + ".join(sorted(kinds)))
 
-    def role(self, name: str) -> RoleSpec:
-        for r in self.roles:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
     def similarity_roles(self) -> tuple[str, list[RoleSpec]]:
         """Kind of the first similarity-capable role and all roles of that kind."""
         for r in self.roles:
@@ -188,9 +182,17 @@ def read_manifest(path) -> TaskManifest:
                 label=need(f"role.{name}.label"),
             )
         )
+
+    def number(key: str) -> float:
+        text = need(key)
+        try:
+            return float(text)
+        except ValueError:
+            raise CorpusError(f"{path}: {key} is not a number: {text!r}") from None
+
     label_range = None
     if "label_min" in data or "label_max" in data:
-        label_range = (float(need("label_min")), float(need("label_max")))
+        label_range = (number("label_min"), number("label_max"))
     combo = None
     if "combination_roles" in data:
         parts = data["combination_roles"].split()
@@ -319,17 +321,16 @@ def validate_manifest(manifest: TaskManifest) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _open_reader(path):
+def _table_reader(fh, path):
     suffix = Path(path).suffix.lower()
-    fh = open(path, encoding="utf-8", newline="")
     if suffix == ".tsv":
-        return fh, csv.reader(fh, delimiter="\t")
+        return csv.reader(fh, delimiter="\t")
     if suffix == ".csv":
-        return fh, csv.reader(fh)
+        return csv.reader(fh)
     sample = fh.read(4096)
     fh.seek(0)
     delimiter = "\t" if sample.count("\t") >= sample.count(",") else ","
-    return fh, csv.reader(fh, delimiter=delimiter)
+    return csv.reader(fh, delimiter=delimiter)
 
 
 def _parse_label(raw: str, kind: str):
@@ -349,53 +350,56 @@ def load_table(path, manifest: TaskManifest) -> LoadedTable:
     """Read a delimited table into typed records.
 
     Rows with any empty mapped cell are dropped and counted. Raises on a
-    missing column or when no usable rows remain.
+    file that is not UTF-8, a missing column, or when no usable rows remain.
     """
-    fh, reader = _open_reader(path)
-    with fh:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusError(f"{path}: empty file") from None
-        index = {name: i for i, name in enumerate(header)}
-        needed = [r.column for r in manifest.roles] + [manifest.label_column]
-        if manifest.subtask_column:
-            needed.append(manifest.subtask_column)
-        if manifest.timestamp_column:
-            needed.append(manifest.timestamp_column)
-        missing = [c for c in needed if c not in index]
-        if missing:
-            raise CorpusError(f"{path}: missing columns {missing}")
-
-        records = []
-        dropped = 0
-        for row_num, row in enumerate(reader):
-            cells = {}
-            ok = True
-            for column in needed:
-                i = index[column]
-                value = row[i].strip() if i < len(row) else ""
-                if not value:
-                    ok = False
-                    break
-                cells[column] = value
-            if not ok:
-                dropped += 1
-                continue
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = _table_reader(fh, path)
             try:
-                label = _parse_label(cells[manifest.label_column], manifest.task_kind)
-            except ValueError:
-                dropped += 1
-                continue
-            records.append(
-                DataRecord(
-                    record_id=str(row_num),
-                    features={r.name: cells[r.column] for r in manifest.roles},
-                    label=label,
-                    subtask=cells.get(manifest.subtask_column) if manifest.subtask_column else None,
-                    timestamp=cells.get(manifest.timestamp_column) if manifest.timestamp_column else None,
+                header = next(reader)
+            except StopIteration:
+                raise CorpusError(f"{path}: empty file") from None
+            index = {name: i for i, name in enumerate(header)}
+            needed = [r.column for r in manifest.roles] + [manifest.label_column]
+            if manifest.subtask_column:
+                needed.append(manifest.subtask_column)
+            if manifest.timestamp_column:
+                needed.append(manifest.timestamp_column)
+            missing = [c for c in needed if c not in index]
+            if missing:
+                raise CorpusError(f"{path}: missing columns {missing}")
+
+            records = []
+            dropped = 0
+            for row_num, row in enumerate(reader):
+                cells = {}
+                ok = True
+                for column in needed:
+                    i = index[column]
+                    value = row[i].strip() if i < len(row) else ""
+                    if not value:
+                        ok = False
+                        break
+                    cells[column] = value
+                if not ok:
+                    dropped += 1
+                    continue
+                try:
+                    label = _parse_label(cells[manifest.label_column], manifest.task_kind)
+                except ValueError:
+                    dropped += 1
+                    continue
+                records.append(
+                    DataRecord(
+                        record_id=str(row_num),
+                        features={r.name: cells[r.column] for r in manifest.roles},
+                        label=label,
+                        subtask=cells.get(manifest.subtask_column) if manifest.subtask_column else None,
+                        timestamp=cells.get(manifest.timestamp_column) if manifest.timestamp_column else None,
+                    )
                 )
-            )
+    except UnicodeDecodeError:
+        raise CorpusError(f"{path}: not UTF-8 text") from None
     if not records:
         raise CorpusError(f"{path}: no usable rows (dropped {dropped})")
     return LoadedTable(records=records, dropped=dropped)
@@ -521,18 +525,7 @@ def assign_splits(
     else:
         raise CorpusError(f"unsupported split method {method!r}")
 
-    return [replace_split(record, assignment[i]) for i, record in enumerate(records)]
-
-
-def replace_split(record: DataRecord, split: str) -> DataRecord:
-    return DataRecord(
-        record_id=record.record_id,
-        features=dict(record.features),
-        label=record.label,
-        subtask=record.subtask,
-        timestamp=record.timestamp,
-        split=split,
-    )
+    return [replace(record, split=assignment[i]) for i, record in enumerate(records)]
 
 
 def fit_label_range(records: list[DataRecord], manifest: TaskManifest) -> TaskManifest:

@@ -2,10 +2,10 @@
 
 The model boundary is a single generate() call. Over HTTP it is a JSON POST
 {"prompt", "max_tokens", "temperature"} answered by {"text",
-"option_scores"?, "logprob"?}; the built-in stubs speak the same interface
-in process. Metrics are computed over every test record: unparseable or
-failed completions contribute fallback predictions and an invalid rate, so
-n stays constant across models.
+"option_scores"?}; other response keys are ignored. The built-in stubs speak
+the same interface in process. Metrics are computed over every test record:
+unparseable or failed completions contribute fallback predictions and an
+invalid rate, so n stays constant across models.
 """
 
 from __future__ import annotations
@@ -67,14 +67,12 @@ class GenerationRequest:
     prompt: str
     max_tokens: int = 512
     temperature: float = 0.0
-    stop: str | None = None
 
 
 @dataclass(frozen=True)
 class GenerationResponse:
     text: str
     option_scores: dict[str, float] | None = None
-    logprob: float | None = None
     latency: float = 0.0
 
 
@@ -123,7 +121,6 @@ class HttpModelClient:
                         option_scores={str(k): float(v) for k, v in scores.items()}
                         if scores
                         else None,
-                        logprob=payload.get("logprob"),
                         latency=time.monotonic() - started,
                     )
             except (requests.ConnectionError, requests.Timeout) as exc:
@@ -482,7 +479,6 @@ def evaluate_task(
     prompts: Sequence[PromptRecord],
     client: ModelClient,
     concurrency: int = 4,
-    max_output_tokens: int = 512,
 ) -> EvalResult:
     """Drive the model over every prompt and compute the task metric.
 
@@ -494,11 +490,8 @@ def evaluate_task(
         raise ValueError("concurrency must be >= 1")
 
     def call(prompt: PromptRecord):
-        request = GenerationRequest(
-            prompt=prompt.prompt, max_tokens=max_output_tokens, temperature=0.0
-        )
         try:
-            return client.generate(request), None
+            return client.generate(GenerationRequest(prompt=prompt.prompt)), None
         except TransportError as exc:
             return None, str(exc)
 

@@ -12,27 +12,27 @@ import heapq
 import json
 import math
 import random
-import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bioseq import BioSequence, percent_identity
 from .chem import SmilesParseError, morgan_fingerprint, parse_smiles, tanimoto
-from .corpus import DataRecord, TaskManifest
+from .corpus import _PLACEHOLDER, DataRecord, TaskManifest
 
 __all__ = [
     "ANSWER_NEGATIVE",
     "ANSWER_POSITIVE",
     "BinningSpec",
     "PromptRecord",
-    "MixtureSpec",
+    "ZERO_SHOT_FRACTION",
+    "SHOT_RANGE",
+    "INPUT_BUDGET",
     "bin_label",
     "unbin_label",
     "render_target",
     "render_prompt",
     "select_shots_random",
-    "select_shots_knn",
     "NeighborIndex",
     "fit_length_budget",
     "build_mixture",
@@ -46,7 +46,11 @@ __all__ = [
 ANSWER_NEGATIVE = "(A)"
 ANSWER_POSITIVE = "(B)"
 
-_PLACEHOLDER = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+# The finetuning mixture: 70 % of prompts are zero-shot, the rest take a
+# uniform 1..10 random shots, trimmed to a 2,048-token input budget.
+ZERO_SHOT_FRACTION = 0.7
+SHOT_RANGE = (1, 10)
+INPUT_BUDGET = 2048
 
 
 @dataclass(frozen=True)
@@ -109,22 +113,6 @@ class PromptRecord:
         return len(self.shot_ids)
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    zero_shot_fraction: float = 0.7
-    shot_min: int = 1
-    shot_max: int = 10
-    input_budget: int = 2048
-    output_budget: int = 512
-    seed: int = 1
-
-    def __post_init__(self):
-        if not (0.0 <= self.zero_shot_fraction <= 1.0):
-            raise ValueError("zero_shot_fraction must lie in [0, 1]")
-        if self.shot_min < 1 or self.shot_max < self.shot_min:
-            raise ValueError("shot range must be nonempty and start at >= 1")
-
-
 def default_token_estimator(text: str) -> int:
     """Cheap monotone token estimate: ceil(utf-8 bytes / 4)."""
     return -(-len(text.encode("utf-8")) // 4)
@@ -167,7 +155,6 @@ def render_prompt(
     record: DataRecord,
     manifest: TaskManifest,
     shots: Sequence[DataRecord] = (),
-    estimator: Callable[[str], int] = default_token_estimator,
     budget: int | None = None,
 ) -> PromptRecord:
     """Render one example into the canonical block layout.
@@ -193,7 +180,7 @@ def render_prompt(
     prompt = "\n\n".join(blocks)
 
     over = False
-    estimate = estimator(prompt)
+    estimate = default_token_estimator(prompt)
     if budget is not None:
         over = estimate > budget
     return PromptRecord(
@@ -335,24 +322,6 @@ class NeighborIndex:
         return [self.pool[i] for i, _ in ranked]
 
 
-def select_shots_knn(
-    query: DataRecord,
-    pool: Sequence[DataRecord],
-    n: int,
-    manifest: TaskManifest,
-    seed: int = 1,
-) -> list[DataRecord]:
-    """The n nearest pool records by feature similarity, nearest first.
-
-    Molecules compare by fingerprint Tanimoto on the first smiles role;
-    sequence features by percent identity averaged over same-kind roles.
-    Ties break on ascending pool index. Falls back to random shots, with a
-    warning, when no feature supports similarity. Builds a fresh
-    NeighborIndex; callers with many queries over one pool should keep one.
-    """
-    return NeighborIndex(manifest, pool).select_shots(query, n, seed)
-
-
 def shot_source_splits(eval_split: str) -> tuple[str, ...]:
     """Which splits may donate shots when evaluating a given split.
 
@@ -369,7 +338,6 @@ def fit_length_budget(
     manifest: TaskManifest,
     shots: Sequence[DataRecord],
     budget: int,
-    estimator: Callable[[str], int] = default_token_estimator,
 ) -> PromptRecord:
     """Drop shots from the end of the list until the estimate fits the budget.
 
@@ -377,7 +345,7 @@ def fit_length_budget(
     """
     shots = list(shots)
     while True:
-        rendered = render_prompt(record, manifest, shots, estimator=estimator, budget=budget)
+        rendered = render_prompt(record, manifest, shots, budget=budget)
         if rendered.estimated_length <= budget or not shots:
             return rendered
         shots.pop()
@@ -385,17 +353,16 @@ def fit_length_budget(
 
 def build_mixture(
     tasks: dict[str, tuple[TaskManifest, Sequence[DataRecord]]],
-    spec: MixtureSpec,
     count: int,
-    estimator: Callable[[str], int] = default_token_estimator,
+    seed: int = 1,
 ) -> Iterator[PromptRecord]:
     """Sample a finetuning mixture across tasks.
 
     Tasks are drawn with probability proportional to their train-record
-    count, records uniformly within the task. A configurable fraction of
-    prompts is zero-shot; the rest take a uniform 1..10 random shots from the
-    same task's train set, trimmed to the input budget. Fully reproducible
-    from the configured seed.
+    count, records uniformly within the task. ZERO_SHOT_FRACTION of the
+    prompts are zero-shot; the rest take a uniform SHOT_RANGE count of random
+    shots from the same task's train set, trimmed to INPUT_BUDGET. Fully
+    reproducible from the seed.
     """
     if not tasks:
         raise ValueError("no tasks to mix")
@@ -408,8 +375,8 @@ def build_mixture(
             raise ValueError(f"{task_id}: no train records")
         pools[task_id] = (manifest, pool)
     weights = [len(pools[t][1]) for t in task_ids]
-    rng = random.Random(spec.seed)
-    few_shot_fraction = 1.0 - spec.zero_shot_fraction
+    rng = random.Random(seed)
+    few_shot_fraction = 1.0 - ZERO_SHOT_FRACTION
 
     for _ in range(count):
         task_id = rng.choices(task_ids, weights=weights, k=1)[0]
@@ -417,11 +384,11 @@ def build_mixture(
         record = pool[rng.randrange(len(pool))]
         shots: Sequence[DataRecord] = ()
         if rng.random() < few_shot_fraction and len(pool) > 1:
-            want = rng.randint(spec.shot_min, spec.shot_max)
+            want = rng.randint(*SHOT_RANGE)
             shots = select_shots_random(
                 pool, want, seed=rng.randrange(1 << 30), exclude_id=record.record_id
             )
-        yield fit_length_budget(record, manifest, shots, spec.input_budget, estimator)
+        yield fit_length_budget(record, manifest, shots, INPUT_BUDGET)
 
 
 def write_prompt_jsonl(records: Iterable[PromptRecord], path) -> None:

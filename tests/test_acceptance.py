@@ -27,7 +27,7 @@ from txf.analysis import (
 from txf.chem import Fingerprint, morgan_fingerprint, parse_smiles, tanimoto, top_k_tanimoto
 from txf.cli import main
 from txf.evalharness import auroc
-from txf.promptgen import BinningSpec, MixtureSpec, bin_label, build_mixture, render_prompt, unbin_label
+from txf.promptgen import BinningSpec, bin_label, build_mixture, render_prompt, unbin_label
 from txf.corpus import DataRecord, RoleSpec, TaskManifest
 
 
@@ -312,7 +312,7 @@ def test_criterion_8_mixture_statistics():
     n = 100_000
     zero_shot = 0
     shot_counts = Counter()
-    for prompt in build_mixture(tasks, MixtureSpec(seed=1), n):
+    for prompt in build_mixture(tasks, n, seed=1):
         if prompt.shot_count == 0:
             zero_shot += 1
         else:

@@ -153,6 +153,21 @@ def test_wilcoxon_exact_matches_enumeration_oracle():
             assert result.p_value == pytest.approx(min(1.0, expected), rel=1e-9), (n, a, b)
 
 
+def test_wilcoxon_tied_differences_match_enumeration_oracle():
+    # Integer scores on a small range make many |d| ties.
+    rng = random.Random(97)
+    for n in range(5, 13):
+        for _ in range(6):
+            a = [float(rng.randint(1, 4)) for _ in range(n)]
+            b = [float(rng.randint(1, 4)) for _ in range(n)]
+            result = wilcoxon_signed_rank(a, b)
+            if result.n_used == 0:
+                continue
+            nonzero = [d for d in result.differences if d != 0]
+            expected = _wilcoxon_enumeration_p(nonzero)
+            assert result.p_value == pytest.approx(min(1.0, expected), rel=1e-9), (n, a, b)
+
+
 def test_wilcoxon_symmetric_in_arguments():
     rng = random.Random(89)
     a = [rng.uniform(0, 2) for _ in range(12)]

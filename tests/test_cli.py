@@ -55,6 +55,46 @@ def test_build_missing_column_exits_nonzero(tmp_path, capsys):
     assert "missing columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shots", ["knn3", "random3"])
+def test_build_pool_of_only_the_query_renders_zero_shot(tmp_path, shots):
+    manifests, data = _copy_cli_task(tmp_path)
+    out = tmp_path / "out"
+    code = main([
+        "build", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(out), "--seed", "1", "--shots", shots,
+    ])
+    assert code == 0
+    [line] = (out / "bbb_martins.train.jsonl").read_text(encoding="utf-8").splitlines()
+    obj = json.loads(line)
+    assert obj["shots"] == []
+    golden = (FIXTURES / "golden_prompts" / "binary_bbb.txt").read_text(encoding="utf-8").rstrip("\n")
+    assert obj["prompt"] + " " + obj["target"] == golden
+
+
+def _non_numeric_label_min(manifests, data):
+    path = manifests / "bbb_martins.manifest"
+    path.write_text(path.read_text() + "label_min: abc\nlabel_max: 1\n")
+    return "label_min"
+
+
+def _table_not_utf8(manifests, data):
+    (data / "bbb_martins.tsv").write_bytes(b"Drug\tY\nCC\xffO\t1\n")
+    return "not UTF-8"
+
+
+@pytest.mark.parametrize("corrupt", [_non_numeric_label_min, _table_not_utf8])
+def test_build_bad_input_exits_with_one_error_line(tmp_path, capsys, corrupt):
+    manifests, data = _copy_cli_task(tmp_path)
+    expected = corrupt(manifests, data)
+    code = main([
+        "build", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "bbb_martins" in line and expected in line
+
+
 def test_build_invalid_manifest_lists_violations(tmp_path, capsys):
     manifests, data = _copy_cli_task(tmp_path)
     bad = (manifests / "bbb_martins.manifest").read_text().replace(

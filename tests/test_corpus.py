@@ -78,6 +78,14 @@ def test_load_table_csv_delimiter(tmp_path):
     assert len(loaded.records) == 1
 
 
+@pytest.mark.parametrize("name", ["toy.tsv", "toy.txt"])
+def test_load_table_not_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"Drug\tY\nCC\xffO\t1\n")
+    with pytest.raises(CorpusError, match="not UTF-8"):
+        load_table(path, _binary_manifest())
+
+
 def test_random_split_deterministic():
     manifest = _binary_manifest()
     records = _records(10)

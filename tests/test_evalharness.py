@@ -432,6 +432,9 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/generate"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_http_client_wire_contract(http_server):

@@ -11,14 +11,12 @@ from knn_reference import naive_nearest
 from txf.corpus import DataRecord, RoleSpec, TaskManifest
 from txf.promptgen import (
     BinningSpec,
-    MixtureSpec,
     NeighborIndex,
     bin_label,
     build_mixture,
     default_token_estimator,
     fit_length_budget,
     render_prompt,
-    select_shots_knn,
     select_shots_random,
     shot_source_splits,
     unbin_label,
@@ -194,7 +192,7 @@ def test_random_shots_uniform_frequency():
 def test_knn_duplicate_is_first_shot():
     pool = _pool(8)
     pool.append(DataRecord("dup", {"drug": golden_tasks.BBB_QUERY.features["drug"]}, True, split="train"))
-    shots = select_shots_knn(golden_tasks.BBB_QUERY, pool, 3, golden_tasks.BBB_MANIFEST)
+    shots = NeighborIndex(golden_tasks.BBB_MANIFEST, pool).select_shots(golden_tasks.BBB_QUERY, 3)
     assert shots[0].record_id == "dup"
 
 
@@ -205,7 +203,7 @@ def test_knn_matches_naive_scan():
     smiles = ["C" * rng.randint(1, 6) + "O" * rng.randint(0, 2) for _ in range(40)]
     pool = [DataRecord(f"p{i}", {"drug": s}, True, split="train") for i, s in enumerate(smiles)]
     query = DataRecord("q", {"drug": "CCCO"}, True, split="test")
-    got = select_shots_knn(query, pool, 5, golden_tasks.BBB_MANIFEST)
+    got = NeighborIndex(golden_tasks.BBB_MANIFEST, pool).select_shots(query, 5)
     qfp = morgan_fingerprint(parse_smiles("CCCO"))
     naive = sorted(
         ((i, tanimoto(qfp, morgan_fingerprint(parse_smiles(s)))) for i, s in enumerate(smiles)),
@@ -220,7 +218,7 @@ def test_knn_sequence_averaging():
         DataRecord("near", {"peptide": "QLADETLLKV", "mhc": "YFAMYGEKVAHTHVDTLYVRYHYYTWAEWAYTWY"}, True, split="train"),
         DataRecord("far", {"peptide": "GGGGGGGGGG", "mhc": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}, True, split="train"),
     ]
-    shots = select_shots_knn(golden_tasks.MHC1_QUERY, pool, 1, manifest)
+    shots = NeighborIndex(manifest, pool).select_shots(golden_tasks.MHC1_QUERY, 1)
     assert shots[0].record_id == "near"
 
 
@@ -239,7 +237,7 @@ def test_knn_without_similarity_role_warns_and_falls_back():
     pool = [DataRecord(f"p{i}", {"note": f"n{i}"}, True, split="train") for i in range(5)]
     query = DataRecord("q", {"note": "x"}, True, split="test")
     with pytest.warns(UserWarning):
-        shots = select_shots_knn(query, pool, 2, manifest, seed=3)
+        shots = NeighborIndex(manifest, pool).select_shots(query, 2, seed=3)
     assert len(shots) == 2
 
 
@@ -392,7 +390,7 @@ def test_neighbor_index_requires_a_similarity_role():
 def test_select_shots_rejects_a_pool_of_only_the_query():
     pool = _records(golden_tasks.BBB_MANIFEST, [("CCO",)])
     with pytest.raises(ValueError, match="empty shot pool"):
-        select_shots_knn(pool[0], pool, 2, golden_tasks.BBB_MANIFEST)
+        NeighborIndex(golden_tasks.BBB_MANIFEST, pool).select_shots(pool[0], 2)
 
 
 def test_shot_source_splits():
@@ -463,8 +461,7 @@ def _mixture_tasks(sizes):
 
 def test_mixture_task_weighting_and_shot_stats():
     tasks = _mixture_tasks({"big": 900, "small": 100})
-    spec = MixtureSpec(seed=1)
-    sample = list(build_mixture(tasks, spec, 20_000))
+    sample = list(build_mixture(tasks, 20_000, seed=1))
     n = len(sample)
     big = sum(1 for p in sample if p.task_id == "big")
     sigma_task = math.sqrt(n * 0.9 * 0.1)
@@ -480,14 +477,14 @@ def test_mixture_task_weighting_and_shot_stats():
 
 def test_mixture_reproducible():
     tasks = _mixture_tasks({"a": 50, "b": 70})
-    first = [ (p.task_id, p.record_id, p.shot_ids) for p in build_mixture(tasks, MixtureSpec(seed=9), 200)]
-    second = [(p.task_id, p.record_id, p.shot_ids) for p in build_mixture(tasks, MixtureSpec(seed=9), 200)]
+    first = [ (p.task_id, p.record_id, p.shot_ids) for p in build_mixture(tasks, 200, seed=9)]
+    second = [(p.task_id, p.record_id, p.shot_ids) for p in build_mixture(tasks, 200, seed=9)]
     assert first == second
 
 
 def test_mixture_shots_come_from_same_task():
     tasks = _mixture_tasks({"a": 40, "b": 40})
-    for prompt in build_mixture(tasks, MixtureSpec(seed=13), 500):
+    for prompt in build_mixture(tasks, 500, seed=13):
         for shot_id in prompt.shot_ids:
             assert shot_id.startswith(prompt.task_id)
             assert shot_id != prompt.record_id

@@ -1,0 +1,38 @@
+import importlib
+
+import pytest
+
+LAYERS = ("chem", "bioseq", "corpus", "promptgen", "evalharness", "analysis")
+
+# Public names deleted as unused or duplicate; each must stay gone.
+REMOVED = {
+    "chem": ["ReactantSet", "reactant_set_equal"],
+    "corpus": ["replace_split", "TaskManifest.role"],
+    "promptgen": ["MixtureSpec", "select_shots_knn"],
+    "evalharness": ["GenerationRequest.stop", "GenerationResponse.logprob"],
+    "analysis": ["AhoCorasick.reset"],
+}
+
+
+def _resolves(module, dotted: str) -> bool:
+    value = module
+    for part in dotted.split("."):
+        if not hasattr(value, part):
+            return False
+        value = getattr(value, part)
+    return True
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_all_entry_resolves(layer):
+    module = importlib.import_module(f"txf.{layer}")
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_removed_names_stay_gone(layer):
+    module = importlib.import_module(f"txf.{layer}")
+    removed = REMOVED.get(layer, [])
+    assert not set(removed) & set(module.__all__)
+    assert [name for name in removed if _resolves(module, name)] == []

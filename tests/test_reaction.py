@@ -1,31 +1,31 @@
 import pytest
 
-from txf.chem import canonical_reactant_set, reactant_set_equal, score_reactant_prediction
+from txf.chem import canonical_reactant_set, score_reactant_prediction
 
 
 def test_component_order_does_not_matter():
-    assert reactant_set_equal("CCO.CC", "CC.CCO") == 1
+    assert score_reactant_prediction("CCO.CC", "CC.CCO")[0] == 1
 
 
 def test_missing_member_fails():
-    assert reactant_set_equal("CCO", "CCO.CC") == 0
+    assert score_reactant_prediction("CCO", "CCO.CC")[0] == 0
 
 
 def test_extra_member_fails():
-    assert reactant_set_equal("CCO.CC.O", "CCO.CC") == 0
+    assert score_reactant_prediction("CCO.CC.O", "CCO.CC")[0] == 0
 
 
 def test_atom_maps_ignored():
-    assert reactant_set_equal("[CH3:1][OH:2]", "CO") == 1
+    assert score_reactant_prediction("[CH3:1][OH:2]", "CO")[0] == 1
 
 
 def test_different_spellings_match():
-    assert reactant_set_equal("OCC", "CCO") == 1
+    assert score_reactant_prediction("OCC", "CCO")[0] == 1
 
 
 def test_self_equality_for_parseable_inputs():
     for text in ("CCO", "CC(=O)[O-].[Na+]", "c1ccccc1.Cl", "[OH-:15].[Na+]"):
-        assert reactant_set_equal(text, text) == 1
+        assert score_reactant_prediction(text, text)[0] == 1
 
 
 def test_invalid_prediction_scores_zero_and_flags():
@@ -41,7 +41,7 @@ def test_invalid_truth_raises():
 
 def test_duplicate_components_collapse():
     # set semantics: CC.CC equals CC
-    assert reactant_set_equal("CC.CC", "CC") == 1
+    assert score_reactant_prediction("CC.CC", "CC")[0] == 1
 
 
 def test_canonical_reactant_set_contents():
