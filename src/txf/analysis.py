@@ -428,15 +428,25 @@ def filtered_eval(result: EvalResult, flags: dict[str, bool]) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def _read_csv(path) -> list[dict]:
+def _read_csv(path, columns) -> list[dict]:
+    """Rows of a CSV file whose header names every one of columns and whose
+    rows reach each of them."""
     with open(path, encoding="utf-8") as fh:
-        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        rows = list(reader)
+    for n, row in enumerate(rows, 1):
+        if any(row[c] is None for c in columns):
+            raise ValueError(f"{path}: row {n} has fewer cells than the header")
+    return rows
 
 
 def load_score_rows(path, model_col: str = "model") -> list[ScoreRow]:
     """Rows of task,feature_type,metric,lower_is_better,sota,<model_col>."""
     rows = []
-    for rec in _read_csv(path):
+    for rec in _read_csv(path, ("task", "metric", "lower_is_better", model_col)):
         sota_raw = (rec.get("sota") or "").strip()
         rows.append(
             ScoreRow(
@@ -454,7 +464,7 @@ def load_score_rows(path, model_col: str = "model") -> list[ScoreRow]:
 def load_pair_rows(path, a_col: str, b_col: str) -> list[PairRow]:
     """Paired per-task values; a tie_winner column is honored when present."""
     pairs = []
-    for rec in _read_csv(path):
+    for rec in _read_csv(path, ("task", "metric", "lower_is_better", a_col, b_col)):
         tie = (rec.get("tie_winner") or "").strip() or None
         pairs.append(
             PairRow(

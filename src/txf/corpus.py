@@ -156,15 +156,19 @@ def _unescape(value: str) -> str:
 
 def read_manifest(path) -> TaskManifest:
     data: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if ":" not in line:
-                raise CorpusError(f"{path}:{lineno}: expected 'key: value'")
-            key, _, value = line.partition(":")
-            data[key.strip()] = _unescape(value.strip())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        raise CorpusError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if ":" not in line:
+            raise CorpusError(f"{path}:{lineno}: expected 'key: value'")
+        key, _, value = line.partition(":")
+        data[key.strip()] = _unescape(value.strip())
 
     def need(key: str) -> str:
         if key not in data:

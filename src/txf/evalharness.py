@@ -114,14 +114,9 @@ class HttpModelClient:
                     last = f"HTTP {resp.status_code}"
                 else:
                     resp.raise_for_status()
-                    payload = resp.json()
-                    scores = payload.get("option_scores")
+                    text, scores = _wire_response(resp.json())
                     return GenerationResponse(
-                        text=payload.get("text", ""),
-                        option_scores={str(k): float(v) for k, v in scores.items()}
-                        if scores
-                        else None,
-                        latency=time.monotonic() - started,
+                        text=text, option_scores=scores, latency=time.monotonic() - started,
                     )
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last = str(exc)
@@ -132,6 +127,26 @@ class HttpModelClient:
             if attempt + 1 < self.max_attempts:
                 time.sleep(min(self.backoff * (2**attempt), 4.0))
         raise TransportError(f"{self.url}: unreachable after {self.max_attempts} attempts ({last})")
+
+
+def _wire_response(payload) -> tuple[str, dict[str, float] | None]:
+    """Text and option scores of a response body; ValueError when the body
+    breaks the wire contract."""
+    if not isinstance(payload, dict):
+        raise ValueError("not a JSON object")
+    text = payload.get("text", "")
+    if not isinstance(text, str):
+        raise ValueError("text is not a string")
+    scores = payload.get("option_scores")
+    if not scores:
+        return text, None
+    if not isinstance(scores, dict) or not all(
+        isinstance(v, (int, float, str)) for v in scores.values()
+    ):
+        raise ValueError("option_scores is not an object of numbers")
+    # Numeric strings stay accepted, as float() always read them; any other
+    # string makes float() raise ValueError, a bad response too.
+    return text, {str(k): float(v) for k, v in scores.items()}
 
 
 class EchoClient:
@@ -545,8 +560,20 @@ def write_result_json(result: EvalResult, path) -> None:
 
 
 def read_result_json(path) -> dict:
+    """The payload of a result file. Raises ValueError naming the file when it
+    is not JSON, or not an object with task, metric and a numeric or null value."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise ValueError(f"{path}: not a result file: {exc}") from None
+    if not (
+        isinstance(payload, dict)
+        and {"task", "metric", "value"} <= payload.keys()
+        and isinstance(payload["value"], (int, float, type(None)))
+    ):
+        raise ValueError(f"{path}: not a result file: needs task, metric and a numeric or null value")
+    return payload
 
 
 def write_rows_csv(result: EvalResult, path) -> None:

@@ -340,3 +340,155 @@ def test_env_var_model_url(tmp_path, monkeypatch):
         "--out", str(tmp_path / "out"),
     ])
     assert code == 3
+
+
+def _unwritable(tmp_path):
+    """An --out path below a regular file, which no process can create."""
+    (tmp_path / "file").write_text("")
+    return str(tmp_path / "file" / "out")
+
+
+def _build_unwritable_out(tmp_path):
+    manifests, data = _copy_cli_task(tmp_path)
+    out = _unwritable(tmp_path)
+    return ["build", "--manifests", str(manifests), "--data", str(data), "--out", out], out
+
+
+def _evaluate_unwritable_out(tmp_path):
+    manifests, data = _copy_cli_task(tmp_path)
+    out = _unwritable(tmp_path)
+    return [
+        "evaluate", "--manifests", str(manifests), "--data", str(data), "--out", out,
+        "--stub", "echo",
+    ], out
+
+
+def _compare_unwritable_out(tmp_path):
+    out = _unwritable(tmp_path)
+    return [
+        "compare", "--pairs", str(FIXTURES / "model_size_results.csv"),
+        "--a-col", "model_s", "--b-col", "model_m", "--out", out,
+    ], out
+
+
+def _scoreboard_unwritable_out(tmp_path):
+    out = _unwritable(tmp_path)
+    return ["scoreboard", "--fixture", str(FIXTURES / "benchmark_results.csv"), "--out", out], out
+
+
+def _contamination_unwritable_out(tmp_path):
+    (tmp_path / "features.tsv").write_text("r1\tNEEDLE\n")
+    (tmp_path / "corpus.txt").write_text("hay NEEDLE hay")
+    out = _unwritable(tmp_path)
+    return [
+        "contamination", "--features", str(tmp_path / "features.tsv"),
+        "--corpus", str(tmp_path / "corpus.txt"), "--out", out,
+    ], out
+
+
+def _manifest_latin1(tmp_path):
+    manifests, data = _copy_cli_task(tmp_path)
+    path = manifests / "bbb_martins.manifest"
+    path.write_bytes(b"# caf\xe9\n" + path.read_bytes())
+    return [
+        "build", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(tmp_path / "out"),
+    ], "bbb_martins.manifest: not UTF-8"
+
+
+def _result_dirs(tmp_path, text_a):
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    for d, text in ((dir_a, text_a), (dir_b, '{"task": "t", "metric": "auroc", "value": 0.5}')):
+        d.mkdir()
+        (d / "t.result.json").write_text(text)
+    return ["compare", "--results-a", str(dir_a), "--results-b", str(dir_b)]
+
+
+def _result_truncated(tmp_path):
+    return _result_dirs(tmp_path, '{"task": "t", "metric": "au'), "t.result.json"
+
+
+def _result_without_value(tmp_path):
+    return _result_dirs(tmp_path, '{"task": "t", "metric": "auroc"}'), "t.result.json"
+
+
+def _pairs_unknown_column(tmp_path):
+    return [
+        "compare", "--pairs", str(FIXTURES / "model_size_results.csv"), "--a-col", "nope",
+    ], "model_size_results.csv: missing columns ['nope', 'b']"
+
+
+def _pairs_short_row(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("task,metric,lower_is_better,a,b\nt1,auroc\n")
+    return ["compare", "--pairs", str(pairs)], "pairs.csv: row 1 has fewer cells"
+
+
+def _missing_required_flag(tmp_path):
+    return ["scoreboard"], "--fixture"
+
+
+@pytest.mark.parametrize("case", [
+    _build_unwritable_out,
+    _evaluate_unwritable_out,
+    _compare_unwritable_out,
+    _scoreboard_unwritable_out,
+    _contamination_unwritable_out,
+    _manifest_latin1,
+    _result_truncated,
+    _result_without_value,
+    _pairs_unknown_column,
+    _pairs_short_row,
+    _missing_required_flag,
+])
+def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
+    argv, expected = case(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and expected in line
+    assert "Traceback" not in err
+
+
+def test_build_knn_shares_one_index_per_shot_pool(tmp_path, monkeypatch):
+    import txf.cli as cli_mod
+    from knn_reference import naive_nearest
+    from txf import corpus
+
+    manifests = tmp_path / "manifests"
+    data = tmp_path / "data"
+    manifests.mkdir()
+    data.mkdir()
+    _write_toy_binary(manifests, data, "knnpool", n=40)
+    real = cli_mod.promptgen.NeighborIndex
+    built = []
+
+    def counting_index(manifest, pool):
+        built.append(len(pool))
+        return real(manifest, pool)
+
+    monkeypatch.setattr(cli_mod.promptgen, "NeighborIndex", counting_index)
+    out = tmp_path / "out"
+    assert main([
+        "build", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(out), "--seed", "2", "--shots", "knn3",
+    ]) == 0
+    # train and valid draw from the train pool, test from train + valid.
+    assert len(built) == 2
+
+    # Every split's shots are the naive scan's top 3 over that split's pool.
+    manifest = corpus.read_manifest(manifests / "knnpool.manifest")
+    loaded = corpus.load_table(data / "knnpool.tsv", manifest)
+    records = corpus.assign_splits(
+        loaded.records, manifest, corpus.SplitSpec(method="random", seed=2)
+    )
+    by_id = {r.record_id: r for r in records}
+    for split, sources in (("train", {"train"}), ("valid", {"train"}), ("test", {"train", "valid"})):
+        pool = [r for r in records if r.split in sources]
+        lines = (out / f"knnpool.{split}.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines
+        for line in lines:
+            obj = json.loads(line)
+            query = by_id[obj["record_id"]]
+            expected = naive_nearest(manifest, query, pool, 3, exclude_id=query.record_id)
+            assert obj["shots"] == [pool[i].record_id for i, _ in expected]

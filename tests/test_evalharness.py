@@ -412,8 +412,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(503)
             self.end_headers()
             return
-        payload = {"text": "(B)", "option_scores": {"(A)": 0.25, "(B)": 0.75}}
-        raw = json.dumps(payload).encode()
+        if body["prompt"].startswith("REPLY "):
+            raw = body["prompt"][len("REPLY "):].encode()
+        else:
+            payload = {"text": "(B)", "option_scores": {"(A)": 0.25, "(B)": 0.75}}
+            raw = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
@@ -451,6 +454,22 @@ def test_http_client_retries_5xx(http_server):
     response = client.generate(GenerationRequest(prompt="x FAIL_ONCE"))
     assert response.text == "(B)"
     assert len(_Handler.calls) == 2
+
+
+@pytest.mark.parametrize("reply", [
+    '["(B)"]',
+    '"(B)"',
+    '{"text": null}',
+    '{"text": 7}',
+    '{"text": "(B)", "option_scores": [0.25, 0.75]}',
+    '{"text": "(B)", "option_scores": {"(A)": null}}',
+    '{"text": "(B)", "option_scores": {"(A)": [0.25]}}',
+])
+def test_http_client_rejects_payload_off_the_wire_contract(http_server, reply):
+    client = HttpModelClient(http_server, backoff=0.01)
+    with pytest.raises(TransportError, match="bad JSON response"):
+        client.generate(GenerationRequest(prompt="REPLY " + reply))
+    assert len(_Handler.calls) == 1
 
 
 def test_http_client_unreachable():
