@@ -9,6 +9,7 @@ each line of the message as ``error: <line>`` and returns 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -80,8 +81,9 @@ def _tasks(args):
 
 
 def _render(manifest, records, splits, policy, seed):
-    """Yields (split, shot pool, prompts) for each split. Splits that draw
-    shots from the same splits share one pool and one neighbour index."""
+    """Yields (split, shot pool, neighbour index or None, prompts) for each
+    split. Splits that draw shots from the same splits share one pool and one
+    neighbour index; only knn shots build one."""
     kind, k = policy
     pools = {}
     for split in splits:
@@ -111,7 +113,7 @@ def _render(manifest, records, splits, policy, seed):
             prompts.append(
                 promptgen.fit_length_budget(record, manifest, shots, budget=promptgen.INPUT_BUDGET)
             )
-        yield split, pool, prompts
+        yield split, pool, index, prompts
 
 
 def cmd_build(args) -> int:
@@ -122,7 +124,7 @@ def cmd_build(args) -> int:
         if args.fit_ranges:
             corpus.write_manifest(manifest, out / f"{manifest.task_id}{MANIFEST_SUFFIX}")
         corpus.write_split_audit(records, out / f"{manifest.task_id}.splits.tsv")
-        for split, _, prompts in _render(manifest, records, SPLITS, policy, args.seed):
+        for split, _, _, prompts in _render(manifest, records, SPLITS, policy, args.seed):
             promptgen.write_prompt_jsonl(prompts, out / f"{manifest.task_id}.{split}.jsonl")
         mixture_tasks[manifest.task_id] = (
             manifest,
@@ -147,29 +149,29 @@ def cmd_evaluate(args) -> int:
         raise ValueError("need --stub or --model-url (or TXF_MODEL_URL)")
     out = Path(args.out)
     worst = EXIT_OK
-    for manifest, records, _ in _tasks(args):
-        [(_, pool, prompts)] = _render(manifest, records, (args.split,), policy, args.seed)
-        if args.stub:
-            client = evalharness.make_stub_client(
-                args.stub, manifest=manifest, prompts=prompts, train_records=pool,
+    # One HTTP client serves every task, so its connections are reused.
+    http_client = None if args.stub else evalharness.HttpModelClient(model_url)
+    with http_client or contextlib.nullcontext():
+        for manifest, records, _ in _tasks(args):
+            [(_, pool, index, prompts)] = _render(manifest, records, (args.split,), policy, args.seed)
+            client = http_client or evalharness.make_stub_client(
+                args.stub, manifest=manifest, prompts=prompts, train_records=pool, index=index,
             )
-        else:
-            client = evalharness.HttpModelClient(model_url)
-        result = evalharness.evaluate_task(
-            manifest, prompts, client, concurrency=args.concurrency
-        )
-        evalharness.write_result_json(result, out / f"{manifest.task_id}.result.json")
-        evalharness.write_rows_csv(result, out / f"{manifest.task_id}.rows.csv")
-        shown = "undefined" if result.value is None else f"{result.value:.6g}"
-        print(
-            f"{manifest.task_id}: {manifest.metric}={shown} "
-            f"n={result.n} invalid_rate={result.invalid_rate:.3f}"
-            + (f" failures={len(result.failures)}" if result.failures else "")
-        )
-        if result.failures:
-            worst = max(worst, EXIT_TRANSPORT)
-        elif result.value is None:
-            worst = max(worst, EXIT_DEGENERATE)
+            result = evalharness.evaluate_task(
+                manifest, prompts, client, concurrency=args.concurrency
+            )
+            evalharness.write_result_json(result, out / f"{manifest.task_id}.result.json")
+            evalharness.write_rows_csv(result, out / f"{manifest.task_id}.rows.csv")
+            shown = "undefined" if result.value is None else f"{result.value:.6g}"
+            print(
+                f"{manifest.task_id}: {manifest.metric}={shown} "
+                f"n={result.n} invalid_rate={result.invalid_rate:.3f}"
+                + (f" failures={len(result.failures)}" if result.failures else "")
+            )
+            if result.failures:
+                worst = max(worst, EXIT_TRANSPORT)
+            elif result.value is None:
+                worst = max(worst, EXIT_DEGENERATE)
     return worst
 
 
@@ -252,13 +254,16 @@ def cmd_scoreboard(args) -> int:
 
 def cmd_contamination(args) -> int:
     features = []
-    with open(args.features, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            features.append((parts[0], [p for p in parts[1:] if p]))
+    try:
+        with open(args.features, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.rstrip("\n")
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split("\t")
+                features.append((parts[0], [p for p in parts[1:] if p]))
+    except UnicodeDecodeError:
+        raise ValueError(f"{args.features}: not UTF-8 text") from None
     if not features:
         raise ValueError("features file is empty")
 

@@ -13,10 +13,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+import threading
 import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -87,46 +91,151 @@ class ModelClient(Protocol):
 class HttpModelClient:
     """POSTs the generation contract to a single endpoint, with retries.
 
-    Connection failures, timeouts, and 5xx responses are retried with capped
-    exponential backoff; anything else is an immediate error.
+    Connections are kept alive and reused: ``generate`` takes an idle one
+    (or opens one) and puts it back once the whole response is read, so no
+    more connections are open than the most calls ever in flight at once
+    (``evaluate_task``'s concurrency). Connection failures, timeouts and 5xx
+    responses are retried on a new connection with capped exponential
+    backoff; other non-2xx responses (redirects included) and bodies off the
+    wire contract are an immediate error. Proxy variables are not read; HTTPS
+    verifies against the system trust store. Use as a context manager, or
+    call ``close``.
     """
 
     def __init__(self, url: str, timeout: float = 60.0, max_attempts: int = 4, backoff: float = 0.25):
+        # Imported here: http.client, socket and ssl take about 30 ms to
+        # import, which only HTTP evaluation should pay.
+        import http.client
+        import socket
+        import ssl
+
+        parts = urllib.parse.urlsplit(url)
+        try:
+            port = parts.port
+        except ValueError:  # not a number, or out of range
+            port = 0
+        if (
+            parts.scheme not in ("http", "https")
+            or not parts.hostname
+            or port == 0
+            or parts.username is not None  # credentials would be dropped
+        ):
+            raise ValueError(f"bad model URL {url!r}: expected http(s)://host[:port]/path")
         self.url = url
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff = backoff
+        self._target = parts.path or "/"
+        if parts.query:
+            self._target += "?" + parts.query
+        if parts.scheme == "https":
+            connection, tls = http.client.HTTPSConnection, {"context": ssl.create_default_context()}
+        else:
+            connection, tls = http.client.HTTPConnection, {}
+        self._new_connection = lambda: connection(parts.hostname, port, timeout=timeout, **tls)
+        self._retry_on = (OSError, http.client.HTTPException)
+        self._no_delay = (socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._quick_ack = (  # Linux only
+            (socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1) if hasattr(socket, "TCP_QUICKACK") else None
+        )
+        self._lock = threading.Lock()
+        self._idle: list = []
+
+    def __enter__(self) -> "HttpModelClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Closes the idle connections; a later ``generate`` opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
-        import requests
-
-        body = {
+        body = json.dumps({
             "prompt": request.prompt,
             "max_tokens": request.max_tokens,
             "temperature": request.temperature,
-        }
+        }).encode("utf-8")
         last = None
         for attempt in range(self.max_attempts):
             started = time.monotonic()
             try:
-                resp = requests.post(self.url, json=body, timeout=self.timeout)
-                if resp.status_code >= 500:
-                    last = f"HTTP {resp.status_code}"
+                status, data = self._post(body, fresh=attempt > 0)
+            except self._retry_on as exc:
+                last = str(exc) or type(exc).__name__
+            else:
+                if status >= 500:
+                    last = f"HTTP {status}"
+                elif not 200 <= status < 300:
+                    raise TransportError(f"{self.url}: HTTP {status}")
                 else:
-                    resp.raise_for_status()
-                    text, scores = _wire_response(resp.json())
+                    try:
+                        text, scores = _wire_response(json.loads(data))
+                    except (ValueError, OverflowError) as exc:
+                        raise TransportError(f"{self.url}: bad JSON response: {exc}") from exc
                     return GenerationResponse(
                         text=text, option_scores=scores, latency=time.monotonic() - started,
                     )
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                last = str(exc)
-            except requests.HTTPError as exc:
-                raise TransportError(f"{self.url}: {exc}") from exc
-            except ValueError as exc:
-                raise TransportError(f"{self.url}: bad JSON response: {exc}") from exc
             if attempt + 1 < self.max_attempts:
                 time.sleep(min(self.backoff * (2**attempt), 4.0))
         raise TransportError(f"{self.url}: unreachable after {self.max_attempts} attempts ({last})")
+
+    def _post(self, body: bytes, fresh: bool) -> tuple[int, bytes]:
+        """Status and body of one POST, on an idle connection unless
+        ``fresh``. The connection goes back to the idle stack when the server
+        keeps it open and answered below 500; otherwise it is closed."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle and not fresh else None
+        if conn is not None:
+            try:
+                response = self._send(conn, body)
+            except (ConnectionResetError, BrokenPipeError):
+                # RemoteDisconnected is a ConnectionResetError. The server
+                # closed this connection while it sat idle: retry once, at
+                # once, on a new connection, without using up an attempt.
+                conn = None
+        if conn is None:
+            conn = self._new_connection()
+            response = self._send(conn, body)
+        try:
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close or response.status >= 500:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return response.status, data
+
+    def _send(self, conn, body: bytes):
+        """Sends the POST and reads the status line and headers; closes the
+        connection on any failure."""
+        try:
+            if conn.sock is None:
+                conn.connect()
+                # http.client writes the header block and the body with two
+                # send() calls; with Nagle's algorithm the body could wait
+                # for the server's delayed ACK of the headers.
+                conn.sock.setsockopt(*self._no_delay)
+            conn.request(
+                "POST", self._target, body=body, headers={"Content-Type": "application/json"},
+            )
+            if self._quick_ack:
+                # A server that writes the reply's headers and body apart
+                # with Nagle's algorithm on sends the body only once we ACK
+                # the headers; on a kept-alive connection Linux delays that
+                # ACK by up to 40 ms.
+                conn.sock.setsockopt(*self._quick_ack)
+            return conn.getresponse()
+        except BaseException:
+            conn.close()
+            raise
 
 
 def _wire_response(payload) -> tuple[str, dict[str, float] | None]:
@@ -146,7 +255,12 @@ def _wire_response(payload) -> tuple[str, dict[str, float] | None]:
         raise ValueError("option_scores is not an object of numbers")
     # Numeric strings stay accepted, as float() always read them; any other
     # string makes float() raise ValueError, a bad response too.
-    return text, {str(k): float(v) for k, v in scores.items()}
+    values = {str(k): float(v) for k, v in scores.items()}
+    # json.loads reads bare NaN and Infinity, and float() reads "nan" and
+    # "inf"; either would corrupt the AUROC ranks.
+    if not all(math.isfinite(v) for v in values.values()):
+        raise ValueError("option_scores holds a non-finite number")
+    return text, values
 
 
 class EchoClient:
@@ -176,10 +290,17 @@ class NearestNeighborClient:
     occurrence of each role line), so the stub sees exactly what a model sees.
     """
 
-    def __init__(self, manifest: TaskManifest, train_records: Sequence[DataRecord]):
+    def __init__(
+        self,
+        manifest: TaskManifest,
+        train_records: Sequence[DataRecord],
+        index: NeighborIndex | None = None,
+    ):
+        """``index``, when given, is a NeighborIndex already built over
+        ``train_records``, in that order."""
         self.manifest = manifest
         self.train = list(train_records)
-        self._index = NeighborIndex(manifest, self.train)
+        self._index = NeighborIndex(manifest, self.train) if index is None else index
 
     def _parse_features(self, prompt: str) -> dict[str, str] | None:
         features = {}
@@ -206,6 +327,7 @@ def make_stub_client(
     manifest: TaskManifest | None = None,
     prompts: Sequence[PromptRecord] = (),
     train_records: Sequence[DataRecord] = (),
+    index: NeighborIndex | None = None,
 ) -> ModelClient:
     if name == "echo":
         return EchoClient(prompts)
@@ -214,7 +336,7 @@ def make_stub_client(
     if name == "knn":
         if manifest is None:
             raise ValueError("knn stub needs the task manifest")
-        return NearestNeighborClient(manifest, train_records)
+        return NearestNeighborClient(manifest, train_records, index)
     raise ValueError(f"unknown stub {name!r}")
 
 
@@ -541,6 +663,20 @@ def evaluate_task(
     )
 
 
+def _write_atomically(path, write, newline=None) -> None:
+    """Calls ``write(fh)`` on a temp file beside ``path``, then renames it over
+    ``path``: a failed or killed write leaves the earlier file intact."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline=newline) as fh:
+            write(fh)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_result_json(result: EvalResult, path) -> None:
     payload = {
         "task": result.task_id,
@@ -554,9 +690,12 @@ def write_result_json(result: EvalResult, path) -> None:
     }
     if result.subtask_values is not None:
         payload["subtask_values"] = result.subtask_values
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def write(fh):
         json.dump(payload, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
+
+    _write_atomically(path, write)
 
 
 def read_result_json(path) -> dict:
@@ -577,7 +716,7 @@ def read_result_json(path) -> dict:
 
 
 def write_rows_csv(result: EvalResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(
             ["record_id", "subtask", "target", "completion", "prediction", "truth", "score", "valid", "failed"]
@@ -596,3 +735,5 @@ def write_rows_csv(result: EvalResult, path) -> None:
                     int(r.failed),
                 ]
             )
+
+    _write_atomically(path, write, newline="")

@@ -4,6 +4,7 @@ import shutil
 import pytest
 
 from conftest import FIXTURES
+from keepalive_server import CountingServer, serving
 from txf.cli import main
 
 
@@ -428,6 +429,23 @@ def _missing_required_flag(tmp_path):
     return ["scoreboard"], "--fixture"
 
 
+def _contamination_features_latin1(tmp_path):
+    (tmp_path / "features.tsv").write_bytes(b"r1\tcaf\xe9\n")
+    (tmp_path / "corpus.txt").write_text("hay")
+    return [
+        "contamination", "--features", str(tmp_path / "features.tsv"),
+        "--corpus", str(tmp_path / "corpus.txt"),
+    ], "features.tsv: not UTF-8"
+
+
+def _model_url_not_http(tmp_path):
+    manifests, data = _copy_cli_task(tmp_path)
+    return [
+        "evaluate", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(tmp_path / "out"), "--model-url", "ftp://x",
+    ], "bad model URL 'ftp://x'"
+
+
 @pytest.mark.parametrize("case", [
     _build_unwritable_out,
     _evaluate_unwritable_out,
@@ -440,6 +458,8 @@ def _missing_required_flag(tmp_path):
     _pairs_unknown_column,
     _pairs_short_row,
     _missing_required_flag,
+    _contamination_features_latin1,
+    _model_url_not_http,
 ])
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     argv, expected = case(tmp_path)
@@ -492,3 +512,67 @@ def test_build_knn_shares_one_index_per_shot_pool(tmp_path, monkeypatch):
             query = by_id[obj["record_id"]]
             expected = naive_nearest(manifest, query, pool, 3, exclude_id=query.record_id)
             assert obj["shots"] == [pool[i].record_id for i, _ in expected]
+
+
+def test_evaluate_knn_stub_reuses_the_shot_index(tmp_path, monkeypatch):
+    import csv
+
+    import txf.cli as cli_mod
+    from knn_reference import naive_nearest
+    from txf import corpus, promptgen
+
+    manifests = tmp_path / "manifests"
+    data = tmp_path / "data"
+    manifests.mkdir()
+    data.mkdir()
+    _write_toy_binary(manifests, data, "knnev", n=40)
+    real = cli_mod.promptgen.NeighborIndex
+    built = []
+
+    def counting_index(manifest, pool):
+        built.append(len(pool))
+        return real(manifest, pool)
+
+    monkeypatch.setattr(cli_mod.promptgen, "NeighborIndex", counting_index)
+    monkeypatch.setattr(cli_mod.evalharness, "NeighborIndex", counting_index)
+    out = tmp_path / "out"
+    code = main([
+        "evaluate", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(out), "--seed", "2", "--shots", "knn3", "--stub", "knn",
+    ])
+    assert code == 0
+    assert len(built) == 1
+
+    # Each answer is the target of the naive scan's nearest pool record.
+    manifest = corpus.read_manifest(manifests / "knnev.manifest")
+    loaded = corpus.load_table(data / "knnev.tsv", manifest)
+    records = corpus.assign_splits(
+        loaded.records, manifest, corpus.SplitSpec(method="random", seed=2)
+    )
+    pool = [r for r in records if r.split in ("train", "valid")]
+    by_id = {r.record_id: r for r in records}
+    with open(out / "knnev.rows.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        [(best, _)] = naive_nearest(manifest, by_id[row["record_id"]], pool, 1)
+        assert row["completion"] == promptgen.render_target(pool[best], manifest)
+
+
+def test_evaluate_reuses_one_connection_across_tasks(tmp_path):
+    manifests = tmp_path / "manifests"
+    data = tmp_path / "data"
+    manifests.mkdir()
+    data.mkdir()
+    for k in range(3):
+        _write_toy_binary(manifests, data, f"task{k}", n=30)
+    with serving(CountingServer()) as server:
+        code = main([
+            "evaluate", "--manifests", str(manifests), "--data", str(data),
+            "--out", str(tmp_path / "out"), "--model-url", server.url, "--concurrency", "1",
+        ])
+    assert code == 0
+    assert len(server.prompts) == sum(
+        len((tmp_path / "out" / f"task{k}.rows.csv").read_text().splitlines()) - 1 for k in range(3)
+    )
+    assert server.connections == 1
