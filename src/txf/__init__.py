@@ -10,6 +10,7 @@ Subpackages and modules:
 - ``txf.promptgen``   prompt rendering, label binning, shots, mixtures
 - ``txf.evalharness`` model clients, answer parsing, metrics
 - ``txf.analysis``    scoreboards, signed-rank comparisons, contamination scan
+- ``txf.atomic``      atomic output files, shared by every writer
 - ``txf.cli``         the ``txf`` command-line entry point
 """
 

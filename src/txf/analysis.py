@@ -7,9 +7,12 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .evalharness import EvalResult, average_ranks, score_rows
+# evalharness (and numpy with it) is imported only by the functions that
+# need it, so scoreboard and contamination runs never load it.
+if TYPE_CHECKING:
+    from .evalharness import EvalResult
 
 __all__ = [
     "ScoreRow",
@@ -204,6 +207,8 @@ def wilcoxon_signed_rank(
     enumerated exactly up to EXACT_LIMIT pairs and approximated normally
     (with continuity correction) above.
     """
+    from .evalharness import average_ranks
+
     if len(a) != len(b):
         raise ValueError("paired inputs must have equal length")
     if len(a) < 5:
@@ -396,6 +401,8 @@ def contamination_scan(
 
 def filtered_eval(result: EvalResult, flags: dict[str, bool]) -> EvalResult:
     """Recompute the metric over rows whose record is not flagged."""
+    from .evalharness import EvalResult, score_rows
+
     kept = [r for r in result.rows if not flags.get(r.record_id, False)]
     if not kept:
         return EvalResult(

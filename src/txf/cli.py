@@ -17,7 +17,11 @@ import sys
 import zlib
 from pathlib import Path
 
-from . import analysis, corpus, evalharness, promptgen
+from .atomic import write_atomically
+
+# The layers are imported inside the functions that run them, not here:
+# start-up is most of a short command's time, and contamination and
+# scoreboard need neither chem nor numpy.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -43,6 +47,8 @@ def _parse_shot_policy(text: str) -> tuple[str, int]:
 def _tasks(args):
     """Yields (manifest, split records, dropped rows) for each selected task,
     after creating the output directory."""
+    from . import corpus
+
     manifests, data = Path(args.manifests), Path(args.data)
     for what, path in (("manifest", manifests), ("data", data)):
         if not path.is_dir():
@@ -84,6 +90,8 @@ def _render(manifest, records, splits, policy, seed):
     """Yields (split, shot pool, neighbour index or None, prompts) for each
     split. Splits that draw shots from the same splits share one pool and one
     neighbour index; only knn shots build one."""
+    from . import promptgen
+
     kind, k = policy
     pools = {}
     for split in splits:
@@ -117,6 +125,8 @@ def _render(manifest, records, splits, policy, seed):
 
 
 def cmd_build(args) -> int:
+    from . import corpus, promptgen
+
     policy = _parse_shot_policy(args.shots)
     out = Path(args.out)
     mixture_tasks = {}
@@ -143,6 +153,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import evalharness
+
     policy = _parse_shot_policy(args.shots)
     model_url = args.model_url or os.environ.get("TXF_MODEL_URL")
     if not args.stub and not model_url:
@@ -180,11 +192,14 @@ def _report(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     print(text)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        write_atomically(out, lambda fh: fh.write(text + "\n"))
 
 
-def _result_pairs(dir_a: Path, dir_b: Path) -> list[analysis.PairRow]:
-    """One pair per task with a defined value in both result directories."""
+def _result_pairs(dir_a: Path, dir_b: Path) -> list:
+    """One ``analysis.PairRow`` per task with a defined value in both result
+    directories."""
+    from . import analysis, evalharness
+
     pairs = []
     for path_a in sorted(dir_a.glob("*.result.json")):
         path_b = dir_b / path_a.name
@@ -209,6 +224,8 @@ def _result_pairs(dir_a: Path, dir_b: Path) -> list[analysis.PairRow]:
 
 
 def cmd_compare(args) -> int:
+    from . import analysis
+
     if args.pairs:
         pairs = analysis.load_pair_rows(args.pairs, args.a_col, args.b_col)
     elif args.results_a and args.results_b:
@@ -232,6 +249,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_scoreboard(args) -> int:
+    from . import analysis
+
     rows = analysis.load_score_rows(args.fixture, model_col=args.model_col)
     counts = analysis.scoreboard(rows, na_as_exceed=not args.no_sota_separate)
     medians = analysis.median_relative_difference_by_feature_type(rows)
@@ -253,6 +272,8 @@ def cmd_scoreboard(args) -> int:
 
 
 def cmd_contamination(args) -> int:
+    from . import analysis
+
     features = []
     try:
         with open(args.features, encoding="utf-8") as fh:
@@ -283,9 +304,11 @@ def cmd_contamination(args) -> int:
     }
     print(json.dumps(payload, indent=2))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        def write(fh):
             for record_id, flagged in report.flags.items():
                 fh.write(f"{record_id}\t{int(flagged)}\n")
+
+        write_atomically(args.out, write)
     return EXIT_OK
 
 

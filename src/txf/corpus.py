@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .atomic import write_atomically
 from .chem import SmilesParseError, parse_smiles, scaffold_key
 
 __all__ = [
@@ -260,7 +261,7 @@ def write_manifest(manifest: TaskManifest, path) -> None:
         f"context: {_escape(manifest.context)}",
         f"question: {_escape(manifest.question)}",
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomically(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def validate_manifest(manifest: TaskManifest) -> list[str]:
@@ -547,6 +548,9 @@ def fit_label_range(records: list[DataRecord], manifest: TaskManifest) -> TaskMa
 
 def write_split_audit(records: list[DataRecord], path) -> None:
     """Two-column TSV (record id, split) for audit."""
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def write(fh):
         for record in records:
             fh.write(f"{record.record_id}\t{record.split}\n")
+
+    write_atomically(path, write)

@@ -13,18 +13,17 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import re
 import threading
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
+from .atomic import write_atomically
 from .chem import score_reactant_prediction
 from .corpus import DataRecord, TaskManifest
 from .promptgen import (
@@ -59,6 +58,7 @@ __all__ = [
     "average_ranks",
     "EvalRow",
     "EvalResult",
+    "score_rows",
     "evaluate_task",
     "write_result_json",
     "write_rows_csv",
@@ -663,20 +663,6 @@ def evaluate_task(
     )
 
 
-def _write_atomically(path, write, newline=None) -> None:
-    """Calls ``write(fh)`` on a temp file beside ``path``, then renames it over
-    ``path``: a failed or killed write leaves the earlier file intact."""
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(temp, "w", encoding="utf-8", newline=newline) as fh:
-            write(fh)
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
-
-
 def write_result_json(result: EvalResult, path) -> None:
     payload = {
         "task": result.task_id,
@@ -695,7 +681,7 @@ def write_result_json(result: EvalResult, path) -> None:
         json.dump(payload, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
 
-    _write_atomically(path, write)
+    write_atomically(path, write)
 
 
 def read_result_json(path) -> dict:
@@ -736,4 +722,4 @@ def write_rows_csv(result: EvalResult, path) -> None:
                 ]
             )
 
-    _write_atomically(path, write, newline="")
+    write_atomically(path, write, newline="")

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .atomic import write_atomically
 from .bioseq import BioSequence, percent_identity
 from .chem import SmilesParseError, morgan_fingerprint, parse_smiles, tanimoto
 from .corpus import _PLACEHOLDER, DataRecord, TaskManifest
@@ -393,7 +394,8 @@ def build_mixture(
 
 def write_prompt_jsonl(records: Iterable[PromptRecord], path) -> None:
     """One UTF-8 JSON object per line; the contract with trainers/evaluators."""
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def write(fh):
         for r in records:
             obj = {
                 "task": r.task_id,
@@ -408,6 +410,8 @@ def write_prompt_jsonl(records: Iterable[PromptRecord], path) -> None:
             if r.subtask is not None:
                 obj["subtask"] = r.subtask
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+    write_atomically(path, write)
 
 
 def read_prompt_jsonl(path) -> list[PromptRecord]:

@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import txf
 from conftest import FIXTURES
 from keepalive_server import CountingServer, serving
 from txf.cli import main
@@ -240,7 +245,7 @@ def _write_toy_binary(manifests, data, task_id, n=100):
 
 
 def test_evaluate_transport_failure_exit_code(tmp_path, monkeypatch):
-    import txf.cli as cli_mod
+    from txf import evalharness
 
     manifests = tmp_path / "manifests"
     data = tmp_path / "data"
@@ -248,12 +253,12 @@ def test_evaluate_transport_failure_exit_code(tmp_path, monkeypatch):
     data.mkdir()
     _write_toy_binary(manifests, data, "toyb")
 
-    real = cli_mod.evalharness.HttpModelClient
+    real = evalharness.HttpModelClient
 
     def fast_client(url):
         return real(url, timeout=0.2, max_attempts=2, backoff=0.01)
 
-    monkeypatch.setattr(cli_mod.evalharness, "HttpModelClient", fast_client)
+    monkeypatch.setattr(evalharness, "HttpModelClient", fast_client)
     out = tmp_path / "out"
     code = main([
         "evaluate", "--manifests", str(manifests), "--data", str(data),
@@ -471,23 +476,22 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
 
 
 def test_build_knn_shares_one_index_per_shot_pool(tmp_path, monkeypatch):
-    import txf.cli as cli_mod
     from knn_reference import naive_nearest
-    from txf import corpus
+    from txf import corpus, promptgen
 
     manifests = tmp_path / "manifests"
     data = tmp_path / "data"
     manifests.mkdir()
     data.mkdir()
     _write_toy_binary(manifests, data, "knnpool", n=40)
-    real = cli_mod.promptgen.NeighborIndex
+    real = promptgen.NeighborIndex
     built = []
 
     def counting_index(manifest, pool):
         built.append(len(pool))
         return real(manifest, pool)
 
-    monkeypatch.setattr(cli_mod.promptgen, "NeighborIndex", counting_index)
+    monkeypatch.setattr(promptgen, "NeighborIndex", counting_index)
     out = tmp_path / "out"
     assert main([
         "build", "--manifests", str(manifests), "--data", str(data),
@@ -517,24 +521,23 @@ def test_build_knn_shares_one_index_per_shot_pool(tmp_path, monkeypatch):
 def test_evaluate_knn_stub_reuses_the_shot_index(tmp_path, monkeypatch):
     import csv
 
-    import txf.cli as cli_mod
     from knn_reference import naive_nearest
-    from txf import corpus, promptgen
+    from txf import corpus, evalharness, promptgen
 
     manifests = tmp_path / "manifests"
     data = tmp_path / "data"
     manifests.mkdir()
     data.mkdir()
     _write_toy_binary(manifests, data, "knnev", n=40)
-    real = cli_mod.promptgen.NeighborIndex
+    real = promptgen.NeighborIndex
     built = []
 
     def counting_index(manifest, pool):
         built.append(len(pool))
         return real(manifest, pool)
 
-    monkeypatch.setattr(cli_mod.promptgen, "NeighborIndex", counting_index)
-    monkeypatch.setattr(cli_mod.evalharness, "NeighborIndex", counting_index)
+    monkeypatch.setattr(promptgen, "NeighborIndex", counting_index)
+    monkeypatch.setattr(evalharness, "NeighborIndex", counting_index)
     out = tmp_path / "out"
     code = main([
         "evaluate", "--manifests", str(manifests), "--data", str(data),
@@ -576,3 +579,57 @@ def test_evaluate_reuses_one_connection_across_tasks(tmp_path):
         len((tmp_path / "out" / f"task{k}.rows.csv").read_text().splitlines()) - 1 for k in range(3)
     )
     assert server.connections == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["build", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: txf")
+
+
+_MODULES_AFTER_MAIN = """
+import json, sys
+from txf.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+_NEITHER_CHEM_NOR_NUMPY = {"numpy", "txf.chem", "txf.corpus", "txf.promptgen", "txf.evalharness"}
+
+
+def _build_zero_shot(tmp_path):
+    return [
+        "build", "--manifests", str(FIXTURES / "cli_task" / "manifests"),
+        "--data", str(FIXTURES / "cli_task" / "data"), "--out", str(tmp_path / "out"), "--shots", "0",
+    ], {"numpy", "txf.evalharness", "txf.analysis"}
+
+
+def _contamination_of_the_table(tmp_path):
+    table = FIXTURES / "cli_task" / "data" / "bbb_martins.tsv"
+    smiles = table.read_text(encoding="utf-8").splitlines()[1].split("\t")[0]
+    (tmp_path / "features.tsv").write_text(f"0\t{smiles}\n", encoding="utf-8")
+    return [
+        "contamination", "--features", str(tmp_path / "features.tsv"), "--corpus", str(table),
+        "--out", str(tmp_path / "flags.tsv"),
+    ], _NEITHER_CHEM_NOR_NUMPY
+
+
+def _scoreboard(tmp_path):
+    return ["scoreboard", "--fixture", str(FIXTURES / "benchmark_results.csv")], _NEITHER_CHEM_NOR_NUMPY
+
+
+@pytest.mark.parametrize("case", [_build_zero_shot, _contamination_of_the_table, _scoreboard])
+def test_command_loads_only_the_layers_it_runs(tmp_path, case):
+    argv, absent = case(tmp_path)
+    # A fresh interpreter, so modules the test session imported do not count.
+    src = str(Path(txf.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_MAIN, *argv],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    assert absent & set(report["modules"]) == set()

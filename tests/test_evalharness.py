@@ -1,4 +1,3 @@
-import csv
 import itertools
 import json
 import random
@@ -9,17 +8,20 @@ import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_tasks
+from conftest import FIXTURES
 from keepalive_server import CountingServer, serving
 from knn_reference import naive_nearest
-from txf import evalharness
-from txf.corpus import DataRecord, RoleSpec, TaskManifest
+from txf import atomic, evalharness
+from txf.cli import main
+from txf.corpus import DataRecord, RoleSpec, TaskManifest, write_manifest, write_split_audit
 from txf.evalharness import (
     EchoClient,
     GenerationRequest,
+    GenerationResponse,
     HttpModelClient,
     MajorityClient,
     NearestNeighborClient,
@@ -39,7 +41,13 @@ from txf.evalharness import (
     write_result_json,
     write_rows_csv,
 )
-from txf.promptgen import BinningSpec, render_prompt, render_target, unbin_label
+from txf.promptgen import (
+    BinningSpec,
+    render_prompt,
+    render_target,
+    unbin_label,
+    write_prompt_jsonl,
+)
 
 
 # --- answer parsing ----------------------------------------------------
@@ -100,6 +108,22 @@ def test_parse_regression_never_raises(completion):
 def test_parse_regression_agrees_with_int_below_its_limit(completion):
     spec = BinningSpec(0.0, 1.0)
     assert parse_regression_answer(completion, spec) == _parse_regression_by_int(completion, spec)
+
+
+@settings(deadline=None)
+@given(
+    task=st.sampled_from([
+        (golden_tasks.BBB_MANIFEST, golden_tasks.BBB_QUERY),
+        (golden_tasks.CACO2_MANIFEST, golden_tasks.CACO2_QUERY),
+    ]),
+    completion=st.text(),
+    scores=st.none() | st.dictionaries(st.sampled_from(["(A)", "(B)"]) | st.text(max_size=4), st.floats()),
+)
+def test_row_for_prompt_never_raises(task, completion, scores):
+    manifest, query = task
+    prompt = render_prompt(query, manifest)
+    row = evalharness._row_for_prompt(prompt, manifest, GenerationResponse(completion, scores), None)
+    assert row.completion == completion and not row.failed
 
 
 # --- metrics -----------------------------------------------------------
@@ -579,36 +603,80 @@ def test_result_files(tmp_path):
     assert lines[0].startswith("record_id,")
 
 
-def _fail_json_dump(payload, fh, **kwargs):
-    fh.write('{"task": ')
-    raise RuntimeError("disk full")
+class _DiskFull:
+    """A file whose first write stores half its text and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise RuntimeError("disk full")
 
 
-def _fail_csv_writer(fh, real_writer=csv.writer):
-    class Writer:
-        rows = 0
-
-        def writerow(self, row):
-            self.rows += 1
-            if self.rows == 3:
-                raise RuntimeError("disk full")
-            real_writer(fh).writerow(row)
-
-    return Writer()
+def _disk_full_open(*args, **kwargs):
+    return _DiskFull(open(*args, **kwargs))
 
 
-@pytest.mark.parametrize("write, patched, failing", [
-    (write_result_json, (json, "dump"), _fail_json_dump),
-    (write_rows_csv, (csv, "writer"), _fail_csv_writer),
-])
-def test_result_files_written_atomically(tmp_path, monkeypatch, write, patched, failing):
+def _write_result_json(tmp_path, path):
     manifest, _, prompts = _binary_task(6)
-    result = evaluate_task(manifest, prompts, MajorityClient(), concurrency=1)
-    path = tmp_path / "result"
-    write(result, path)
+    write_result_json(evaluate_task(manifest, prompts, MajorityClient(), concurrency=1), path)
+
+
+def _write_rows_csv(tmp_path, path):
+    manifest, _, prompts = _binary_task(6)
+    write_rows_csv(evaluate_task(manifest, prompts, MajorityClient(), concurrency=1), path)
+
+
+def _write_prompt_jsonl(tmp_path, path):
+    write_prompt_jsonl(_binary_task(6)[2], path)
+
+
+def _write_split_audit(tmp_path, path):
+    write_split_audit(_binary_task(6)[1], path)
+
+
+def _write_manifest(tmp_path, path):
+    write_manifest(_binary_task(6)[0], path)
+
+
+def _scoreboard_out(tmp_path, path):
+    main(["scoreboard", "--fixture", str(FIXTURES / "benchmark_results.csv"), "--out", str(path)])
+
+
+def _contamination_out(tmp_path, path):
+    (tmp_path / "features.tsv").write_text("r1\tNEEDLE\nr2\tHAY\n")
+    (tmp_path / "corpus.txt").write_text("hay NEEDLE hay")
+    main([
+        "contamination", "--features", str(tmp_path / "features.tsv"),
+        "--corpus", str(tmp_path / "corpus.txt"), "--out", str(path),
+    ])
+
+
+@pytest.mark.parametrize("write", [
+    _write_result_json,
+    _write_rows_csv,
+    _write_prompt_jsonl,
+    _write_split_audit,
+    _write_manifest,
+    _scoreboard_out,
+    _contamination_out,
+])
+def test_result_files_written_atomically(tmp_path, monkeypatch, write):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "result"
+    write(tmp_path, path)
     before = path.read_bytes()
-    monkeypatch.setattr(*patched, failing)
+    assert before
+    monkeypatch.setattr(atomic, "open", _disk_full_open, raising=False)
     with pytest.raises(RuntimeError, match="disk full"):
-        write(result, path)
+        write(tmp_path, path)
     assert path.read_bytes() == before
-    assert list(tmp_path.iterdir()) == [path]
+    assert list(out.iterdir()) == [path]

@@ -1,15 +1,27 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MOLECULE_CORPUS, permute_molecule
 from txf.chem import (
     SmilesParseError,
+    morgan_fingerprint,
     parse_reaction_side,
     parse_smiles,
+    scaffold_key,
     strip_atom_maps,
     write_canonical,
 )
+
+SMILES_ALPHABET = "CNOSPFIBrlcnosp()[]=#$:/\\.%@+-*H0123456789"
+# Runs of these tokens parse about one time in five, so the pins see molecules.
+SMILES_TOKENS = [
+    "C", "C", "c", "N", "n", "O", "S", "Cl", "(C)", "(O)", "(=O)", "=", "1", "1", "2",
+    "[nH]", "[O-]", "[N+]", "[C@H]", "[C@@H]", "/", "\\", "c1ccccc1",
+]
+smiles_token_runs = st.lists(st.sampled_from(SMILES_TOKENS), min_size=1, max_size=20).map("".join)
 
 
 def test_ethanol():
@@ -205,3 +217,25 @@ def test_aromatic_single_bond_needs_dash():
     back = parse_smiles(out)
     singles = [b for b in back.bonds if b.order == 1]
     assert len(singles) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=SMILES_ALPHABET, max_size=40) | smiles_token_runs)
+def test_random_smiles_text_raises_only_parse_errors(text):
+    try:
+        mol = parse_smiles(text)
+        write_canonical(mol)
+        scaffold_key(mol)
+        morgan_fingerprint(mol)
+    except SmilesParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(smiles_token_runs)
+def test_write_canonical_is_idempotent(text):
+    try:
+        canonical = write_canonical(parse_smiles(text))
+    except SmilesParseError:
+        return
+    assert write_canonical(parse_smiles(canonical)) == canonical
