@@ -9,8 +9,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-# evalharness (and numpy with it) is imported only by the functions that
-# need it, so scoreboard and contamination runs never load it.
+# evalharness (and chem, corpus and promptgen with it) is imported only by
+# the functions that need it, so scoreboard and contamination runs never
+# load it.
 if TYPE_CHECKING:
     from .evalharness import EvalResult
 
@@ -243,7 +244,7 @@ def wilcoxon_signed_rank(
             statistic=0.0, p_value=1.0, differences=diffs,
         )
 
-    ranks = average_ranks([abs(d) for d in nonzero]).tolist()
+    ranks = average_ranks([abs(d) for d in nonzero])
     w_plus = sum(r for r, d in zip(ranks, nonzero) if d > 0)
     w_minus = sum(r for r, d in zip(ranks, nonzero) if d < 0)
     w = min(w_plus, w_minus)

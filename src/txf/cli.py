@@ -21,7 +21,7 @@ from .atomic import write_atomically
 
 # The layers are imported inside the functions that run them, not here:
 # start-up is most of a short command's time, and contamination and
-# scoreboard need neither chem nor numpy.
+# scoreboard need no layer but analysis.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

@@ -19,9 +19,9 @@ import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Protocol, Sequence
-
-import numpy as np
 
 from .atomic import write_atomically
 from .chem import score_reactant_prediction
@@ -405,39 +405,74 @@ def parse_regression_answer(completion: str, spec: BinningSpec) -> tuple[float, 
 # ---------------------------------------------------------------------------
 
 
-def average_ranks(values) -> np.ndarray:
-    """1-based ranks with ties averaged."""
-    arr = np.asarray(values, dtype=float)
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(len(arr), dtype=float)
+def _pairwise(xs: list[float]) -> float:
+    """numpy's float64 pairwise summation, with its blocking: sums of fewer
+    than 8 items run in order, up to 128 items in 8 interleaved accumulators,
+    and longer runs split in two at a multiple of 8."""
+    n = len(xs)
+    if n < 8:
+        return reduce(add, xs, 0.0)
+    if n <= 128:
+        m = n - n % 8
+        r = [reduce(add, xs[k:m:8]) for k in range(8)]
+        return reduce(add, xs[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2
+    half -= half % 8
+    return _pairwise(xs[:half]) + _pairwise(xs[half:])
+
+
+def _sum(xs: list[float]) -> float:
+    """numpy's sum of a float64 array, bit for bit: numpy adds the pairwise
+    sum to the reduction's initial 0.0. So the metrics give the same bytes as
+    the numpy versions they replace (tests/metric_reference.py)."""
+    return 0.0 + _pairwise(xs)
+
+
+def _mean(xs: list[float]) -> float:
+    return _sum(xs) / len(xs)
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+def average_ranks(values) -> list[float]:
+    """1-based ranks with ties averaged; NaNs rank last, each on its own."""
+    arr = _floats(values)
+    order = sorted((i for i, v in enumerate(arr) if v == v), key=arr.__getitem__)
+    order += [i for i, v in enumerate(arr) if v != v]
+    ranks = [0.0] * len(arr)
     i = 0
     while i < len(arr):
         j = i
         while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
             j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
+        rank = (i + j) / 2 + 1
+        for k in order[i : j + 1]:
+            ranks[k] = rank
         i = j + 1
     return ranks
 
 
 def auroc(scores, labels) -> float | None:
     """Rank (Mann-Whitney) formulation: (wins + ties/2) / (P*N)."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=bool)
-    pos = int(labels.sum())
+    if len(scores) != len(labels):
+        raise ValueError("length mismatch")
+    labels = [bool(v) for v in labels]
+    pos = sum(labels)
     neg = len(labels) - pos
     if pos == 0 or neg == 0:
         return None
     ranks = average_ranks(scores)
-    rank_sum = float(ranks[labels].sum())
+    rank_sum = _sum([r for r, positive in zip(ranks, labels) if positive])
     return (rank_sum - pos * (pos + 1) / 2) / (pos * neg)
 
 
 def auprc(scores, labels) -> float | None:
     """Average precision; score ties keep stable record order."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=bool)
-    pos = int(labels.sum())
+    scores = _floats(scores)
+    labels = [bool(v) for v in labels]
+    pos = sum(labels)
     if pos == 0:
         return None
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
@@ -459,39 +494,37 @@ def accuracy(predictions, targets) -> float:
 
 
 def mae(predictions, targets) -> float:
-    p = np.asarray(predictions, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    if p.shape != t.shape or p.size == 0:
+    p, t = _floats(predictions), _floats(targets)
+    if len(p) != len(t) or not p:
         raise ValueError("bad input shapes")
-    return float(np.mean(np.abs(p - t)))
+    return _mean([abs(a - b) for a, b in zip(p, t)])
 
 
 def mse(predictions, targets) -> float:
-    p = np.asarray(predictions, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    if p.shape != t.shape or p.size == 0:
+    p, t = _floats(predictions), _floats(targets)
+    if len(p) != len(t) or not p:
         raise ValueError("bad input shapes")
-    return float(np.mean((p - t) ** 2))
+    # x * x, as numpy squares: x ** 2 raises OverflowError where numpy gives inf.
+    return _mean([(a - b) * (a - b) for a, b in zip(p, t)])
 
 
 def pearson(predictions, targets) -> float | None:
-    p = np.asarray(predictions, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    if p.size != t.size or p.size < 2:
+    p, t = _floats(predictions), _floats(targets)
+    if len(p) != len(t) or len(p) < 2:
         raise ValueError("need at least two pairs")
-    sp = p - p.mean()
-    st = t - t.mean()
-    denom = math.sqrt(float((sp**2).sum()) * float((st**2).sum()))
+    mp, mt = _mean(p), _mean(t)
+    sp = [a - mp for a in p]
+    st = [b - mt for b in t]
+    denom = math.sqrt(_sum([a * a for a in sp]) * _sum([b * b for b in st]))
     if denom == 0.0:
         return None
-    return float((sp * st).sum()) / denom
+    return _sum([a * b for a, b in zip(sp, st)]) / denom
 
 
 def spearman(predictions, targets) -> float | None:
     """Pearson correlation of average ranks."""
-    p = np.asarray(predictions, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    if p.size != t.size or p.size < 2:
+    p, t = _floats(predictions), _floats(targets)
+    if len(p) != len(t) or len(p) < 2:
         raise ValueError("need at least two pairs")
     return pearson(average_ranks(p), average_ranks(t))
 
@@ -562,7 +595,7 @@ def score_rows(metric: str, rows: list[EvalRow]) -> tuple[float | None, dict | N
         defined = [v for v in per.values() if v is not None]
         if not defined:
             return None, per, "metric undefined for every subtask"
-        return float(np.mean(defined)), per, None
+        return _mean(defined), per, None
     value = _metric_over_rows(metric, rows)
     if value is None:
         return None, None, "metric undefined (degenerate labels or scores)"

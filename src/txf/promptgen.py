@@ -12,6 +12,7 @@ import heapq
 import json
 import math
 import random
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -233,10 +234,12 @@ class NeighborIndex:
         if self.kind == "smiles":
             roles = roles[:1]
         self._names = [r.name for r in roles]
-        # Both caches only ever gain deterministic values, so concurrent
-        # queries from worker threads are safe.
+        # _features is filled here only. _identities grows during queries,
+        # which the knn stub runs from evaluate_task's worker threads: the
+        # lock makes its check-then-set one step, so no pair is aligned twice.
         self._features: dict[str, object] = {}
         self._identities: dict[tuple[str, str], float] = {}
+        self._identities_lock = threading.Lock()
         for record in pool:
             for name in self._names:
                 text = record.features[name]
@@ -267,9 +270,12 @@ class NeighborIndex:
 
     def _identity(self, a: BioSequence, b: BioSequence) -> float:
         key = (a.residues, b.residues)
-        value = self._identities.get(key)
-        if value is None:
-            value = self._identities[key] = percent_identity(a, b)
+        # percent_identity is pure Python, which threads never run in
+        # parallel, so holding the lock while it runs costs no parallelism.
+        with self._identities_lock:
+            value = self._identities.get(key)
+            if value is None:
+                value = self._identities[key] = percent_identity(a, b)
         return value
 
     def _similarity(self, query: tuple, candidate: tuple) -> float:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import txf
 from conftest import FIXTURES
@@ -620,7 +625,26 @@ def _scoreboard(tmp_path):
     return ["scoreboard", "--fixture", str(FIXTURES / "benchmark_results.csv")], _NEITHER_CHEM_NOR_NUMPY
 
 
-@pytest.mark.parametrize("case", [_build_zero_shot, _contamination_of_the_table, _scoreboard])
+def _evaluate_majority(tmp_path):
+    # Not the one-row CLI fixture: its test split is empty, so no metric would run.
+    (tmp_path / "manifests").mkdir()
+    (tmp_path / "data").mkdir()
+    _write_toy_binary(tmp_path / "manifests", tmp_path / "data", "task0")
+    return [
+        "evaluate", "--manifests", str(tmp_path / "manifests"), "--data", str(tmp_path / "data"),
+        "--out", str(tmp_path / "out"), "--stub", "majority",
+    ], {"numpy"}
+
+
+def _compare_pairs(tmp_path):
+    return [
+        "compare", "--pairs", str(FIXTURES / "model_size_results.csv"), "--a-col", "model_s", "--b-col", "model_m",
+    ], {"numpy"}
+
+
+@pytest.mark.parametrize(
+    "case", [_build_zero_shot, _contamination_of_the_table, _scoreboard, _evaluate_majority, _compare_pairs]
+)
 def test_command_loads_only_the_layers_it_runs(tmp_path, case):
     argv, absent = case(tmp_path)
     # A fresh interpreter, so modules the test session imported do not count.
@@ -633,3 +657,45 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, case):
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["code"] == 0
     assert absent & set(report["modules"]) == set()
+
+
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["flip", "delete", "insert"]), st.integers(0, 10**6), st.integers(0, 255)),
+    max_size=4,
+)
+
+
+def _edit(data: bytes, edits) -> bytes:
+    """Applies (operation, position, byte) edits; positions wrap around."""
+    buf = bytearray(data)
+    for op, pos, byte in edits:
+        if op == "insert":
+            buf.insert(pos % (len(buf) + 1), byte)
+        elif buf and op == "delete":
+            del buf[pos % len(buf)]
+        elif buf:
+            buf[pos % len(buf)] ^= byte or 1
+    return bytes(buf)
+
+
+def _run_main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(manifest_edits=_EDITS, table_edits=_EDITS)
+def test_byte_edited_cli_fixture_never_crashes(manifest_edits, table_edits):
+    """build and evaluate on a damaged manifest or table exit 0, 1 or 3 with
+    nothing but error: lines on stderr; a crash raises out of main."""
+    with tempfile.TemporaryDirectory() as tmp:
+        manifests, data = _copy_cli_task(Path(tmp))
+        for path, edits in ((manifests / "bbb_martins.manifest", manifest_edits), (data / "bbb_martins.tsv", table_edits)):
+            path.write_bytes(_edit(path.read_bytes(), edits))
+        common = ["--manifests", str(manifests), "--data", str(data), "--out", str(Path(tmp) / "out")]
+        for argv in (["build", *common, "--shots", "knn3"], ["evaluate", *common, "--stub", "majority"]):
+            code, err = _run_main(argv)
+            assert type(code) is int and code in (0, 1, 3), (argv[0], code, err)
+            assert all(line.startswith("error: ") for line in err.splitlines()), (argv[0], err)

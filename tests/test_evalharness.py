@@ -134,6 +134,8 @@ def test_auroc_trivials():
     assert auroc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
     assert auroc([0.9, 0.6, 0.4, 0.1], [1, 0, 1, 0]) == 0.75
     assert auroc([0.9, 0.8], [1, 1]) is None
+    with pytest.raises(ValueError, match="length mismatch"):
+        auroc([0.9, 0.8, 0.1], [1, 0])
 
 
 def _auroc_bruteforce(scores, labels):
@@ -363,6 +365,38 @@ def test_knn_stub_shared_index_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert [(r.record_id, r.prediction) for r in result.rows] == expected
+
+
+def test_knn_stub_aligns_each_distinct_pair_once_under_threads(monkeypatch):
+    # A slow alignment makes the worker threads overlap, so an unguarded
+    # check-then-set in the index's identity memo would align a pair twice.
+    from dataclasses import replace
+
+    import txf.promptgen as promptgen
+
+    calls = []
+    original = promptgen.percent_identity
+
+    def slow_counting(a, b):
+        calls.append((a.residues, b.residues))
+        time.sleep(0.001)
+        return original(a, b)
+
+    monkeypatch.setattr(promptgen, "percent_identity", slow_counting)
+    drug, target = golden_tasks.BINDINGDB_KD_MANIFEST.roles
+    manifest = replace(golden_tasks.BINDINGDB_KD_MANIFEST, roles=(target, drug))
+    targets = [golden_tasks.BINDINGDB_KD_QUERY.features["target"], "MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQ"]
+    train = [
+        DataRecord(f"tr{i}", {"target": targets[i % 2], "drug": "CCO"}, 100.0 * i, split="train")
+        for i in range(8)
+    ]
+    queries = [
+        DataRecord(f"te{i}", {"target": targets[i % 2], "drug": "CCN"}, 500.0, split="test")
+        for i in range(32)
+    ]
+    prompts = [render_prompt(r, manifest) for r in queries]
+    evaluate_task(manifest, prompts, NearestNeighborClient(manifest, train), concurrency=8)
+    assert len(calls) == len(set(calls)) == 4
 
 
 def test_regression_task_with_echo():
