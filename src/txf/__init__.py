@@ -11,6 +11,7 @@ Subpackages and modules:
 - ``txf.evalharness`` model clients, answer parsing, metrics
 - ``txf.analysis``    scoreboards, signed-rank comparisons, contamination scan
 - ``txf.atomic``      atomic output files, shared by every writer
+- ``txf.ranks``       average ranks, shared by the metrics and the signed-rank test
 - ``txf.cli``         the ``txf`` command-line entry point
 """
 

@@ -9,9 +9,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .ranks import average_ranks
+
 # evalharness (and chem, corpus and promptgen with it) is imported only by
-# the functions that need it, so scoreboard and contamination runs never
-# load it.
+# the functions that need it, so scoreboard, contamination and
+# compare --pairs runs never load it.
 if TYPE_CHECKING:
     from .evalharness import EvalResult
 
@@ -208,8 +210,6 @@ def wilcoxon_signed_rank(
     enumerated exactly up to EXACT_LIMIT pairs and approximated normally
     (with continuity correction) above.
     """
-    from .evalharness import average_ranks
-
     if len(a) != len(b):
         raise ValueError("paired inputs must have equal length")
     if len(a) < 5:

@@ -88,8 +88,8 @@ def _tasks(args):
 
 def _render(manifest, records, splits, policy, seed):
     """Yields (split, shot pool, neighbour index or None, prompts) for each
-    split. Splits that draw shots from the same splits share one pool and one
-    neighbour index; only knn shots build one."""
+    split. Splits that draw shots from the same splits share one pool, one
+    record id -> pool position map and, for knn shots, one neighbour index."""
     from . import promptgen
 
     kind, k = policy
@@ -99,23 +99,22 @@ def _render(manifest, records, splits, policy, seed):
         if sources not in pools:
             pool = [r for r in records if r.split in sources]
             index = promptgen.NeighborIndex(manifest, pool) if kind == "knn" and pool else None
-            pools[sources] = pool, index
-        pool, index = pools[sources]
-        pool_ids = {r.record_id for r in pool}
+            positions = {r.record_id: i for i, r in enumerate(pool)}
+            pools[sources] = pool, index, positions
+        pool, index, positions = pools[sources]
         prompts = []
         for record in records:
             if record.split != split:
                 continue
+            position = positions.get(record.record_id)
             # The query never donates to itself, so a pool holding only the
             # query renders zero-shot, like an empty pool.
-            donors = bool(pool_ids) and pool_ids != {record.record_id}
+            donors = len(pool) > (position is not None)
             shots = ()
             if kind == "random" and donors:
                 # Per-record seed must be stable across processes.
                 record_seed = seed + zlib.crc32(record.record_id.encode("utf-8"))
-                shots = promptgen.select_shots_random(
-                    pool, k, seed=record_seed, exclude_id=record.record_id,
-                )
+                shots = promptgen.select_shots_random(pool, k, seed=record_seed, exclude=position)
             elif index is not None and donors:
                 shots = index.select_shots(record, k, seed=seed)
             prompts.append(

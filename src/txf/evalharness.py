@@ -35,6 +35,7 @@ from .promptgen import (
     render_target,
     unbin_label,
 )
+from .ranks import _floats, average_ranks
 
 __all__ = [
     "GenerationRequest",
@@ -432,28 +433,6 @@ def _mean(xs: list[float]) -> float:
     return _sum(xs) / len(xs)
 
 
-def _floats(values) -> list[float]:
-    return [float(v) for v in values]
-
-
-def average_ranks(values) -> list[float]:
-    """1-based ranks with ties averaged; NaNs rank last, each on its own."""
-    arr = _floats(values)
-    order = sorted((i for i, v in enumerate(arr) if v == v), key=arr.__getitem__)
-    order += [i for i, v in enumerate(arr) if v != v]
-    ranks = [0.0] * len(arr)
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        rank = (i + j) / 2 + 1
-        for k in order[i : j + 1]:
-            ranks[k] = rank
-        i = j + 1
-    return ranks
-
-
 def auroc(scores, labels) -> float | None:
     """Rank (Mann-Whitney) formulation: (wins + ties/2) / (P*N)."""
     if len(scores) != len(labels):
@@ -570,6 +549,9 @@ def _metric_over_rows(metric: str, rows: list[EvalRow]) -> float | None:
         return accuracy([r.prediction for r in rows], [r.target for r in rows])
     if metric == "set_accuracy":
         return sum(r.score for r in rows) / len(rows)
+    if metric in ("pearson", "spearman") and len(rows) < 2:
+        # A correlation needs two pairs, so a one-row subtask is undefined.
+        return None
     predictions = [float(r.prediction) for r in rows]
     truths = [float(r.truth) for r in rows]
     if metric == "mae":

@@ -9,6 +9,7 @@ bare "Answer:" that the model must complete.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import random
@@ -199,20 +200,36 @@ def render_prompt(
 
 
 def select_shots_random(
-    pool: Sequence[DataRecord], n: int, seed: int, exclude_id: str | None = None
+    pool: Sequence[DataRecord], n: int, seed: int, exclude: int | None = None
 ) -> list[DataRecord]:
-    """n distinct uniform draws from the pool, the query itself excluded."""
+    """n distinct uniform draws from the pool, skipping position ``exclude``.
+
+    ``exclude`` is the query's position in ``pool``, or None when the query
+    is not in it. The eligible records are the pool without that position.
+    The draws equal ``random.Random(seed).sample(eligible, n)``, yet only
+    ``len(pool)`` and the picked records are read, so a draw costs O(n), not
+    O(len(pool)). When n covers every eligible record, all of them come back
+    in ``rng.shuffle`` order.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    eligible = [r for r in pool if r.record_id != exclude_id]
-    if not eligible:
+    size = len(pool)
+    if exclude is not None:
+        if not 0 <= exclude < size:
+            raise ValueError(f"exclude position {exclude} outside a pool of {size}")
+        size -= 1
+    if size == 0:
         raise ValueError("empty shot pool")
     rng = random.Random(seed)
-    if n >= len(eligible):
-        picked = list(eligible)
+    if n >= size:
+        picked = [pool[i] for i in range(len(pool)) if i != exclude]
         rng.shuffle(picked)
         return picked
-    return rng.sample(eligible, n)
+    # random.sample picks indices from len(population) and the RNG alone, so
+    # sampling the eligible positions, shifted past the query, draws the same
+    # records in the same order as sampling a copy of the eligible records.
+    skip = size if exclude is None else exclude
+    return [pool[i + (i >= skip)] for i in rng.sample(range(size), n)]
 
 
 class NeighborIndex:
@@ -322,7 +339,10 @@ class NeighborIndex:
                 f"{self.manifest.task_id}: no similarity-capable role; using random shots",
                 stacklevel=2,
             )
-            return select_shots_random(self.pool, n, seed, exclude_id=query.record_id)
+            position = next(
+                (i for i, r in enumerate(self.pool) if r.record_id == query.record_id), None
+            )
+            return select_shots_random(self.pool, n, seed, exclude=position)
         ranked = self.nearest(query, n, exclude_id=query.record_id)
         if not ranked:
             raise ValueError("empty shot pool")
@@ -368,7 +388,9 @@ def build_mixture(
     Tasks are drawn with probability proportional to their train-record
     count, records uniformly within the task. ZERO_SHOT_FRACTION of the
     prompts are zero-shot; the rest take a uniform SHOT_RANGE count of random
-    shots from the same task's train set, trimmed to INPUT_BUDGET. Fully
+    shots from the same task's train set, trimmed to INPUT_BUDGET; the query
+    is passed to ``select_shots_random`` as ``exclude``, its position in the
+    pool, so each prompt costs O(shots), not O(pool size). Fully
     reproducible from the seed.
     """
     if not tasks:
@@ -381,20 +403,20 @@ def build_mixture(
         if not pool:
             raise ValueError(f"{task_id}: no train records")
         pools[task_id] = (manifest, pool)
-    weights = [len(pools[t][1]) for t in task_ids]
+    # rng.choices would accumulate the weights again on every draw.
+    cum_weights = list(itertools.accumulate(len(pools[t][1]) for t in task_ids))
     rng = random.Random(seed)
     few_shot_fraction = 1.0 - ZERO_SHOT_FRACTION
 
     for _ in range(count):
-        task_id = rng.choices(task_ids, weights=weights, k=1)[0]
+        task_id = rng.choices(task_ids, cum_weights=cum_weights)[0]
         manifest, pool = pools[task_id]
-        record = pool[rng.randrange(len(pool))]
+        position = rng.randrange(len(pool))
+        record = pool[position]
         shots: Sequence[DataRecord] = ()
         if rng.random() < few_shot_fraction and len(pool) > 1:
             want = rng.randint(*SHOT_RANGE)
-            shots = select_shots_random(
-                pool, want, seed=rng.randrange(1 << 30), exclude_id=record.record_id
-            )
+            shots = select_shots_random(pool, want, seed=rng.randrange(1 << 30), exclude=position)
         yield fit_length_budget(record, manifest, shots, INPUT_BUDGET)
 
 

@@ -211,6 +211,47 @@ def test_evaluate_degenerate_metric_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("metric", ["pearson", "spearman"])
+def test_evaluate_one_row_subtask_correlation_is_undefined(tmp_path, metric):
+    manifests = tmp_path / "manifests"
+    data = tmp_path / "data"
+    manifests.mkdir()
+    data.mkdir()
+    (manifests / "reg.manifest").write_text(
+        "task_id: reg\n"
+        "task_kind: regression\n"
+        f"metric: {metric}\n"
+        "split_method: temporal\n"
+        "timestamp_column: T\n"
+        "subtask_column: Assay\n"
+        "label_column: Y\n"
+        "label_min: 0\n"
+        "label_max: 10\n"
+        "roles: drug\n"
+        "role.drug.kind: smiles\n"
+        "role.drug.column: Drug\n"
+        "role.drug.label: Drug SMILES\n"
+        "instruction: Predict.\n"
+        "context: Assay {subtask}.\n"
+        "question: Value?\n"
+    )
+    # Of 30 rows the three latest form the test split: two of subtask A,
+    # one of subtask solo.
+    lines = ["Drug\tY\tT\tAssay"]
+    for i in range(30):
+        lines.append(f"{'C' * (1 + i % 9)}O\t{i % 7}\t{i}\t{'solo' if i == 29 else 'A'}")
+    (data / "reg.tsv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main([
+        "evaluate", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(out), "--stub", "echo",
+    ])
+    assert code == 0
+    payload = json.loads((out / "reg.result.json").read_text())
+    assert payload["subtask_values"] == {"A": 1.0, "solo": None}
+    assert payload["value"] == 1.0
+
+
 def test_contamination_command(tmp_path, capsys):
     features = tmp_path / "features.tsv"
     corpus = tmp_path / "corpus.txt"
@@ -639,7 +680,7 @@ def _evaluate_majority(tmp_path):
 def _compare_pairs(tmp_path):
     return [
         "compare", "--pairs", str(FIXTURES / "model_size_results.csv"), "--a-col", "model_s", "--b-col", "model_m",
-    ], {"numpy"}
+    ], _NEITHER_CHEM_NOR_NUMPY
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 import math
 import random
 from collections import Counter
+from collections.abc import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden_tasks
+import sampling_reference
 from knn_reference import naive_nearest
 from txf.corpus import DataRecord, RoleSpec, TaskManifest
 from txf.promptgen import (
@@ -163,7 +165,7 @@ def _pool(n):
 
 def test_random_shots_clamp_and_exclude():
     pool = _pool(3)
-    shots = select_shots_random(pool, 10, seed=1, exclude_id="p0")
+    shots = select_shots_random(pool, 10, seed=1, exclude=0)
     assert len(shots) == 2
     assert all(s.record_id != "p0" for s in shots)
 
@@ -187,6 +189,66 @@ def test_random_shots_uniform_frequency():
     sigma = math.sqrt(draws * 0.1 * 0.9)
     for record_id in (f"p{i}" for i in range(10)):
         assert abs(counts[record_id] - expected) <= 3 * sigma
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(1, 300),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    where=st.sampled_from(["first", "middle", "last", "absent", "none"]),
+)
+# random.sample's list branch, its set branch, and the shuffle branch.
+@example(size=20, n=5, seed=7, where="middle")
+@example(size=300, n=12, seed=7, where="middle")
+@example(size=6, n=12, seed=7, where="last")
+def test_random_shots_equal_the_copying_draws(size, n, seed, where):
+    pool = _pool(size)
+    position = {"first": 0, "middle": size // 2, "last": size - 1}.get(where)
+    exclude_id = pool[position].record_id if position is not None else {"absent": "q"}.get(where)
+    try:
+        expected = sampling_reference.select_shots_random(pool, n, seed, exclude_id=exclude_id)
+    except ValueError:
+        with pytest.raises(ValueError, match="empty shot pool"):
+            select_shots_random(pool, n, seed, exclude=position)
+        return
+    assert select_shots_random(pool, n, seed, exclude=position) == expected
+
+
+class _IndexOnlyPool(Sequence):
+    """A pool of generated records that counts item reads and refuses
+    iteration, so a draw that walks the pool fails."""
+
+    def __init__(self, size):
+        self.size = size
+        self.reads = 0
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        self.reads += 1
+        return DataRecord(f"p{i}", {"drug": "C"}, bool(i % 2), split="train")
+
+    def __iter__(self):
+        raise AssertionError("the shot pool was iterated")
+
+
+def test_random_shots_read_only_the_picked_records():
+    pool = _IndexOnlyPool(50_000)
+    for n, exclude in ((1, None), (5, 0), (12, 25_000), (10, 49_999)):
+        pool.reads = 0
+        shots = select_shots_random(pool, n, seed=n, exclude=exclude)
+        assert len(shots) == n
+        assert pool.reads <= n
+
+
+def test_random_shots_reject_an_exclude_outside_the_pool():
+    for exclude in (-1, 3):
+        with pytest.raises(ValueError, match="outside"):
+            select_shots_random(_pool(3), 1, seed=1, exclude=exclude)
 
 
 def test_knn_duplicate_is_first_shot():
@@ -239,6 +301,11 @@ def test_knn_without_similarity_role_warns_and_falls_back():
     with pytest.warns(UserWarning):
         shots = NeighborIndex(manifest, pool).select_shots(query, 2, seed=3)
     assert len(shots) == 2
+    # A query from the pool is found by id and never donates to itself.
+    with pytest.warns(UserWarning):
+        shots = NeighborIndex(manifest, pool).select_shots(pool[2], 3, seed=3)
+    assert shots == sampling_reference.select_shots_random(pool, 3, 3, exclude_id="p2")
+    assert pool[2] not in shots
 
 
 def _records(manifest, rows):
@@ -480,6 +547,18 @@ def test_mixture_reproducible():
     first = [ (p.task_id, p.record_id, p.shot_ids) for p in build_mixture(tasks, 200, seed=9)]
     second = [(p.task_id, p.record_id, p.shot_ids) for p in build_mixture(tasks, 200, seed=9)]
     assert first == second
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 60), min_size=1, max_size=4),
+    count=st.integers(1, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixture_equals_the_copying_mixture(sizes, count, seed):
+    tasks = _mixture_tasks({f"t{i}": size for i, size in enumerate(sizes)})
+    expected = list(sampling_reference.build_mixture(tasks, count, seed))
+    assert list(build_mixture(tasks, count, seed)) == expected
 
 
 def test_mixture_shots_come_from_same_task():
