@@ -7,14 +7,14 @@ Run from the repo root:  python demos/02_prompts_and_mixture.py
 import statistics
 from collections import Counter
 
-from txf.corpus import DataRecord, RoleSpec, SplitSpec, TaskManifest, assign_splits
+from txf.corpus import DataRecord, RoleSpec, TaskManifest, assign_splits
 from txf.promptgen import (
     INPUT_BUDGET,
     BinningSpec,
     NeighborIndex,
     bin_label,
     build_mixture,
-    fit_length_budget,
+    render_prompt,
     shot_source_splits,
     unbin_label,
 )
@@ -48,7 +48,7 @@ def _molecule(i: int) -> str:
 records = [
     DataRecord(str(i), {"drug": _molecule(i)}, float(i % 21)) for i in range(200)
 ]
-records = assign_splits(records, manifest, SplitSpec(method="random", seed=1))
+records = assign_splits(records, manifest, seed=1)
 by_split = Counter(r.split for r in records)
 print("split sizes:", dict(by_split))
 
@@ -64,7 +64,7 @@ query = test_records[0]
 pool = [r for r in records if r.split in shot_source_splits("test")]
 index = NeighborIndex(manifest, pool)
 shots = index.select_shots(query, 3)
-prompt = fit_length_budget(query, manifest, shots, budget=INPUT_BUDGET)
+prompt = render_prompt(query, manifest, shots, budget=INPUT_BUDGET)
 print(prompt.prompt)
 print("<target>", prompt.target)
 print("shots used:", prompt.shot_ids, "estimated tokens:", prompt.estimated_length)

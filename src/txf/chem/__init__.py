@@ -2,9 +2,7 @@
 
 from .fingerprint import (
     Fingerprint,
-    load_fingerprints,
     morgan_fingerprint,
-    save_fingerprints,
     tanimoto,
     top_k_tanimoto,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "morgan_fingerprint",
     "tanimoto",
     "top_k_tanimoto",
-    "save_fingerprints",
-    "load_fingerprints",
     "murcko_scaffold",
     "scaffold_key",
     "canonical_reactant_set",

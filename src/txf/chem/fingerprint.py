@@ -2,13 +2,12 @@
 
 Every atom environment up to the configured radius is hashed with a fixed
 64-bit mixing function (splitmix64 finalizer constants), so fingerprints are
-stable across platforms and builds and can be persisted.
+stable across platforms and builds.
 """
 
 from __future__ import annotations
 
 import heapq
-import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -19,15 +18,10 @@ __all__ = [
     "morgan_fingerprint",
     "tanimoto",
     "top_k_tanimoto",
-    "save_fingerprints",
-    "load_fingerprints",
 ]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-FP_MAGIC = b"TXFP"
-FP_VERSION = 1
 
 
 def mix64(x: int) -> int:
@@ -63,13 +57,6 @@ class Fingerprint:
             object.__setattr__(self, "popcount", self.bits.bit_count())
         elif self.popcount != self.bits.bit_count():
             raise ValueError("popcount does not match bits")
-
-    def to_bytes(self) -> bytes:
-        return self.bits.to_bytes(self.nbits // 8, "little")
-
-    @classmethod
-    def from_bytes(cls, raw: bytes, nbits: int) -> "Fingerprint":
-        return cls(bits=int.from_bytes(raw, "little"), nbits=nbits)
 
 
 def _atom_invariant(atom, degree: int, hcount: int) -> int:
@@ -137,43 +124,3 @@ def top_k_tanimoto(
     scored = ((-tanimoto(query, fp), i) for i, fp in enumerate(pool))
     best = heapq.nsmallest(k, scored)
     return [(i, -neg) for neg, i in best]
-
-
-def save_fingerprints(path, fingerprints: Sequence[Fingerprint], radius: int) -> None:
-    """Write fingerprints as little-endian packed bit blocks.
-
-    Layout: 16-byte header (4s magic "TXFP", u32 version, u32 nbits,
-    u32 radius, all little-endian) followed by nbits/8 bytes per fingerprint.
-    """
-    if not fingerprints:
-        raise ValueError("nothing to save")
-    nbits = fingerprints[0].nbits
-    if any(fp.nbits != nbits for fp in fingerprints):
-        raise ValueError("mixed fingerprint widths")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIII", FP_MAGIC, FP_VERSION, nbits, radius))
-        for fp in fingerprints:
-            fh.write(fp.to_bytes())
-
-
-def load_fingerprints(path) -> tuple[list[Fingerprint], int]:
-    """Read a fingerprint block file; returns (fingerprints, radius)."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValueError("truncated fingerprint header")
-        magic, version, nbits, radius = struct.unpack("<4sIII", header)
-        if magic != FP_MAGIC:
-            raise ValueError("not a fingerprint block file")
-        if version != FP_VERSION:
-            raise ValueError(f"unsupported fingerprint file version {version}")
-        width = nbits // 8
-        out = []
-        while True:
-            raw = fh.read(width)
-            if not raw:
-                break
-            if len(raw) != width:
-                raise ValueError("truncated fingerprint record")
-            out.append(Fingerprint.from_bytes(raw, nbits))
-    return out, radius

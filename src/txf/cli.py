@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+import warnings
 import zlib
 from pathlib import Path
 
@@ -79,8 +80,7 @@ def _tasks(args):
         if table is None:
             raise ValueError(f"{manifest.task_id}: no table under {data}")
         loaded = corpus.load_table(table, manifest)
-        spec = corpus.SplitSpec(method=manifest.split_method, seed=args.seed)
-        records = corpus.assign_splits(loaded.records, manifest, spec)
+        records = corpus.assign_splits(loaded.records, manifest, args.seed)
         if deferred_range:
             manifest = corpus.fit_label_range(records, manifest)
         yield manifest, records, loaded.dropped
@@ -89,10 +89,14 @@ def _tasks(args):
 def _render(manifest, records, splits, policy, seed):
     """Yields (split, shot pool, neighbour index or None, prompts) for each
     split. Splits that draw shots from the same splits share one pool, one
-    record id -> pool position map and, for knn shots, one neighbour index."""
+    record id -> pool position map and, for knn shots, one neighbour index.
+    knn shots for a task with no similarity-capable role are random shots."""
     from . import promptgen
 
     kind, k = policy
+    if kind == "knn" and not manifest.similarity_roles()[0]:
+        warnings.warn(f"{manifest.task_id}: no similarity-capable role; using random shots")
+        kind = "random"
     pools = {}
     for split in splits:
         sources = promptgen.shot_source_splits(split)
@@ -116,9 +120,9 @@ def _render(manifest, records, splits, policy, seed):
                 record_seed = seed + zlib.crc32(record.record_id.encode("utf-8"))
                 shots = promptgen.select_shots_random(pool, k, seed=record_seed, exclude=position)
             elif index is not None and donors:
-                shots = index.select_shots(record, k, seed=seed)
+                shots = index.select_shots(record, k)
             prompts.append(
-                promptgen.fit_length_budget(record, manifest, shots, budget=promptgen.INPUT_BUDGET)
+                promptgen.render_prompt(record, manifest, shots, budget=promptgen.INPUT_BUDGET)
             )
         yield split, pool, index, prompts
 

@@ -21,7 +21,6 @@ __all__ = [
     "RoleSpec",
     "TaskManifest",
     "DataRecord",
-    "SplitSpec",
     "LoadedTable",
     "CorpusError",
     "read_manifest",
@@ -38,6 +37,8 @@ ROLE_KINDS = ("smiles", "amino_acid", "nucleotide", "text")
 SPLIT_METHODS = ("random", "scaffold", "cold_start", "combination", "temporal")
 METRICS = ("auroc", "auprc", "accuracy", "spearman", "pearson", "mae", "mse", "set_accuracy")
 LOWER_IS_BETTER_METRICS = {"mae", "mse"}
+# Target train/valid/test shares of the records for every split method.
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
 # Feature-type tag for each combination of role kinds present, mirroring the
 # seven feature categories used in the result tables.
@@ -105,19 +106,6 @@ class DataRecord:
     subtask: str | None = None
     timestamp: str | None = None
     split: str | None = None
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    method: str = "random"
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    seed: int = 1
-
-    def __post_init__(self):
-        if any(f <= 0 for f in self.fractions):
-            raise ValueError("split fractions must be positive")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
 
 
 @dataclass
@@ -415,10 +403,9 @@ def load_table(path, manifest: TaskManifest) -> LoadedTable:
 # ---------------------------------------------------------------------------
 
 
-def _cut_points(n: int, fractions) -> tuple[int, int]:
-    train_end = round(fractions[0] * n)
-    valid_end = round((fractions[0] + fractions[1]) * n)
-    return train_end, valid_end
+def _cut_points(n: int) -> tuple[int, int]:
+    train, valid, _ = SPLIT_FRACTIONS
+    return round(train * n), round((train + valid) * n)
 
 
 def _first_smiles_role(manifest: TaskManifest) -> str:
@@ -443,9 +430,10 @@ def _group_records(records, key_fn) -> dict:
 
 
 def assign_splits(
-    records: list[DataRecord], manifest: TaskManifest, spec: SplitSpec
+    records: list[DataRecord], manifest: TaskManifest, seed: int
 ) -> list[DataRecord]:
-    """Return copies of the records with train/valid/test assigned.
+    """Return copies of the records with train/valid/test assigned by the
+    manifest's split method, in SPLIT_FRACTIONS.
 
     random: seeded shuffle, fraction cut. temporal: stable sort on the
     timestamp column, fraction cut. scaffold: group by scaffold key, pack
@@ -453,16 +441,16 @@ def assign_splits(
     combination: group by the entity key (or unordered role pair), shuffle
     the groups with the seed, and fill splits to their targets in order.
     """
-    method = spec.method
+    method = manifest.split_method
     n = len(records)
     if n == 0:
         return []
-    train_end, valid_end = _cut_points(n, spec.fractions)
+    train_end, valid_end = _cut_points(n)
     assignment = ["test"] * n
 
     if method == "random":
         order = list(range(n))
-        random.Random(spec.seed).shuffle(order)
+        random.Random(seed).shuffle(order)
         for pos, idx in enumerate(order):
             assignment[idx] = (
                 "train" if pos < train_end else "valid" if pos < valid_end else "test"
@@ -514,7 +502,7 @@ def assign_splits(
             )
         groups = _group_records(records, key_fn)
         keys = sorted(groups, key=str)
-        random.Random(spec.seed).shuffle(keys)
+        random.Random(seed).shuffle(keys)
         assigned = 0
         for key in keys:
             members = groups[key]

@@ -14,7 +14,6 @@ import json
 import math
 import random
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -37,7 +36,6 @@ __all__ = [
     "render_prompt",
     "select_shots_random",
     "NeighborIndex",
-    "fit_length_budget",
     "build_mixture",
     "default_token_estimator",
     "shot_source_splits",
@@ -165,6 +163,10 @@ def render_prompt(
     Layout: "Instructions: ...", "Context: ...", "Question: ..." blocks, one
     blank line apart; then for each shot its role lines and a completed
     "Answer: <target>"; then the query's role lines and a trailing "Answer:".
+
+    With a budget, shots are dropped from the end of the list until the
+    estimate fits; a zero-shot prompt that still exceeds it is kept and
+    flagged ``over_budget``.
     """
     instruction, _ = _fill(manifest.instruction, record, manifest)
     context, _ = _fill(manifest.context, record, manifest)
@@ -175,26 +177,36 @@ def render_prompt(
         f"Context: {context}",
         f"Question: {question}",
     ]
+    starts = []  # index of each shot's first block, then of the query's
     for shot in shots:
+        starts.append(len(blocks))
         blocks.extend(_role_lines(shot, manifest, used))
         blocks.append(f"Answer: {render_target(shot, manifest)}")
+    starts.append(len(blocks))
     blocks.extend(_role_lines(record, manifest, used))
     blocks.append("Answer:")
     prompt = "\n\n".join(blocks)
 
-    over = False
-    estimate = default_token_estimator(prompt)
-    if budget is not None:
-        over = estimate > budget
+    # The estimate ceil(size / 4) exceeds the budget exactly when size
+    # exceeds 4 * budget. Each dropped block takes its bytes and one "\n\n".
+    size = len(prompt.encode("utf-8"))
+    kept = len(shots)
+    if budget is not None and size > 4 * budget:
+        while kept and size > 4 * budget:
+            kept -= 1
+            dropped = blocks[starts[kept] : starts[kept + 1]]
+            size -= sum(len(block.encode("utf-8")) + 2 for block in dropped)
+        prompt = "\n\n".join(blocks[: starts[kept]] + blocks[starts[-1] :])
+    estimate = -(-size // 4)  # default_token_estimator(prompt)
     return PromptRecord(
         task_id=manifest.task_id,
         record_id=record.record_id,
         split=record.split or "",
         prompt=prompt,
         target=render_target(record, manifest),
-        shot_ids=tuple(s.record_id for s in shots),
+        shot_ids=tuple(s.record_id for s in shots[:kept]),
         estimated_length=estimate,
-        over_budget=over,
+        over_budget=budget is not None and estimate > budget,
         subtask=record.subtask,
     )
 
@@ -326,23 +338,10 @@ class NeighborIndex:
         )
         return [(i, -neg) for neg, i in heapq.nsmallest(k, scored)]
 
-    def select_shots(self, query: DataRecord, n: int, seed: int = 1) -> list[DataRecord]:
-        """The n nearest pool records other than the query, nearest first.
-
-        Falls back to random shots, with a warning, when no feature supports
-        similarity.
-        """
+    def select_shots(self, query: DataRecord, n: int) -> list[DataRecord]:
+        """The n nearest pool records other than the query, nearest first."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if not self.kind:
-            warnings.warn(
-                f"{self.manifest.task_id}: no similarity-capable role; using random shots",
-                stacklevel=2,
-            )
-            position = next(
-                (i for i, r in enumerate(self.pool) if r.record_id == query.record_id), None
-            )
-            return select_shots_random(self.pool, n, seed, exclude=position)
         ranked = self.nearest(query, n, exclude_id=query.record_id)
         if not ranked:
             raise ValueError("empty shot pool")
@@ -358,24 +357,6 @@ def shot_source_splits(eval_split: str) -> tuple[str, ...]:
     if eval_split == "test":
         return ("train", "valid")
     return ("train",)
-
-
-def fit_length_budget(
-    record: DataRecord,
-    manifest: TaskManifest,
-    shots: Sequence[DataRecord],
-    budget: int,
-) -> PromptRecord:
-    """Drop shots from the end of the list until the estimate fits the budget.
-
-    A zero-shot prompt that still exceeds the budget is kept and flagged.
-    """
-    shots = list(shots)
-    while True:
-        rendered = render_prompt(record, manifest, shots, budget=budget)
-        if rendered.estimated_length <= budget or not shots:
-            return rendered
-        shots.pop()
 
 
 def build_mixture(
@@ -417,7 +398,7 @@ def build_mixture(
         if rng.random() < few_shot_fraction and len(pool) > 1:
             want = rng.randint(*SHOT_RANGE)
             shots = select_shots_random(pool, want, seed=rng.randrange(1 << 30), exclude=position)
-        yield fit_length_budget(record, manifest, shots, INPUT_BUDGET)
+        yield render_prompt(record, manifest, shots, budget=INPUT_BUDGET)
 
 
 def write_prompt_jsonl(records: Iterable[PromptRecord], path) -> None:

@@ -8,14 +8,9 @@ from __future__ import annotations
 import random
 from typing import Iterator, Sequence
 
+from render_reference import fit_length_budget
 from txf.corpus import DataRecord, TaskManifest
-from txf.promptgen import (
-    INPUT_BUDGET,
-    SHOT_RANGE,
-    ZERO_SHOT_FRACTION,
-    PromptRecord,
-    fit_length_budget,
-)
+from txf.promptgen import INPUT_BUDGET, SHOT_RANGE, ZERO_SHOT_FRACTION, PromptRecord
 
 
 def select_shots_random(

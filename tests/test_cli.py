@@ -82,6 +82,51 @@ def test_build_pool_of_only_the_query_renders_zero_shot(tmp_path, shots):
     assert obj["prompt"] + " " + obj["target"] == golden
 
 
+def test_build_knn_without_similarity_role_draws_like_random(tmp_path):
+    import warnings
+
+    manifests = tmp_path / "manifests"
+    data = tmp_path / "data"
+    manifests.mkdir()
+    data.mkdir()
+    (manifests / "notes.manifest").write_text(
+        "task_id: notes\n"
+        "task_kind: binary\n"
+        "metric: auroc\n"
+        "split_method: random\n"
+        "label_column: Y\n"
+        "roles: note\n"
+        "role.note.kind: text\n"
+        "role.note.column: Note\n"
+        "role.note.label: Note\n"
+        "instruction: Classify.\n"
+        "context: Ctx.\n"
+        "question: Active?\\n\\n(A) no (B) yes\n"
+    )
+    rows = [f"note {i}\t{i % 2}" for i in range(60)]
+    (data / "notes.tsv").write_text("Note\tY\n" + "\n".join(rows) + "\n")
+    warned = {}
+    for shots in ("knn3", "random3"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([
+                "build", "--manifests", str(manifests), "--data", str(data),
+                "--out", str(tmp_path / shots), "--seed", "1", "--shots", shots,
+            ]) == 0
+        warned[shots] = [str(w.message) for w in caught]
+    assert warned == {
+        "knn3": ["notes: no similarity-capable role; using random shots"],
+        "random3": [],
+    }
+    for split in ("train", "valid", "test"):
+        name = f"notes.{split}.jsonl"
+        assert (tmp_path / "knn3" / name).read_bytes() == (tmp_path / "random3" / name).read_bytes()
+    # Each query draws its own shots, as random shots do.
+    lines = (tmp_path / "knn3" / "notes.test.jsonl").read_text(encoding="utf-8").splitlines()
+    shot_sets = {tuple(json.loads(line)["shots"]) for line in lines}
+    assert len(lines) == 6 and len(shot_sets) == 6
+
+
 def _non_numeric_label_min(manifests, data):
     path = manifests / "bbb_martins.manifest"
     path.write_text(path.read_text() + "label_min: abc\nlabel_max: 1\n")
@@ -549,9 +594,7 @@ def test_build_knn_shares_one_index_per_shot_pool(tmp_path, monkeypatch):
     # Every split's shots are the naive scan's top 3 over that split's pool.
     manifest = corpus.read_manifest(manifests / "knnpool.manifest")
     loaded = corpus.load_table(data / "knnpool.tsv", manifest)
-    records = corpus.assign_splits(
-        loaded.records, manifest, corpus.SplitSpec(method="random", seed=2)
-    )
+    records = corpus.assign_splits(loaded.records, manifest, seed=2)
     by_id = {r.record_id: r for r in records}
     for split, sources in (("train", {"train"}), ("valid", {"train"}), ("test", {"train", "valid"})):
         pool = [r for r in records if r.split in sources]
@@ -595,9 +638,7 @@ def test_evaluate_knn_stub_reuses_the_shot_index(tmp_path, monkeypatch):
     # Each answer is the target of the naive scan's nearest pool record.
     manifest = corpus.read_manifest(manifests / "knnev.manifest")
     loaded = corpus.load_table(data / "knnev.tsv", manifest)
-    records = corpus.assign_splits(
-        loaded.records, manifest, corpus.SplitSpec(method="random", seed=2)
-    )
+    records = corpus.assign_splits(loaded.records, manifest, seed=2)
     pool = [r for r in records if r.split in ("train", "valid")]
     by_id = {r.record_id: r for r in records}
     with open(out / "knnev.rows.csv", encoding="utf-8", newline="") as fh:

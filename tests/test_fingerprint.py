@@ -5,10 +5,8 @@ import pytest
 from conftest import MOLECULE_CORPUS, permute_molecule
 from txf.chem import (
     Fingerprint,
-    load_fingerprints,
     morgan_fingerprint,
     parse_smiles,
-    save_fingerprints,
     tanimoto,
     top_k_tanimoto,
 )
@@ -129,24 +127,3 @@ def test_top_k_matches_naive_scan():
         key=lambda item: (-item[1], item[0]),
     )[:25]
     assert top_k_tanimoto(query, pool, 25) == naive
-
-
-def test_persistence_round_trip(tmp_path):
-    rng = random.Random(23)
-    fps = [Fingerprint(bits=rng.getrandbits(2048), nbits=2048) for _ in range(10)]
-    path = tmp_path / "pool.fpb"
-    save_fingerprints(path, fps, radius=2)
-    loaded, radius = load_fingerprints(path)
-    assert radius == 2
-    assert [f.bits for f in loaded] == [f.bits for f in fps]
-    assert loaded[0].popcount == fps[0].popcount
-    raw = path.read_bytes()
-    assert raw[:4] == b"TXFP"
-    assert len(raw) == 16 + 10 * 2048 // 8
-
-
-def test_persistence_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.fpb"
-    path.write_bytes(b"NOPE" + b"\x00" * 12)
-    with pytest.raises(ValueError):
-        load_fingerprints(path)

@@ -2,12 +2,14 @@ import math
 import random
 from collections import Counter
 from collections.abc import Sequence
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden_tasks
+import render_reference
 import sampling_reference
 from knn_reference import naive_nearest
 from txf.corpus import DataRecord, RoleSpec, TaskManifest
@@ -17,7 +19,6 @@ from txf.promptgen import (
     bin_label,
     build_mixture,
     default_token_estimator,
-    fit_length_budget,
     render_prompt,
     select_shots_random,
     shot_source_splits,
@@ -284,30 +285,6 @@ def test_knn_sequence_averaging():
     assert shots[0].record_id == "near"
 
 
-def test_knn_without_similarity_role_warns_and_falls_back():
-    manifest = TaskManifest(
-        task_id="textonly",
-        task_kind="binary",
-        roles=(RoleSpec("note", "text", "Note", "Note"),),
-        instruction="Answer.",
-        context="None.",
-        question="Q?\n\n(A) no (B) yes",
-        label_column="Y",
-        metric="auroc",
-        split_method="random",
-    )
-    pool = [DataRecord(f"p{i}", {"note": f"n{i}"}, True, split="train") for i in range(5)]
-    query = DataRecord("q", {"note": "x"}, True, split="test")
-    with pytest.warns(UserWarning):
-        shots = NeighborIndex(manifest, pool).select_shots(query, 2, seed=3)
-    assert len(shots) == 2
-    # A query from the pool is found by id and never donates to itself.
-    with pytest.warns(UserWarning):
-        shots = NeighborIndex(manifest, pool).select_shots(pool[2], 3, seed=3)
-    assert shots == sampling_reference.select_shots_random(pool, 3, 3, exclude_id="p2")
-    assert pool[2] not in shots
-
-
 def _records(manifest, rows):
     names = [role.name for role in manifest.roles]
     return [
@@ -470,7 +447,7 @@ def test_shot_source_splits():
 
 
 def test_budget_large_keeps_all_shots():
-    rendered = fit_length_budget(
+    rendered = render_prompt(
         golden_tasks.BBB_QUERY, golden_tasks.BBB_MANIFEST, golden_tasks.BBB_SHOTS, budget=10_000
     )
     assert rendered.shot_count == 10
@@ -480,19 +457,76 @@ def test_budget_large_keeps_all_shots():
 def test_budget_drops_from_end_keeps_first():
     full = render_prompt(golden_tasks.BBB_QUERY, golden_tasks.BBB_MANIFEST, golden_tasks.BBB_SHOTS[:4])
     budget = full.estimated_length  # exactly fits 4 shots
-    rendered = fit_length_budget(
+    rendered = render_prompt(
         golden_tasks.BBB_QUERY, golden_tasks.BBB_MANIFEST, golden_tasks.BBB_SHOTS, budget=budget
     )
     assert rendered.shot_ids == tuple(s.record_id for s in golden_tasks.BBB_SHOTS[:4])
+    assert rendered == full
     assert not rendered.over_budget
 
 
 def test_budget_zero_shot_over_budget_flagged():
-    rendered = fit_length_budget(
+    rendered = render_prompt(
         golden_tasks.BBB_QUERY, golden_tasks.BBB_MANIFEST, golden_tasks.BBB_SHOTS, budget=10
     )
     assert rendered.shot_count == 0
     assert rendered.over_budget
+
+
+def test_budget_fitting_renders_each_shot_once(monkeypatch):
+    import txf.promptgen as promptgen
+
+    query, manifest, shots = golden_tasks.BBB_QUERY, golden_tasks.BBB_MANIFEST, golden_tasks.BBB_SHOTS
+    budget = render_prompt(query, manifest, shots[:4]).estimated_length
+    targets = []
+    original = promptgen.render_target
+
+    def counting(record, manifest):
+        targets.append(record.record_id)
+        return original(record, manifest)
+
+    monkeypatch.setattr(promptgen, "render_target", counting)
+    rendered = render_prompt(query, manifest, shots, budget=budget)
+    assert rendered.shot_count == 4
+    # Ten shots and the query's own target, each rendered once.
+    assert len(targets) == 11
+
+
+def test_budget_fitting_equals_the_rerendering_loop_on_every_budget():
+    query, manifest = golden_tasks.BBB_QUERY, golden_tasks.BBB_MANIFEST
+    for n in range(11):
+        shots = golden_tasks.BBB_SHOTS[:n]
+        full = render_prompt(query, manifest, shots).estimated_length
+        for budget in range(full + 6):
+            expected = render_reference.fit_length_budget(query, manifest, shots, budget)
+            assert render_prompt(query, manifest, shots, budget=budget) == expected
+
+
+# Feature text of one to four UTF-8 bytes per character; no lone surrogates,
+# which no table can hold.
+_FEATURE_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(golden_tasks.GOLDEN_CASES),
+    shot_count=st.integers(0, 10),
+    data=st.data(),
+)
+def test_budget_fitting_equals_the_rerendering_loop(case, shot_count, data):
+    _, manifest, query, _ = case
+    names = [role.name for role in manifest.roles]
+
+    def features():
+        return {name: data.draw(_FEATURE_TEXT) for name in names}
+
+    if data.draw(st.booleans()):
+        query = replace(query, features=features())
+    shots = [replace(query, record_id=f"s{i}", features=features()) for i in range(shot_count)]
+    full = render_reference.render_prompt(query, manifest, shots).estimated_length
+    budget = data.draw(st.integers(0, full + 5))
+    expected = render_reference.fit_length_budget(query, manifest, shots, budget)
+    assert render_prompt(query, manifest, shots, budget=budget) == expected
 
 
 def test_default_estimator_bytes_over_four():

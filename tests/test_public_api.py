@@ -6,9 +6,16 @@ LAYERS = ("chem", "bioseq", "corpus", "promptgen", "evalharness", "analysis")
 
 # Public names deleted as unused or duplicate; each must stay gone.
 REMOVED = {
-    "chem": ["ReactantSet", "reactant_set_equal"],
-    "corpus": ["replace_split", "TaskManifest.role"],
-    "promptgen": ["MixtureSpec", "select_shots_knn"],
+    "chem": [
+        "ReactantSet",
+        "reactant_set_equal",
+        "save_fingerprints",
+        "load_fingerprints",
+        "Fingerprint.to_bytes",
+        "Fingerprint.from_bytes",
+    ],
+    "corpus": ["replace_split", "TaskManifest.role", "SplitSpec"],
+    "promptgen": ["MixtureSpec", "select_shots_knn", "fit_length_budget"],
     "evalharness": ["GenerationRequest.stop", "GenerationResponse.logprob"],
     "analysis": ["AhoCorasick.reset"],
 }
