@@ -13,7 +13,7 @@ from txf.evalharness import (
     NearestNeighborClient,
     evaluate_task,
 )
-from txf.promptgen import render_prompt
+from txf.promptgen import NeighborIndex, render_prompt
 
 manifest = TaskManifest(
     task_id="demo_families",
@@ -40,12 +40,14 @@ for k in range(1, 21):
         test.append(DataRecord(f"te_b{k}", {"drug": aliphatic}, False, split="test"))
 
 prompts = [render_prompt(r, manifest) for r in test]
+# The nearest-neighbor stub answers from an index over the train records.
+knn = NearestNeighborClient(NeighborIndex(manifest, train))
 
 print("=== Three stubs on the same task ===")
 for name, client in (
     ("echo (oracle)", EchoClient(prompts)),
     ("majority", MajorityClient()),
-    ("1-nearest-neighbor", NearestNeighborClient(manifest, train)),
+    ("1-nearest-neighbor", knn),
 ):
     result = evaluate_task(manifest, prompts, client, concurrency=4)
     print(
@@ -64,7 +66,7 @@ flagged = sorted(rid for rid, hit in report.flags.items() if hit)
 print(f"flagged {report.n_flagged}/{report.n_records} records "
       f"({report.percent_overlap:.1f}% overlap): {', '.join(flagged)}")
 
-knn_result = evaluate_task(manifest, prompts, NearestNeighborClient(manifest, train), concurrency=4)
+knn_result = evaluate_task(manifest, prompts, knn, concurrency=4)
 filtered = filtered_eval(knn_result, report.flags)
 print(f"unfiltered auroc={knn_result.value:.3f} over n={knn_result.n}")
 print(f"filtered   auroc={filtered.value:.3f} over n={filtered.n}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .ranks import average_ranks
@@ -87,14 +87,26 @@ def _is_near(row: ScoreRow, threshold: float) -> bool:
 
 @dataclass
 class ScoreboardCounts:
-    exceed: int = 0
-    near: int = 0
-    below: int = 0
-    no_sota: int = 0
     exceed_tasks: list[str] = field(default_factory=list)
     near_tasks: list[str] = field(default_factory=list)
     below_tasks: list[str] = field(default_factory=list)
     no_sota_tasks: list[str] = field(default_factory=list)
+
+    @property
+    def exceed(self) -> int:
+        return len(self.exceed_tasks)
+
+    @property
+    def near(self) -> int:
+        return len(self.near_tasks)
+
+    @property
+    def below(self) -> int:
+        return len(self.below_tasks)
+
+    @property
+    def no_sota(self) -> int:
+        return len(self.no_sota_tasks)
 
     @property
     def near_or_above(self) -> int:
@@ -116,22 +128,14 @@ def scoreboard(
     counts = ScoreboardCounts()
     for row in rows:
         if row.sota is None:
-            if na_as_exceed:
-                counts.exceed += 1
-                counts.exceed_tasks.append(row.task)
-            else:
-                counts.no_sota += 1
-                counts.no_sota_tasks.append(row.task)
-            continue
-        if relative_difference(row) > 0:
-            counts.exceed += 1
-            counts.exceed_tasks.append(row.task)
+            bucket = counts.exceed_tasks if na_as_exceed else counts.no_sota_tasks
+        elif relative_difference(row) > 0:
+            bucket = counts.exceed_tasks
         elif _is_near(row, NEAR_THRESHOLD):
-            counts.near += 1
-            counts.near_tasks.append(row.task)
+            bucket = counts.near_tasks
         else:
-            counts.below += 1
-            counts.below_tasks.append(row.task)
+            bucket = counts.below_tasks
+        bucket.append(row.task)
     return counts
 
 
@@ -402,33 +406,11 @@ def contamination_scan(
 
 def filtered_eval(result: EvalResult, flags: dict[str, bool]) -> EvalResult:
     """Recompute the metric over rows whose record is not flagged."""
-    from .evalharness import EvalResult, score_rows
+    from .evalharness import EvalResult
 
     kept = [r for r in result.rows if not flags.get(r.record_id, False)]
-    if not kept:
-        return EvalResult(
-            task_id=result.task_id,
-            metric=result.metric,
-            value=None,
-            n=0,
-            invalid_rate=0.0,
-            rows=[],
-            undefined_reason="all rows flagged",
-            lower_is_better=result.lower_is_better,
-        )
-    value, per_subtask, reason = score_rows(result.metric, kept)
-    invalid = sum(1 for r in kept if not r.valid)
-    return EvalResult(
-        task_id=result.task_id,
-        metric=result.metric,
-        value=value,
-        n=len(kept),
-        invalid_rate=invalid / len(kept),
-        rows=kept,
-        subtask_values=per_subtask,
-        undefined_reason=reason,
-        lower_is_better=result.lower_is_better,
-    )
+    filtered = EvalResult.from_rows(result.task_id, result.metric, result.lower_is_better, kept)
+    return filtered if kept else replace(filtered, undefined_reason="all rows flagged")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-import warnings
 import zlib
 from pathlib import Path
 
@@ -31,18 +30,16 @@ EXIT_DEGENERATE = 3
 
 MANIFEST_SUFFIX = ".manifest"
 SPLITS = ("train", "valid", "test")
-_SHOT_POLICY = re.compile(r"^(0|random(\d+)|knn(\d+))$")
+# K counts shots, so it is at least 1.
+_SHOT_POLICY = re.compile(r"^(?:0|(random|knn)(0*[1-9]\d*))$")
 
 
 def _parse_shot_policy(text: str) -> tuple[str, int]:
     match = _SHOT_POLICY.match(text)
     if not match:
         raise ValueError(f"bad shot policy {text!r}; expected 0, randomK, or knnK")
-    if match.group(2):
-        return "random", int(match.group(2))
-    if match.group(3):
-        return "knn", int(match.group(3))
-    return "zero", 0
+    kind, k = match.groups()
+    return (kind, int(k)) if kind else ("zero", 0)
 
 
 def _tasks(args):
@@ -95,7 +92,10 @@ def _render(manifest, records, splits, policy, seed):
 
     kind, k = policy
     if kind == "knn" and not manifest.similarity_roles()[0]:
-        warnings.warn(f"{manifest.task_id}: no similarity-capable role; using random shots")
+        print(
+            f"warning: {manifest.task_id}: no similarity-capable role; using random shots",
+            file=sys.stderr,
+        )
         kind = "random"
     pools = {}
     for split in splits:
@@ -156,7 +156,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from . import evalharness
+    from . import evalharness, promptgen
 
     policy = _parse_shot_policy(args.shots)
     model_url = args.model_url or os.environ.get("TXF_MODEL_URL")
@@ -169,9 +169,17 @@ def cmd_evaluate(args) -> int:
     with http_client or contextlib.nullcontext():
         for manifest, records, _ in _tasks(args):
             [(_, pool, index, prompts)] = _render(manifest, records, (args.split,), policy, args.seed)
-            client = http_client or evalharness.make_stub_client(
-                args.stub, manifest=manifest, prompts=prompts, train_records=pool, index=index,
-            )
+            if http_client:
+                client = http_client
+            elif args.stub == "echo":
+                client = evalharness.EchoClient(prompts)
+            elif args.stub == "majority":
+                client = evalharness.MajorityClient()
+            else:
+                # knn shots built an index over this pool; other shots did not.
+                client = evalharness.NearestNeighborClient(
+                    index or promptgen.NeighborIndex(manifest, pool)
+                )
             result = evalharness.evaluate_task(
                 manifest, prompts, client, concurrency=args.concurrency
             )

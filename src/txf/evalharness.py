@@ -1,11 +1,11 @@
 """Model clients, answer parsing, and evaluation metrics.
 
-The model boundary is a single generate() call. Over HTTP it is a JSON POST
-{"prompt", "max_tokens", "temperature"} answered by {"text",
-"option_scores"?}; other response keys are ignored. The built-in stubs speak
-the same interface in process. Metrics are computed over every test record:
-unparseable or failed completions contribute fallback predictions and an
-invalid rate, so n stays constant across models.
+The model boundary is a single generate(prompt) call. Over HTTP it is a JSON
+POST {"prompt", "max_tokens": MAX_TOKENS, "temperature": TEMPERATURE}
+answered by {"text", "option_scores"?}; other response keys are ignored.
+The built-in stubs speak the same interface in process. Metrics are computed
+over every test record: unparseable or failed completions contribute fallback
+predictions and an invalid rate, so n stays constant across models.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .promptgen import (
 from .ranks import _floats, average_ranks
 
 __all__ = [
-    "GenerationRequest",
     "GenerationResponse",
     "TransportError",
     "ModelClient",
@@ -46,7 +45,6 @@ __all__ = [
     "EchoClient",
     "MajorityClient",
     "NearestNeighborClient",
-    "make_stub_client",
     "parse_binary_answer",
     "parse_regression_answer",
     "auroc",
@@ -67,11 +65,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
-    prompt: str
-    max_tokens: int = 512
-    temperature: float = 0.0
+# Every request asks for up to MAX_TOKENS tokens, greedily decoded.
+MAX_TOKENS = 512
+TEMPERATURE = 0.0
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class TransportError(RuntimeError):
 
 
 class ModelClient(Protocol):
-    def generate(self, request: GenerationRequest) -> GenerationResponse: ...
+    def generate(self, prompt: str) -> GenerationResponse: ...
 
 
 class HttpModelClient:
@@ -155,12 +151,10 @@ class HttpModelClient:
         for conn in idle:
             conn.close()
 
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        body = json.dumps({
-            "prompt": request.prompt,
-            "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
-        }).encode("utf-8")
+    def generate(self, prompt: str) -> GenerationResponse:
+        body = json.dumps(
+            {"prompt": prompt, "max_tokens": MAX_TOKENS, "temperature": TEMPERATURE}
+        ).encode("utf-8")
         last = None
         for attempt in range(self.max_attempts):
             started = time.monotonic()
@@ -270,38 +264,28 @@ class EchoClient:
     def __init__(self, prompts: Sequence[PromptRecord]):
         self._answers = {p.prompt: p.target for p in prompts}
 
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        return GenerationResponse(text=self._answers.get(request.prompt, ""))
+    def generate(self, prompt: str) -> GenerationResponse:
+        return GenerationResponse(text=self._answers.get(prompt, ""))
 
 
 class MajorityClient:
-    """Always answers with one fixed string."""
+    """Always answers the positive class."""
 
-    def __init__(self, answer: str = ANSWER_POSITIVE):
-        self.answer = answer
-
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        return GenerationResponse(text=self.answer)
+    def generate(self, prompt: str) -> GenerationResponse:
+        return GenerationResponse(text=ANSWER_POSITIVE)
 
 
 class NearestNeighborClient:
-    """Answers with the rendered target of the most similar train record.
+    """Answers with the rendered target of the most similar record of the
+    index's pool.
 
     The query's features are recovered from the prompt text itself (the last
     occurrence of each role line), so the stub sees exactly what a model sees.
     """
 
-    def __init__(
-        self,
-        manifest: TaskManifest,
-        train_records: Sequence[DataRecord],
-        index: NeighborIndex | None = None,
-    ):
-        """``index``, when given, is a NeighborIndex already built over
-        ``train_records``, in that order."""
-        self.manifest = manifest
-        self.train = list(train_records)
-        self._index = NeighborIndex(manifest, self.train) if index is None else index
+    def __init__(self, index: NeighborIndex):
+        self.manifest = index.manifest
+        self._index = index
 
     def _parse_features(self, prompt: str) -> dict[str, str] | None:
         features = {}
@@ -314,31 +298,14 @@ class NearestNeighborClient:
             features[role.name] = matches[-1]
         return features
 
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        features = self._parse_features(request.prompt)
-        if features is None or not self._index.kind or not self.train:
+    def generate(self, prompt: str) -> GenerationResponse:
+        features = self._parse_features(prompt)
+        pool = self._index.pool
+        if features is None or not self._index.kind or not pool:
             return GenerationResponse(text="")
         probe = DataRecord(record_id="__query__", features=features, label="")
         [(best_i, _)] = self._index.nearest(probe, 1)
-        return GenerationResponse(text=render_target(self.train[best_i], self.manifest))
-
-
-def make_stub_client(
-    name: str,
-    manifest: TaskManifest | None = None,
-    prompts: Sequence[PromptRecord] = (),
-    train_records: Sequence[DataRecord] = (),
-    index: NeighborIndex | None = None,
-) -> ModelClient:
-    if name == "echo":
-        return EchoClient(prompts)
-    if name == "majority":
-        return MajorityClient()
-    if name == "knn":
-        if manifest is None:
-            raise ValueError("knn stub needs the task manifest")
-        return NearestNeighborClient(manifest, train_records, index)
-    raise ValueError(f"unknown stub {name!r}")
+        return GenerationResponse(text=render_target(pool[best_i], self.manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +506,31 @@ class EvalResult:
     failures: list[str] = field(default_factory=list)
     lower_is_better: bool = False
 
+    @classmethod
+    def from_rows(
+        cls,
+        task_id: str,
+        metric: str,
+        lower_is_better: bool,
+        rows: list[EvalRow],
+        failures: Sequence[str] = (),
+    ) -> "EvalResult":
+        """The metric, per-subtask values, n and invalid rate over rows."""
+        value, per_subtask, reason = score_rows(metric, rows)
+        invalid = sum(1 for r in rows if not r.valid)
+        return cls(
+            task_id=task_id,
+            metric=metric,
+            value=value,
+            n=len(rows),
+            invalid_rate=invalid / len(rows) if rows else 0.0,
+            rows=rows,
+            subtask_values=per_subtask,
+            undefined_reason=reason,
+            failures=list(failures),
+            lower_is_better=lower_is_better,
+        )
+
 
 def _metric_over_rows(metric: str, rows: list[EvalRow]) -> float | None:
     if metric == "auroc":
@@ -590,27 +582,21 @@ def _row_for_prompt(
     response: GenerationResponse | None,
     failure: str | None,
 ) -> EvalRow:
+    """A transport failure has no response and scores as the empty
+    completion: invalid, with each task kind's fallback prediction."""
     completion = response.text if response else ""
     scores = response.option_scores if response else None
     if manifest.task_kind == "binary":
         truth = prompt.target == ANSWER_POSITIVE
-        cls, score, valid = parse_binary_answer(completion, scores)
-        if failure:
-            cls, score, valid = None, 0.5, False
-        prediction = cls
+        prediction, score, valid = parse_binary_answer(completion, scores)
     elif manifest.task_kind == "regression":
         spec = BinningSpec.from_manifest(manifest)
         truth = unbin_label(min(int(prompt.target), spec.levels), spec)
         prediction, valid = parse_regression_answer(completion, spec)
-        if failure:
-            prediction, valid = unbin_label(spec.levels // 2, spec), False
         score = 0.0
     else:
         truth = prompt.target
-        if failure:
-            score_value, valid = 0, False
-        else:
-            score_value, valid = score_reactant_prediction(completion, prompt.target)
+        score_value, valid = score_reactant_prediction(completion, prompt.target)
         prediction = completion
         score = float(score_value)
     return EvalRow(
@@ -643,15 +629,12 @@ def evaluate_task(
 
     def call(prompt: PromptRecord):
         try:
-            return client.generate(GenerationRequest(prompt=prompt.prompt)), None
+            return client.generate(prompt.prompt), None
         except TransportError as exc:
             return None, str(exc)
 
-    if concurrency == 1:
-        outcomes = [call(p) for p in prompts]
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            outcomes = list(pool.map(call, prompts))
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        outcomes = list(pool.map(call, prompts))
 
     rows = [
         _row_for_prompt(prompt, manifest, response, failure)
@@ -662,19 +645,8 @@ def evaluate_task(
         for prompt, (_, failure) in zip(prompts, outcomes)
         if failure
     ]
-    value, per_subtask, reason = score_rows(manifest.metric, rows)
-    invalid = sum(1 for r in rows if not r.valid)
-    return EvalResult(
-        task_id=manifest.task_id,
-        metric=manifest.metric,
-        value=value,
-        n=len(rows),
-        invalid_rate=invalid / len(rows) if rows else 0.0,
-        rows=rows,
-        subtask_values=per_subtask,
-        undefined_reason=reason,
-        failures=failures,
-        lower_is_better=manifest.lower_is_better,
+    return EvalResult.from_rows(
+        manifest.task_id, manifest.metric, manifest.lower_is_better, rows, failures
     )
 
 

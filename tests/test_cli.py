@@ -82,9 +82,7 @@ def test_build_pool_of_only_the_query_renders_zero_shot(tmp_path, shots):
     assert obj["prompt"] + " " + obj["target"] == golden
 
 
-def test_build_knn_without_similarity_role_draws_like_random(tmp_path):
-    import warnings
-
+def test_build_knn_without_similarity_role_draws_like_random(tmp_path, capsys):
     manifests = tmp_path / "manifests"
     data = tmp_path / "data"
     manifests.mkdir()
@@ -107,16 +105,14 @@ def test_build_knn_without_similarity_role_draws_like_random(tmp_path):
     (data / "notes.tsv").write_text("Note\tY\n" + "\n".join(rows) + "\n")
     warned = {}
     for shots in ("knn3", "random3"):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main([
-                "build", "--manifests", str(manifests), "--data", str(data),
-                "--out", str(tmp_path / shots), "--seed", "1", "--shots", shots,
-            ]) == 0
-        warned[shots] = [str(w.message) for w in caught]
+        assert main([
+            "build", "--manifests", str(manifests), "--data", str(data),
+            "--out", str(tmp_path / shots), "--seed", "1", "--shots", shots,
+        ]) == 0
+        warned[shots] = capsys.readouterr().err
     assert warned == {
-        "knn3": ["notes: no similarity-capable role; using random shots"],
-        "random3": [],
+        "knn3": "warning: notes: no similarity-capable role; using random shots\n",
+        "random3": "",
     }
     for split in ("train", "valid", "test"):
         name = f"notes.{split}.jsonl"
@@ -542,6 +538,22 @@ def _model_url_not_http(tmp_path):
     ], "bad model URL 'ftp://x'"
 
 
+def _build_random0(tmp_path):
+    manifests, data = _copy_cli_task(tmp_path)
+    return [
+        "build", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(tmp_path / "out"), "--shots", "random0",
+    ], "bad shot policy 'random0'"
+
+
+def _build_knn0(tmp_path):
+    manifests, data = _copy_cli_task(tmp_path)
+    return [
+        "build", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(tmp_path / "out"), "--shots", "knn0",
+    ], "bad shot policy 'knn0'"
+
+
 @pytest.mark.parametrize("case", [
     _build_unwritable_out,
     _evaluate_unwritable_out,
@@ -556,6 +568,8 @@ def _model_url_not_http(tmp_path):
     _missing_required_flag,
     _contamination_features_latin1,
     _model_url_not_http,
+    _build_random0,
+    _build_knn0,
 ])
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     argv, expected = case(tmp_path)
@@ -564,6 +578,9 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     [line] = err.splitlines()
     assert line.startswith("error: ") and expected in line
     assert "Traceback" not in err
+    if case in (_build_random0, _build_knn0):
+        # The policy is rejected before anything is written.
+        assert not (tmp_path / "out").exists()
 
 
 def test_build_knn_shares_one_index_per_shot_pool(tmp_path, monkeypatch):
@@ -607,7 +624,8 @@ def test_build_knn_shares_one_index_per_shot_pool(tmp_path, monkeypatch):
             assert obj["shots"] == [pool[i].record_id for i, _ in expected]
 
 
-def test_evaluate_knn_stub_reuses_the_shot_index(tmp_path, monkeypatch):
+@pytest.mark.parametrize("shots", ["knn3", "random3"])
+def test_evaluate_knn_stub_reuses_the_shot_index(tmp_path, monkeypatch, shots):
     import csv
 
     from knn_reference import naive_nearest
@@ -630,9 +648,11 @@ def test_evaluate_knn_stub_reuses_the_shot_index(tmp_path, monkeypatch):
     out = tmp_path / "out"
     code = main([
         "evaluate", "--manifests", str(manifests), "--data", str(data),
-        "--out", str(out), "--seed", "2", "--shots", "knn3", "--stub", "knn",
+        "--out", str(out), "--seed", "2", "--shots", shots, "--stub", "knn",
     ])
     assert code == 0
+    # knn shots build the index the stub reuses; random shots build none,
+    # so the knn stub's branch builds it.
     assert len(built) == 1
 
     # Each answer is the target of the naive scan's nearest pool record.

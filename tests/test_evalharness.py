@@ -20,7 +20,6 @@ from txf.cli import main
 from txf.corpus import DataRecord, RoleSpec, TaskManifest, write_manifest, write_split_audit
 from txf.evalharness import (
     EchoClient,
-    GenerationRequest,
     GenerationResponse,
     HttpModelClient,
     MajorityClient,
@@ -43,6 +42,7 @@ from txf.evalharness import (
 )
 from txf.promptgen import (
     BinningSpec,
+    NeighborIndex,
     render_prompt,
     render_target,
     unbin_label,
@@ -295,7 +295,7 @@ def test_knn_stub_beats_majority_on_separable_task():
             test.append(DataRecord(f"te_a{i}", {"drug": "C" * rng.randint(8, 14)}, True, split="test"))
             test.append(DataRecord(f"te_b{i}", {"drug": "OC" + "C" * rng.randint(0, 3) + "O"}, False, split="test"))
     prompts = [render_prompt(r, manifest) for r in test]
-    knn = NearestNeighborClient(manifest, train)
+    knn = NearestNeighborClient(NeighborIndex(manifest, train))
     knn_result = evaluate_task(manifest, prompts, knn, concurrency=2)
     majority_result = evaluate_task(manifest, prompts, MajorityClient(), concurrency=2)
     assert knn_result.value is not None
@@ -340,11 +340,11 @@ def _golden_train_pool(manifest, query):
 )
 def test_knn_stub_answers_match_naive_scan_on_golden_tasks(name, manifest, query):
     train = _golden_train_pool(manifest, query)
-    knn = NearestNeighborClient(manifest, train)
+    knn = NearestNeighborClient(NeighborIndex(manifest, train))
     for probe in [query, *train[::3]]:
         prompt = render_prompt(probe, manifest).prompt
         [(best, _)] = naive_nearest(manifest, probe, train, 1)
-        answer = knn.generate(GenerationRequest(prompt=prompt)).text
+        answer = knn.generate(prompt).text
         assert answer == render_target(train[best], manifest), name
 
 
@@ -356,12 +356,12 @@ def test_knn_stub_shared_index_under_threads():
     prompts = [render_prompt(r, manifest) for r in train * 4]
     expected = [
         (r.record_id, r.prediction)
-        for r in evaluate_task(manifest, prompts, NearestNeighborClient(manifest, train), concurrency=1).rows
+        for r in evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train)), concurrency=1).rows
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        result = evaluate_task(manifest, prompts, NearestNeighborClient(manifest, train), concurrency=8)
+        result = evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train)), concurrency=8)
     finally:
         sys.setswitchinterval(interval)
     assert [(r.record_id, r.prediction) for r in result.rows] == expected
@@ -395,7 +395,7 @@ def test_knn_stub_aligns_each_distinct_pair_once_under_threads(monkeypatch):
         for i in range(32)
     ]
     prompts = [render_prompt(r, manifest) for r in queries]
-    evaluate_task(manifest, prompts, NearestNeighborClient(manifest, train), concurrency=8)
+    evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train)), concurrency=8)
     assert len(calls) == len(set(calls)) == 4
 
 
@@ -443,11 +443,11 @@ class _FlakyClient:
     def __init__(self, fail_on):
         self.fail_on = fail_on
 
-    def generate(self, request):
+    def generate(self, prompt):
         for marker in self.fail_on:
-            if marker in request.prompt:
+            if marker in prompt:
                 raise TransportError("boom")
-        return MajorityClient().generate(request)
+        return MajorityClient().generate(prompt)
 
 
 def test_transport_failures_kept_as_invalid_rows():
@@ -458,6 +458,22 @@ def test_transport_failures_kept_as_invalid_rows():
     assert result.failures
     failed_rows = [r for r in result.rows if r.failed]
     assert failed_rows and all(not r.valid for r in failed_rows)
+
+
+@pytest.mark.parametrize("manifest, query", [
+    (golden_tasks.BBB_MANIFEST, golden_tasks.BBB_QUERY),
+    (golden_tasks.CACO2_MANIFEST, golden_tasks.CACO2_QUERY),
+    (golden_tasks.USPTO_MANIFEST, golden_tasks.USPTO_QUERY),
+], ids=["binary", "regression", "generation"])
+def test_failed_record_scores_as_the_empty_completion(manifest, query):
+    from dataclasses import replace
+
+    prompts = [render_prompt(query, manifest)]
+    [failed] = evaluate_task(manifest, prompts, _FlakyClient([prompts[0].prompt])).rows
+    # The echo stub answers "" to a prompt it was not given.
+    [empty] = evaluate_task(manifest, prompts, EchoClient([])).rows
+    assert failed.failed and not failed.valid
+    assert replace(failed, failed=False) == empty
 
 
 # --- HTTP contract -----------------------------------------------------
@@ -498,16 +514,16 @@ def http_server():
 
 def test_http_client_wire_contract(http_server):
     with HttpModelClient(http_server, backoff=0.01) as client:
-        response = client.generate(GenerationRequest(prompt="hello", max_tokens=64))
+        response = client.generate("hello")
     assert response.text == "(B)"
     assert response.option_scores == {"(A)": 0.25, "(B)": 0.75}
     body = _Handler.calls[0]
-    assert body == {"prompt": "hello", "max_tokens": 64, "temperature": 0.0}
+    assert body == {"prompt": "hello", "max_tokens": 512, "temperature": 0.0}
 
 
 def test_http_client_retries_5xx(http_server):
     with HttpModelClient(http_server, backoff=0.01) as client:
-        response = client.generate(GenerationRequest(prompt="x FAIL_ONCE"))
+        response = client.generate("x FAIL_ONCE")
     assert response.text == "(B)"
     assert len(_Handler.calls) == 2
 
@@ -535,14 +551,14 @@ def test_http_client_retries_5xx(http_server):
 def test_http_client_rejects_payload_off_the_wire_contract(http_server, reply):
     with HttpModelClient(http_server, backoff=0.01) as client:
         with pytest.raises(TransportError, match="bad JSON response"):
-            client.generate(GenerationRequest(prompt="REPLY " + reply))
+            client.generate("REPLY " + reply)
     assert len(_Handler.calls) == 1
 
 
 def test_http_client_unreachable():
     with HttpModelClient("http://127.0.0.1:9/generate", max_attempts=2, backoff=0.01, timeout=0.2) as client:
         with pytest.raises(TransportError):
-            client.generate(GenerationRequest(prompt="x"))
+            client.generate("x")
 
 
 @pytest.mark.parametrize("url", [
@@ -578,7 +594,7 @@ def test_http_client_retries_a_stale_connection_at_once(monkeypatch, max_attempt
     monkeypatch.setattr(evalharness.time, "sleep", no_sleep)
     with serving(CountingServer(close_after_reply=True)) as server:
         with HttpModelClient(server.url, max_attempts=max_attempts) as client:
-            answers = [client.generate(GenerationRequest(prompt=f"p{i}")).text for i in range(3)]
+            answers = [client.generate(f"p{i}").text for i in range(3)]
     assert answers == ["(B)"] * 3
     assert server.prompts == ["p0", "p1", "p2"]
     assert server.connections == 3
@@ -593,7 +609,7 @@ def test_http_client_does_not_wait_for_a_delayed_ack():
         with HttpModelClient(server.url) as client:
             started = time.monotonic()
             for i in range(20):
-                client.generate(GenerationRequest(prompt=f"p{i}"))
+                client.generate(f"p{i}")
             elapsed = time.monotonic() - started
     assert server.connections == 1
     assert elapsed < 0.4
@@ -605,7 +621,7 @@ def test_https_client_fails_cleanly_against_plain_http():
         url = server.url.replace("http://", "https://")
         with HttpModelClient(url, max_attempts=2, backoff=0.01, timeout=2) as client:
             with pytest.raises(TransportError, match="unreachable after 2 attempts"):
-                client.generate(GenerationRequest(prompt="x"))
+                client.generate("x")
     assert server.prompts == []
 
 
@@ -614,7 +630,7 @@ def test_http_client_4xx_and_redirects_fail_at_once(status):
     with serving(CountingServer()) as server:
         with HttpModelClient(server.url, backoff=0.01) as client:
             with pytest.raises(TransportError, match=f"HTTP {status}"):
-                client.generate(GenerationRequest(prompt=f"STATUS {status}"))
+                client.generate(f"STATUS {status}")
     assert len(server.prompts) == 1
 
 

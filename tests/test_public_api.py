@@ -16,7 +16,12 @@ REMOVED = {
     ],
     "corpus": ["replace_split", "TaskManifest.role", "SplitSpec"],
     "promptgen": ["MixtureSpec", "select_shots_knn", "fit_length_budget"],
-    "evalharness": ["GenerationRequest.stop", "GenerationResponse.logprob"],
+    "evalharness": [
+        "GenerationRequest",
+        "GenerationRequest.stop",
+        "GenerationResponse.logprob",
+        "make_stub_client",
+    ],
     "analysis": ["AhoCorasick.reset"],
 }
 
