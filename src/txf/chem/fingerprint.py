@@ -1,8 +1,8 @@
 """Hashed circular fingerprints and bit-vector similarity search.
 
-Every atom environment up to the configured radius is hashed with a fixed
-64-bit mixing function (splitmix64 finalizer constants), so fingerprints are
-stable across platforms and builds.
+Every atom environment up to radius 2 is hashed with a fixed 64-bit mixing
+function (splitmix64 finalizer constants) into 2048 bits, so fingerprints
+are stable across platforms and builds.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_RADIUS = 2
+_NBITS = 2048
 
 
 def mix64(x: int) -> int:
@@ -44,19 +46,15 @@ def _hash_ints(values: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Fixed-width bit vector with a cached popcount."""
+    """2048-bit vector with a cached popcount."""
 
     bits: int
-    nbits: int = 2048
-    popcount: int = field(default=-1)
+    popcount: int = field(init=False)
 
     def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.nbits:
-            raise ValueError("bits exceed declared width")
-        if self.popcount < 0:
-            object.__setattr__(self, "popcount", self.bits.bit_count())
-        elif self.popcount != self.bits.bit_count():
-            raise ValueError("popcount does not match bits")
+        if self.bits < 0 or self.bits >> _NBITS:
+            raise ValueError(f"bits exceed {_NBITS}-bit width")
+        object.__setattr__(self, "popcount", self.bits.bit_count())
 
 
 def _atom_invariant(atom, degree: int, hcount: int) -> int:
@@ -66,18 +64,14 @@ def _atom_invariant(atom, degree: int, hcount: int) -> int:
     )
 
 
-def morgan_fingerprint(mol: Molecule, radius: int = 2, nbits: int = 2048) -> Fingerprint:
-    """Hash every atom's r-neighborhood for r in 0..radius into a bit vector.
+def morgan_fingerprint(mol: Molecule) -> Fingerprint:
+    """Hash every atom's r-neighborhood for r in 0..2 into a 2048-bit vector.
 
     The invariant feeding the hash is (element, charge, degree, H count,
     aromatic flag) plus the bond orders of each shell; atom maps, isotopes
     and stereo annotations are ignored, so mapped and unmapped spellings of
     the same molecule collide by design.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if nbits <= 0 or nbits % 8:
-        raise ValueError("nbits must be a positive multiple of 8")
     adj = mol.neighbors()
     inv = [
         _atom_invariant(atom, len(adj[i]), atom.hcount)
@@ -85,8 +79,8 @@ def morgan_fingerprint(mol: Molecule, radius: int = 2, nbits: int = 2048) -> Fin
     ]
     bits = 0
     for v in inv:
-        bits |= 1 << (v % nbits)
-    for r in range(1, radius + 1):
+        bits |= 1 << (v % _NBITS)
+    for r in range(1, _RADIUS + 1):
         new_inv = []
         for i in range(len(mol.atoms)):
             shell = sorted((bond.order, inv[j]) for j, bond in adj[i])
@@ -97,14 +91,12 @@ def morgan_fingerprint(mol: Molecule, radius: int = 2, nbits: int = 2048) -> Fin
             new_inv.append(_hash_ints(stream))
         inv = new_inv
         for v in inv:
-            bits |= 1 << (v % nbits)
-    return Fingerprint(bits=bits, nbits=nbits)
+            bits |= 1 << (v % _NBITS)
+    return Fingerprint(bits)
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     """|A∩B| / |A∪B| over set bits; 1.0 when both vectors are empty."""
-    if a.nbits != b.nbits:
-        raise ValueError(f"fingerprint widths differ: {a.nbits} vs {b.nbits}")
     inter = (a.bits & b.bits).bit_count()
     union = a.popcount + b.popcount - inter
     if union == 0:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .smiles import Molecule, implied_hydrogens
+from .smiles import Molecule, implied_hydrogens, write_canonical
 
 __all__ = ["murcko_scaffold", "scaffold_key"]
 
@@ -68,7 +68,5 @@ def murcko_scaffold(mol: Molecule) -> Molecule | None:
 
 def scaffold_key(mol: Molecule) -> str:
     """Canonical string of the scaffold; empty string for acyclic input."""
-    from .smiles import write_canonical
-
     scaffold = murcko_scaffold(mol)
     return "" if scaffold is None else write_canonical(scaffold)

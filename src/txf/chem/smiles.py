@@ -582,14 +582,15 @@ def _rank_component(mol: Molecule, adj, comp: list[int]) -> dict[int, int]:
 
 def _canonical_component(mol: Molecule, adj, comp: list[int]) -> str:
     ranks = _rank_component(mol, adj, comp)
-    return _canonical_search(mol, adj, comp, ranks)
+    return _canonical_search(mol, adj, comp, ranks, _direction_clusters(mol, comp))
 
 
-def _direction_clusters(mol: Molecule, comp: list[int]) -> list[list[Bond]]:
-    """Groups of directional bonds whose tokens may only flip together.
+def _direction_clusters(mol: Molecule, comp: list[int]) -> dict[tuple[int, int], int]:
+    """Map each directional bond (a, b) to its cluster of bonds whose tokens
+    may only flip together.
 
     Flipping every token in a cluster spells the same configuration, so the
-    emitter may normalize each cluster independently. Bonds belong to one
+    emitter may orient each cluster independently. Bonds belong to one
     cluster when they share an atom or flank the same double bond.
     """
     comp_set = set(comp)
@@ -597,8 +598,6 @@ def _direction_clusters(mol: Molecule, comp: list[int]) -> list[list[Bond]]:
         b for b in mol.bonds
         if b.direction and b.a in comp_set and b.b in comp_set
     ]
-    if not directional:
-        return []
     parent = list(range(len(directional)))
 
     def find(i):
@@ -622,39 +621,16 @@ def _direction_clusters(mol: Molecule, comp: list[int]) -> list[list[Bond]]:
             ends = touches.get(bond.a, []) + touches.get(bond.b, [])
             for other in ends[1:]:
                 union(ends[0], other)
-
-    clusters: dict[int, list[Bond]] = {}
-    for i, b in enumerate(directional):
-        clusters.setdefault(find(i), []).append(b)
-    return list(clusters.values())
+    return {(b.a, b.b): find(i) for i, b in enumerate(directional)}
 
 
-def _emit_normalized(mol, adj, comp, ranks) -> str:
-    """Emit with each direction-token cluster oriented for the smallest string."""
-    clusters = _direction_clusters(mol, comp)
-    # Degenerate molecules with many independent stereo clusters would blow
-    # up 2^k; fall back to identity-or-global-flip beyond that.
-    if len(clusters) > 6:
-        clusters = [[b for cluster in clusters for b in cluster]]
-    best = None
-    for mask in range(1 << len(clusters)):
-        flipped: set[tuple[int, int]] = set()
-        for k, cluster in enumerate(clusters):
-            if mask >> k & 1:
-                flipped.update((b.a, b.b) for b in cluster)
-        candidate = _emit(mol, adj, comp, ranks, flipped)
-        if best is None or candidate < best:
-            best = candidate
-    return best
-
-
-def _canonical_search(mol, adj, comp, ranks) -> str:
+def _canonical_search(mol, adj, comp, ranks, clusters) -> str:
     by_rank: dict[int, list[int]] = {}
     for a in comp:
         by_rank.setdefault(ranks[a], []).append(a)
     tied = [r for r, members in by_rank.items() if len(members) > 1]
     if not tied:
-        return _emit_normalized(mol, adj, comp, ranks)
+        return _emit(mol, adj, comp, ranks, clusters)
     members = by_rank[min(tied)]
     best = None
     for chosen in members:
@@ -664,7 +640,7 @@ def _canonical_search(mol, adj, comp, ranks) -> str:
         ordered = sorted(set(promoted.values()))
         index = {k: i for i, k in enumerate(ordered)}
         candidate = _canonical_search(
-            mol, adj, comp, _refine(adj, {a: index[promoted[a]] for a in comp})
+            mol, adj, comp, _refine(adj, {a: index[promoted[a]] for a in comp}), clusters
         )
         if best is None or candidate < best:
             best = candidate
@@ -697,7 +673,7 @@ def _perm_parity(src: list, dst: list) -> int:
     return swaps % 2
 
 
-def _bond_token(bond: Bond, from_atom: int, atoms, flipped=frozenset()) -> str:
+def _bond_token(bond: Bond, from_atom: int, atoms, clusters, flips) -> str:
     if bond.order == DOUBLE:
         return "="
     if bond.order == TRIPLE:
@@ -707,12 +683,14 @@ def _bond_token(bond: Bond, from_atom: int, atoms, flipped=frozenset()) -> str:
             return ""
         return ":"
     if bond.direction:
-        direction = bond.direction
-        if (bond.a, bond.b) in flipped:
-            direction = "\\" if direction == "/" else "/"
-        if from_atom == bond.a:
-            return direction
-        return "\\" if direction == "/" else "/"
+        token = bond.direction
+        if from_atom != bond.a:
+            token = "\\" if token == "/" else "/"
+        # The first token written of each cluster sets the cluster's
+        # orientation so that this token is "/".
+        if flips.setdefault(clusters[bond.a, bond.b], token == "\\"):
+            token = "\\" if token == "/" else "/"
+        return token
     if atoms[bond.a].aromatic and atoms[bond.b].aromatic:
         return "-"
     return ""
@@ -757,7 +735,7 @@ def _emit(
     adj,
     comp: list[int],
     ranks: dict[int, int],
-    flipped: frozenset | set = frozenset(),
+    clusters: dict[tuple[int, int], int],
 ) -> str:
     atoms = mol.atoms
     root = min(comp, key=lambda a: ranks[a])
@@ -800,6 +778,7 @@ def _emit(
     bond_orders = {a: [b.order for _, b in adj[a]] for a in comp}
 
     out = []
+    flips: dict[int, bool] = {}  # cluster -> tokens written flipped
 
     def emit_atom(u: int):
         atom = atoms[u]
@@ -821,12 +800,12 @@ def _emit(
             # Emit any non-default bond symbol at the opening site only.
             if (min(bond.a, bond.b), max(bond.a, bond.b)) not in emitted_rings:
                 emitted_rings.add((min(bond.a, bond.b), max(bond.a, bond.b)))
-                out.append(_bond_token(bond, u, atoms, flipped))
+                out.append(_bond_token(bond, u, atoms, clusters, flips))
             out.append(str(digit) if digit < 10 else f"%{digit:02d}")
         kids = children[u]
         for i, v in enumerate(kids):
             bond = next(b for w, b in adj[u] if w == v)
-            token = _bond_token(bond, u, atoms, flipped)
+            token = _bond_token(bond, u, atoms, clusters, flips)
             if i < len(kids) - 1:
                 out.append("(")
                 out.append(token)
@@ -849,6 +828,13 @@ def write_canonical(mol: Molecule) -> str:
     smallest serialization, so any input ordering of the same labeled graph
     produces the same string. Components are serialized independently,
     sorted, and joined with '.'.
+
+    Cis/trans direction tokens are oriented per cluster (the bonds whose
+    tokens may only flip together): each cluster's first written token is
+    "/", and that fixes the cluster's other tokens. Flipping a cluster
+    changes only its own tokens, so this is the smallest of all respellings,
+    and equivalent direction spellings give one string for any number of
+    stereo bonds.
     """
     adj = mol.neighbors()
     parts = [_canonical_component(mol, adj, comp) for comp in mol.components()]

@@ -37,7 +37,6 @@ __all__ = [
     "select_shots_random",
     "NeighborIndex",
     "build_mixture",
-    "default_token_estimator",
     "shot_source_splits",
     "write_prompt_jsonl",
     "read_prompt_jsonl",
@@ -112,11 +111,6 @@ class PromptRecord:
     @property
     def shot_count(self) -> int:
         return len(self.shot_ids)
-
-
-def default_token_estimator(text: str) -> int:
-    """Cheap monotone token estimate: ceil(utf-8 bytes / 4)."""
-    return -(-len(text.encode("utf-8")) // 4)
 
 
 def render_target(record: DataRecord, manifest: TaskManifest) -> str:
@@ -197,7 +191,7 @@ def render_prompt(
             dropped = blocks[starts[kept] : starts[kept + 1]]
             size -= sum(len(block.encode("utf-8")) + 2 for block in dropped)
         prompt = "\n\n".join(blocks[: starts[kept]] + blocks[starts[-1] :])
-    estimate = -(-size // 4)  # default_token_estimator(prompt)
+    estimate = -(-size // 4)  # ceil(utf-8 bytes / 4)
     return PromptRecord(
         task_id=manifest.task_id,
         record_id=record.record_id,

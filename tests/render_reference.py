@@ -12,7 +12,6 @@ from txf.promptgen import (
     PromptRecord,
     _fill,
     _role_lines,
-    default_token_estimator,
     render_target,
 )
 
@@ -46,7 +45,7 @@ def render_prompt(
     prompt = "\n\n".join(blocks)
 
     over = False
-    estimate = default_token_estimator(prompt)
+    estimate = -(-len(prompt.encode("utf-8")) // 4)
     if budget is not None:
         over = estimate > budget
     return PromptRecord(

@@ -173,8 +173,8 @@ def test_criterion_5_property_suite():
             assert report.flags[record_id] == (patterns[0] in corpus_text)
 
     # (f) top-k similarity vs naive full scan on a 10^4 pool.
-    pool = [Fingerprint(bits=rng.getrandbits(512), nbits=512) for _ in range(10_000)]
-    query = Fingerprint(bits=rng.getrandbits(512), nbits=512)
+    pool = [Fingerprint(bits=rng.getrandbits(512)) for _ in range(10_000)]
+    query = Fingerprint(bits=rng.getrandbits(512))
     naive = sorted(
         ((i, tanimoto(query, fp)) for i, fp in enumerate(pool)),
         key=lambda item: (-item[1], item[0]),

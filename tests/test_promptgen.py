@@ -18,7 +18,6 @@ from txf.promptgen import (
     NeighborIndex,
     bin_label,
     build_mixture,
-    default_token_estimator,
     render_prompt,
     select_shots_random,
     shot_source_splits,
@@ -527,12 +526,6 @@ def test_budget_fitting_equals_the_rerendering_loop(case, shot_count, data):
     budget = data.draw(st.integers(0, full + 5))
     expected = render_reference.fit_length_budget(query, manifest, shots, budget)
     assert render_prompt(query, manifest, shots, budget=budget) == expected
-
-
-def test_default_estimator_bytes_over_four():
-    assert default_token_estimator("abcd") == 1
-    assert default_token_estimator("abcde") == 2
-    assert default_token_estimator("") == 0
 
 
 # --- mixture -----------------------------------------------------------

@@ -13,9 +13,15 @@ REMOVED = {
         "load_fingerprints",
         "Fingerprint.to_bytes",
         "Fingerprint.from_bytes",
+        "Fingerprint.nbits",
     ],
     "corpus": ["replace_split", "TaskManifest.role", "SplitSpec"],
-    "promptgen": ["MixtureSpec", "select_shots_knn", "fit_length_budget"],
+    "promptgen": [
+        "MixtureSpec",
+        "select_shots_knn",
+        "fit_length_budget",
+        "default_token_estimator",
+    ],
     "evalharness": [
         "GenerationRequest",
         "GenerationRequest.stop",

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from txf.chem import (
     strip_atom_maps,
     write_canonical,
 )
+from txf.chem.smiles import _direction_clusters
 
 SMILES_ALPHABET = "CNOSPFIBrlcnosp()[]=#$:/\\.%@+-*H0123456789"
 # Runs of these tokens parse about one time in five, so the pins see molecules.
@@ -209,6 +211,36 @@ def test_direction_token_flip_unifies():
     assert write_canonical(parse_smiles("C/C=C/CCCC/C=C/C")) == write_canonical(
         parse_smiles("C\\C=C\\CCCC/C=C/C")
     )
+    # For any number of them: respelling one unit of a long chain.
+    for size in (7, 8, 10):
+        plain = write_canonical(parse_smiles(_chain([(False, False)] * size)))
+        for k in range(size):
+            units = [(False, i == k) for i in range(size)]
+            assert write_canonical(parse_smiles(_chain(units))) == plain
+
+
+_FLIP = {"/": "\\", "\\": "/"}
+
+
+def _chain(units) -> str:
+    """A chain of independent double bonds, one (cis, respelled) pair each;
+    a respelled unit flips both of its direction tokens."""
+    text = "C"
+    for cis, respelled in units:
+        first, second = "/", "\\" if cis else "/"
+        if respelled:
+            first, second = _FLIP[first], _FLIP[second]
+        text += f"{first}C=C{second}CC"
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=10))
+def test_direction_respelling_of_any_clusters_gives_one_string(units):
+    plain = [(cis, False) for cis, _ in units]
+    assert write_canonical(parse_smiles(_chain(units))) == write_canonical(
+        parse_smiles(_chain(plain))
+    )
 
 
 def test_aromatic_single_bond_needs_dash():
@@ -239,3 +271,30 @@ def test_write_canonical_is_idempotent(text):
     except SmilesParseError:
         return
     assert write_canonical(parse_smiles(canonical)) == canonical
+
+
+@settings(max_examples=300, deadline=None)
+@given(smiles_token_runs, st.data())
+def test_flipping_one_direction_cluster_keeps_the_string(text, data):
+    try:
+        mol = parse_smiles(text)
+    except SmilesParseError:
+        return
+    clusters = {
+        bond: (i, cluster)
+        for i, comp in enumerate(mol.components())
+        for bond, cluster in _direction_clusters(mol, comp).items()
+    }
+    if not clusters:
+        return
+    chosen = data.draw(st.sampled_from(sorted(set(clusters.values()))))
+    flipped = replace(
+        mol,
+        bonds=tuple(
+            replace(b, direction=_FLIP[b.direction])
+            if clusters.get((b.a, b.b)) == chosen
+            else b
+            for b in mol.bonds
+        ),
+    )
+    assert write_canonical(flipped) == write_canonical(mol)
