@@ -63,7 +63,7 @@ test_records = [r for r in records if r.split == "test"]
 query = test_records[0]
 pool = [r for r in records if r.split in shot_source_splits("test")]
 index = NeighborIndex(manifest, pool)
-shots = index.select_shots(query, 3)
+shots = [pool[i] for i, _ in index.nearest(query.features, 3)]
 prompt = render_prompt(query, manifest, shots, budget=INPUT_BUDGET)
 print(prompt.prompt)
 print("<target>", prompt.target)
@@ -72,10 +72,12 @@ print("shots used:", prompt.shot_ids, "estimated tokens:", prompt.estimated_leng
 print("\n=== Nearest-neighbor similarity by split ===")
 # Shots for train/valid queries come from train; test queries may also use
 # valid. Nearby records are usually easier to find inside the training set.
-# The index over the pool fingerprints each distinct molecule once.
+# The index over the pool fingerprints each distinct molecule once; a query
+# in the pool is excluded by its position there.
+positions = {r.record_id: i for i, r in enumerate(pool)}
 for split in ("train", "valid", "test"):
     sims = [
-        index.nearest(record, 1, exclude_id=record.record_id)[0][1]
+        index.nearest(record.features, 1, exclude=positions.get(record.record_id))[0][1]
         for record in records
         if record.split == split
     ]

@@ -16,7 +16,6 @@ from .smiles import (
     Bond,
     Molecule,
     SmilesParseError,
-    parse_reaction_side,
     parse_smiles,
     strip_atom_maps,
     write_canonical,
@@ -29,7 +28,6 @@ __all__ = [
     "SmilesParseError",
     "Fingerprint",
     "parse_smiles",
-    "parse_reaction_side",
     "strip_atom_maps",
     "write_canonical",
     "morgan_fingerprint",

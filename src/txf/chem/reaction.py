@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from .smiles import (
-    SmilesParseError,
-    parse_reaction_side,
-    strip_atom_maps,
-    write_canonical,
-)
+from .smiles import SmilesParseError, parse_smiles, strip_atom_maps, write_canonical
 
 __all__ = ["canonical_reactant_set", "score_reactant_prediction"]
 
@@ -17,13 +12,15 @@ def canonical_reactant_set(text: str) -> frozenset[str] | None:
     map-stripped component serializations.
 
     Atom maps are stripped before canonicalization so mapped and unmapped
-    spellings compare equal. Returns None when the string does not parse.
+    spellings compare equal. ``write_canonical`` writes each component on its
+    own and joins them with '.', so splitting its output gives the
+    components. Returns None when the string does not parse.
     """
     try:
-        molecules = parse_reaction_side(text)
+        molecule = parse_smiles(text)
     except SmilesParseError:
         return None
-    return frozenset(write_canonical(strip_atom_maps(m)) for m in molecules)
+    return frozenset(write_canonical(strip_atom_maps(molecule)).split("."))
 
 
 def score_reactant_prediction(predicted: str, truth: str) -> tuple[int, bool]:

@@ -18,7 +18,6 @@ __all__ = [
     "Molecule",
     "SmilesParseError",
     "parse_smiles",
-    "parse_reaction_side",
     "strip_atom_maps",
     "write_canonical",
 ]
@@ -496,35 +495,12 @@ class _Parser:
 def parse_smiles(text: str) -> Molecule:
     """Parse a SMILES string into a molecular graph.
 
-    Dot-separated input yields a single disconnected graph; use
-    :func:`parse_reaction_side` to split it into one molecule per component.
+    Dot-separated input yields a single disconnected graph; its
+    ``components()`` are the atom indices of each connected part.
     """
     if not text:
         raise SmilesParseError("empty SMILES", 0)
     return _Parser(text).parse()
-
-
-def parse_reaction_side(text: str) -> list[Molecule]:
-    """Parse a (possibly dot-separated) SMILES into per-component molecules."""
-    mol = parse_smiles(text)
-    comps = mol.components()
-    if len(comps) == 1:
-        return [mol]
-    out = []
-    for comp in comps:
-        remap = {old: new for new, old in enumerate(comp)}
-        atoms = tuple(mol.atoms[i] for i in comp)
-        bonds = tuple(
-            replace(b, a=remap[b.a], b=remap[b.b])
-            for b in mol.bonds
-            if b.a in remap and b.b in remap
-        )
-        order = tuple(
-            tuple(remap[x] if isinstance(x, int) else x for x in mol.written_order[i])
-            for i in comp
-        )
-        out.append(Molecule(atoms=atoms, bonds=bonds, written_order=order))
-    return out
 
 
 def strip_atom_maps(mol: Molecule) -> Molecule:

@@ -120,7 +120,8 @@ def _render(manifest, records, splits, policy, seed):
                 record_seed = seed + zlib.crc32(record.record_id.encode("utf-8"))
                 shots = promptgen.select_shots_random(pool, k, seed=record_seed, exclude=position)
             elif index is not None and donors:
-                shots = index.select_shots(record, k)
+                ranked = index.nearest(record.features, k, exclude=position)
+                shots = [pool[i] for i, _ in ranked]
             prompts.append(
                 promptgen.render_prompt(record, manifest, shots, budget=promptgen.INPUT_BUDGET)
             )

@@ -435,11 +435,13 @@ def assign_splits(
     """Return copies of the records with train/valid/test assigned by the
     manifest's split method, in SPLIT_FRACTIONS.
 
-    random: seeded shuffle, fraction cut. temporal: stable sort on the
-    timestamp column, fraction cut. scaffold: group by scaffold key, pack
-    groups largest-first into train, then valid, then test. cold_start /
-    combination: group by the entity key (or unordered role pair), shuffle
-    the groups with the seed, and fill splits to their targets in order.
+    scaffold: group by scaffold key, pack groups largest-first into train,
+    then valid, then test. The other methods order groups of records and put
+    each group in the first split whose target is not yet reached. random:
+    one-record groups in a seeded shuffle. temporal: one-record groups in a
+    stable sort on the timestamp column. cold_start / combination: group by
+    the entity key (or unordered role pair) and shuffle the groups with the
+    seed.
     """
     method = manifest.split_method
     n = len(records)
@@ -448,23 +450,7 @@ def assign_splits(
     train_end, valid_end = _cut_points(n)
     assignment = ["test"] * n
 
-    if method == "random":
-        order = list(range(n))
-        random.Random(seed).shuffle(order)
-        for pos, idx in enumerate(order):
-            assignment[idx] = (
-                "train" if pos < train_end else "valid" if pos < valid_end else "test"
-            )
-    elif method == "temporal":
-        for record in records:
-            if record.timestamp is None:
-                raise CorpusError("temporal split needs timestamps on every record")
-        order = sorted(range(n), key=lambda i: (_timestamp_sort_key(records[i].timestamp), i))
-        for pos, idx in enumerate(order):
-            assignment[idx] = (
-                "train" if pos < train_end else "valid" if pos < valid_end else "test"
-            )
-    elif method == "scaffold":
+    if method == "scaffold":
         role = _first_smiles_role(manifest)
 
         def key_fn(record):
@@ -487,6 +473,18 @@ def assign_splits(
                 counts[bucket] += len(members)
             for idx in members:
                 assignment[idx] = bucket
+        return [replace(record, split=assignment[i]) for i, record in enumerate(records)]
+
+    if method == "random":
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        ordered = [[idx] for idx in order]
+    elif method == "temporal":
+        for record in records:
+            if record.timestamp is None:
+                raise CorpusError("temporal split needs timestamps on every record")
+        order = sorted(range(n), key=lambda i: (_timestamp_sort_key(records[i].timestamp), i))
+        ordered = [[idx] for idx in order]
     elif method in ("cold_start", "combination"):
         if method == "cold_start":
             role = manifest.cold_start_role
@@ -503,21 +501,21 @@ def assign_splits(
         groups = _group_records(records, key_fn)
         keys = sorted(groups, key=str)
         random.Random(seed).shuffle(keys)
-        assigned = 0
-        for key in keys:
-            members = groups[key]
-            if assigned < train_end:
-                bucket = "train"
-            elif assigned < valid_end:
-                bucket = "valid"
-            else:
-                bucket = "test"
-            for idx in members:
-                assignment[idx] = bucket
-            assigned += len(members)
+        ordered = [groups[key] for key in keys]
     else:
         raise CorpusError(f"unsupported split method {method!r}")
 
+    assigned = 0
+    for members in ordered:
+        if assigned < train_end:
+            bucket = "train"
+        elif assigned < valid_end:
+            bucket = "valid"
+        else:
+            bucket = "test"
+        for idx in members:
+            assignment[idx] = bucket
+        assigned += len(members)
     return [replace(record, split=assignment[i]) for i, record in enumerate(records)]
 
 

@@ -25,10 +25,11 @@ from typing import Protocol, Sequence
 
 from .atomic import write_atomically
 from .chem import score_reactant_prediction
-from .corpus import DataRecord, TaskManifest
+from .corpus import TaskManifest
 from .promptgen import (
     ANSWER_NEGATIVE,
     ANSWER_POSITIVE,
+    BIN_LEVELS,
     BinningSpec,
     NeighborIndex,
     PromptRecord,
@@ -279,32 +280,31 @@ class NearestNeighborClient:
     """Answers with the rendered target of the most similar record of the
     index's pool.
 
-    The query's features are recovered from the prompt text itself (the last
-    occurrence of each role line), so the stub sees exactly what a model sees.
+    The query's compared features are recovered from the prompt text itself
+    (the last line of each compared role), so the stub sees exactly what a
+    model sees. A prompt missing one of those lines gets the empty answer.
     """
 
     def __init__(self, index: NeighborIndex):
         self.manifest = index.manifest
         self._index = index
-
-    def _parse_features(self, prompt: str) -> dict[str, str] | None:
-        features = {}
-        for role in self.manifest.roles:
-            matches = re.findall(
-                rf"^{re.escape(role.label)}: (.*)$", prompt, flags=re.MULTILINE
-            )
-            if not matches:
-                return None
-            features[role.name] = matches[-1]
-        return features
+        labels = {role.name: role.label for role in index.manifest.roles}
+        self._patterns = [
+            (name, re.compile(rf"^{re.escape(labels[name])}: (.*)$", flags=re.MULTILINE))
+            for name in index.roles
+        ]
 
     def generate(self, prompt: str) -> GenerationResponse:
-        features = self._parse_features(prompt)
         pool = self._index.pool
-        if features is None or not self._index.kind or not pool:
+        if not self._index.kind or not pool:
             return GenerationResponse(text="")
-        probe = DataRecord(record_id="__query__", features=features, label="")
-        [(best_i, _)] = self._index.nearest(probe, 1)
+        features = {}
+        for name, pattern in self._patterns:
+            matches = pattern.findall(prompt)
+            if not matches:
+                return GenerationResponse(text="")
+            features[name] = matches[-1]
+        [(best_i, _)] = self._index.nearest(features, 1)
         return GenerationResponse(text=render_target(pool[best_i], self.manifest))
 
 
@@ -352,7 +352,7 @@ def parse_regression_answer(completion: str, spec: BinningSpec) -> tuple[float, 
     """
     match = _INT.search(completion)
     if match is None:
-        return unbin_label(spec.levels // 2, spec), False
+        return unbin_label(BIN_LEVELS // 2, spec), False
     # int() refuses more than 4,300 digits, so a run with more significant
     # digits than the top bin is clamped without converting it. \d also
     # matches non-ASCII decimal digits, whose zeros lstrip("0") would miss.
@@ -361,10 +361,10 @@ def parse_regression_answer(completion: str, spec: BinningSpec) -> tuple[float, 
     while start < len(digits) - 1 and int(digits[start]) == 0:
         start += 1
     digits = digits[start:]
-    if len(digits) > len(str(spec.levels)):
-        b = spec.levels
+    if len(digits) > len(str(BIN_LEVELS)):
+        b = BIN_LEVELS
     else:
-        b = min(int(digits), spec.levels)
+        b = min(int(digits), BIN_LEVELS)
     return unbin_label(b, spec), True
 
 
@@ -591,7 +591,7 @@ def _row_for_prompt(
         prediction, score, valid = parse_binary_answer(completion, scores)
     elif manifest.task_kind == "regression":
         spec = BinningSpec.from_manifest(manifest)
-        truth = unbin_label(min(int(prompt.target), spec.levels), spec)
+        truth = unbin_label(min(int(prompt.target), BIN_LEVELS), spec)
         prediction, valid = parse_regression_answer(completion, spec)
         score = 0.0
     else:

@@ -15,7 +15,7 @@ import math
 import random
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .atomic import write_atomically
 from .bioseq import BioSequence, percent_identity
@@ -25,6 +25,7 @@ from .corpus import _PLACEHOLDER, DataRecord, TaskManifest
 __all__ = [
     "ANSWER_NEGATIVE",
     "ANSWER_POSITIVE",
+    "BIN_LEVELS",
     "BinningSpec",
     "PromptRecord",
     "ZERO_SHOT_FRACTION",
@@ -39,7 +40,6 @@ __all__ = [
     "build_mixture",
     "shot_source_splits",
     "write_prompt_jsonl",
-    "read_prompt_jsonl",
 ]
 
 # Fixed option order for binary answers: (A) negative, (B) positive.
@@ -53,19 +53,20 @@ SHOT_RANGE = (1, 10)
 INPUT_BUDGET = 2048
 
 
+# Regression labels bin onto 0..BIN_LEVELS, the paper's 000-1000 targets.
+BIN_LEVELS = 1000
+
+
 @dataclass(frozen=True)
 class BinningSpec:
-    """Uniform binning of a numeric label range onto integer bins 0..levels."""
+    """Uniform binning of a numeric label range onto integer bins 0..BIN_LEVELS."""
 
     minimum: float
     maximum: float
-    levels: int = 1000
 
     def __post_init__(self):
         if not (self.minimum < self.maximum):
             raise ValueError("binning needs minimum < maximum")
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
 
     @classmethod
     def from_manifest(cls, manifest: TaskManifest) -> "BinningSpec":
@@ -85,15 +86,15 @@ def bin_label(y: float, spec: BinningSpec) -> tuple[int, str]:
         raise ValueError("cannot bin NaN")
     clamped = min(max(y, spec.minimum), spec.maximum)
     t = (clamped - spec.minimum) / (spec.maximum - spec.minimum)
-    b = math.floor(t * spec.levels + 0.5)
+    b = math.floor(t * BIN_LEVELS + 0.5)
     return b, f"{b:03d}"
 
 
 def unbin_label(b: int, spec: BinningSpec) -> float:
     """Map a bin index back to the original label space."""
-    if not (0 <= b <= spec.levels):
-        raise ValueError(f"bin {b} outside 0..{spec.levels}")
-    return spec.minimum + (b / spec.levels) * (spec.maximum - spec.minimum)
+    if not (0 <= b <= BIN_LEVELS):
+        raise ValueError(f"bin {b} outside 0..{BIN_LEVELS}")
+    return spec.minimum + (b / BIN_LEVELS) * (spec.maximum - spec.minimum)
 
 
 @dataclass(frozen=True)
@@ -246,8 +247,9 @@ class NeighborIndex:
     Each distinct feature string of the pool is parsed and fingerprinted, or
     made into a BioSequence, once; identities are memoized by distinct
     (query residues, pool residues) pair for the index's lifetime. Features
-    that do not parse score 0.0. ``kind`` is empty when no role of the
-    manifest supports similarity.
+    that do not parse score 0.0. ``roles`` names the compared roles;
+    ``kind`` is empty, and ``roles`` too, when no role of the manifest
+    supports similarity.
     """
 
     def __init__(self, manifest: TaskManifest, pool: Sequence[DataRecord]):
@@ -256,7 +258,7 @@ class NeighborIndex:
         self.kind, roles = manifest.similarity_roles()
         if self.kind == "smiles":
             roles = roles[:1]
-        self._names = [r.name for r in roles]
+        self.roles = tuple(r.name for r in roles)
         # _features is filled here only. _identities grows during queries,
         # which the knn stub runs from evaluate_task's worker threads: the
         # lock makes its check-then-set one step, so no pair is aligned twice.
@@ -264,11 +266,11 @@ class NeighborIndex:
         self._identities: dict[tuple[str, str], float] = {}
         self._identities_lock = threading.Lock()
         for record in pool:
-            for name in self._names:
+            for name in self.roles:
                 text = record.features[name]
                 if text not in self._features:
                     self._features[text] = self._convert(text)
-        self._pool_features = [self._record_features(r) for r in pool]
+        self._pool_features = [self._record_features(r.features) for r in pool]
 
     def _convert(self, text: str):
         """Fingerprint or BioSequence of one feature string; None if invalid."""
@@ -282,13 +284,13 @@ class NeighborIndex:
         except ValueError:
             return None
 
-    def _record_features(self, record: DataRecord) -> tuple:
-        """Converted features of a record, one per compared role. A string
-        not in the pool is converted again on every call, so the cache stays
-        the size of the pool."""
+    def _record_features(self, features: Mapping[str, str]) -> tuple:
+        """Converted features, one per compared role. A string not in the
+        pool is converted again on every call, so the cache stays the size of
+        the pool."""
         return tuple(
             self._features[text] if text in self._features else self._convert(text)
-            for text in (record.features[name] for name in self._names)
+            for text in (features[name] for name in self.roles)
         )
 
     def _identity(self, a: BioSequence, b: BioSequence) -> float:
@@ -315,31 +317,26 @@ class NeighborIndex:
         return total / count if count else 0.0
 
     def nearest(
-        self, query: DataRecord, k: int, exclude_id: str | None = None
+        self, features: Mapping[str, str], k: int, exclude: int | None = None
     ) -> list[tuple[int, float]]:
-        """(pool index, similarity) of the k most similar pool records,
-        descending, ties by ascending pool index; records whose id is
-        exclude_id are skipped. Empty when no record is eligible."""
+        """(pool position, similarity) of the k pool records most similar to
+        a query's features, descending, ties by ascending position.
+
+        Only the compared ``roles`` of ``features`` are read. ``exclude`` is
+        the query's position in the pool, or None when the query is not in
+        it. Empty when no record is eligible.
+        """
         if not self.kind:
             raise ValueError(f"{self.manifest.task_id}: no similarity-capable role")
         if k < 1:
             raise ValueError("k must be >= 1")
-        q = self._record_features(query)
+        q = self._record_features(features)
         scored = (
-            (-self._similarity(q, features), i)
-            for i, (record, features) in enumerate(zip(self.pool, self._pool_features))
-            if record.record_id != exclude_id
+            (-self._similarity(q, candidate), i)
+            for i, candidate in enumerate(self._pool_features)
+            if i != exclude
         )
         return [(i, -neg) for neg, i in heapq.nsmallest(k, scored)]
-
-    def select_shots(self, query: DataRecord, n: int) -> list[DataRecord]:
-        """The n nearest pool records other than the query, nearest first."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        ranked = self.nearest(query, n, exclude_id=query.record_id)
-        if not ranked:
-            raise ValueError("empty shot pool")
-        return [self.pool[i] for i, _ in ranked]
 
 
 def shot_source_splits(eval_split: str) -> tuple[str, ...]:
@@ -416,25 +413,3 @@ def write_prompt_jsonl(records: Iterable[PromptRecord], path) -> None:
 
     write_atomically(path, write)
 
-
-def read_prompt_jsonl(path) -> list[PromptRecord]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            out.append(
-                PromptRecord(
-                    task_id=obj["task"],
-                    record_id=obj["record_id"],
-                    split=obj["split"],
-                    prompt=obj["prompt"],
-                    target=obj["target"],
-                    shot_ids=tuple(obj.get("shots", ())),
-                    estimated_length=obj.get("estimated_length", 0),
-                    over_budget=obj.get("over_budget", False),
-                    subtask=obj.get("subtask"),
-                )
-            )
-    return out

@@ -5,6 +5,7 @@ import re
 import socket
 import sys
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -41,6 +42,7 @@ from txf.evalharness import (
     write_rows_csv,
 )
 from txf.promptgen import (
+    BIN_LEVELS,
     BinningSpec,
     NeighborIndex,
     render_prompt,
@@ -93,8 +95,8 @@ def test_parse_regression_clamps_huge_integers():
 def _parse_regression_by_int(completion, spec):
     match = re.search(r"\d+", completion)
     if match is None:
-        return unbin_label(spec.levels // 2, spec), False
-    return unbin_label(min(int(match.group()), spec.levels), spec), True
+        return unbin_label(BIN_LEVELS // 2, spec), False
+    return unbin_label(min(int(match.group()), BIN_LEVELS), spec), True
 
 
 @given(st.text())
@@ -346,6 +348,26 @@ def test_knn_stub_answers_match_naive_scan_on_golden_tasks(name, manifest, query
         [(best, _)] = naive_nearest(manifest, probe, train, 1)
         answer = knn.generate(prompt).text
         assert answer == render_target(train[best], manifest), name
+
+
+def test_knn_stub_answers_a_question_that_templates_an_uncompared_role():
+    # The question names {disease} inline, so the prompt has no Disease line;
+    # the stub reads only the Drug line it compares.
+    manifest = replace(
+        golden_tasks.BBB_MANIFEST,
+        roles=(*golden_tasks.BBB_MANIFEST.roles, RoleSpec("disease", "text", "Disease", "Disease")),
+        question="Given a drug SMILES string, predict whether it treats {disease}\n\n(A) no (B) yes",
+    )
+    train = [
+        DataRecord(shot.record_id, {**shot.features, "disease": f"d{i}"}, i % 2 == 0, split="train")
+        for i, shot in enumerate(golden_tasks.BBB_SHOTS)
+    ]
+    query = DataRecord("q", {**golden_tasks.BBB_QUERY.features, "disease": "x"}, True, split="test")
+    prompt = render_prompt(query, manifest).prompt
+    assert "Disease:" not in prompt
+    [(best, _)] = naive_nearest(manifest, query, train, 1)
+    answer = NearestNeighborClient(NeighborIndex(manifest, train)).generate(prompt).text
+    assert answer == render_target(train[best], manifest)
 
 
 def test_knn_stub_shared_index_under_threads():

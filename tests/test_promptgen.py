@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -14,15 +15,16 @@ import sampling_reference
 from knn_reference import naive_nearest
 from txf.corpus import DataRecord, RoleSpec, TaskManifest
 from txf.promptgen import (
+    BIN_LEVELS,
     BinningSpec,
     NeighborIndex,
+    PromptRecord,
     bin_label,
     build_mixture,
     render_prompt,
     select_shots_random,
     shot_source_splits,
     unbin_label,
-    read_prompt_jsonl,
     write_prompt_jsonl,
 )
 
@@ -61,7 +63,7 @@ def test_unbin_examples():
 def test_bin_round_trip_error_bound():
     rng = random.Random(97)
     spec = BinningSpec(-3.0, 17.0)
-    half_step = (spec.maximum - spec.minimum) / (2 * spec.levels)
+    half_step = (spec.maximum - spec.minimum) / (2 * BIN_LEVELS)
     for _ in range(10_000):
         y = rng.uniform(spec.minimum, spec.maximum)
         b, _ = bin_label(y, spec)
@@ -254,8 +256,8 @@ def test_random_shots_reject_an_exclude_outside_the_pool():
 def test_knn_duplicate_is_first_shot():
     pool = _pool(8)
     pool.append(DataRecord("dup", {"drug": golden_tasks.BBB_QUERY.features["drug"]}, True, split="train"))
-    shots = NeighborIndex(golden_tasks.BBB_MANIFEST, pool).select_shots(golden_tasks.BBB_QUERY, 3)
-    assert shots[0].record_id == "dup"
+    ranked = NeighborIndex(golden_tasks.BBB_MANIFEST, pool).nearest(golden_tasks.BBB_QUERY.features, 3)
+    assert pool[ranked[0][0]].record_id == "dup"
 
 
 def test_knn_matches_naive_scan():
@@ -265,7 +267,7 @@ def test_knn_matches_naive_scan():
     smiles = ["C" * rng.randint(1, 6) + "O" * rng.randint(0, 2) for _ in range(40)]
     pool = [DataRecord(f"p{i}", {"drug": s}, True, split="train") for i, s in enumerate(smiles)]
     query = DataRecord("q", {"drug": "CCCO"}, True, split="test")
-    got = NeighborIndex(golden_tasks.BBB_MANIFEST, pool).select_shots(query, 5)
+    got = [pool[i] for i, _ in NeighborIndex(golden_tasks.BBB_MANIFEST, pool).nearest(query.features, 5)]
     qfp = morgan_fingerprint(parse_smiles("CCCO"))
     naive = sorted(
         ((i, tanimoto(qfp, morgan_fingerprint(parse_smiles(s)))) for i, s in enumerate(smiles)),
@@ -280,8 +282,8 @@ def test_knn_sequence_averaging():
         DataRecord("near", {"peptide": "QLADETLLKV", "mhc": "YFAMYGEKVAHTHVDTLYVRYHYYTWAEWAYTWY"}, True, split="train"),
         DataRecord("far", {"peptide": "GGGGGGGGGG", "mhc": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}, True, split="train"),
     ]
-    shots = NeighborIndex(manifest, pool).select_shots(golden_tasks.MHC1_QUERY, 1)
-    assert shots[0].record_id == "near"
+    [(best, _)] = NeighborIndex(manifest, pool).nearest(golden_tasks.MHC1_QUERY.features, 1)
+    assert pool[best].record_id == "near"
 
 
 def _records(manifest, rows):
@@ -342,12 +344,14 @@ _SMILES_POOL = [
 def test_neighbor_index_matches_naive_scan(manifest, rows, queries):
     pool = _records(manifest, rows)
     index = NeighborIndex(manifest, pool)
+    positions = {r.record_id: i for i, r in enumerate(pool)}
     candidates = _records(manifest, queries) + pool[:3]
     for query in candidates:
         for k in (1, 3, len(pool) + 2):
             for exclude_id in (None, query.record_id):
                 expected = naive_nearest(manifest, query, pool, k, exclude_id)
-                assert index.nearest(query, k, exclude_id=exclude_id) == expected
+                exclude = positions.get(exclude_id)
+                assert index.nearest(query.features, k, exclude=exclude) == expected
 
 
 _SMILES_TOKENS = ["C", "O", "N", "c1ccccc1", "(", ")", "=", "1", "Cl"]
@@ -367,7 +371,7 @@ def test_neighbor_index_matches_naive_scan_on_random_smiles(pool, query, k):
     manifest = golden_tasks.BBB_MANIFEST
     records = _records(manifest, [(s,) for s in pool])
     probe = DataRecord("q", {"drug": query}, True)
-    got = NeighborIndex(manifest, records).nearest(probe, k)
+    got = NeighborIndex(manifest, records).nearest(probe.features, k)
     assert got == naive_nearest(manifest, probe, records, k)
 
 
@@ -387,7 +391,7 @@ def test_neighbor_index_fingerprints_each_distinct_smiles_once(monkeypatch):
     index = NeighborIndex(golden_tasks.BBB_MANIFEST, pool)
     queries = [DataRecord(f"q{i}", {"drug": s}, True) for i, s in enumerate(distinct + ["CCCCN"] * 4)]
     for query in queries:
-        index.nearest(query, 10, exclude_id=query.record_id)
+        index.nearest(query.features, 10)
     assert calls["fp"] <= len(distinct) + len(queries)
 
 
@@ -406,8 +410,8 @@ def test_neighbor_index_aligns_each_distinct_pair_once(monkeypatch):
     peptides = ["QLADETLLKV", "GLADETLLKA", "QLADETLLKV", "GGGGGGGGGG"]
     pool = _records(manifest, [(peptides[i % 4], "YFAMYGEKVAHTHVDTLYVRYHYY") for i in range(40)])
     index = NeighborIndex(manifest, pool)
-    for query in pool[:8]:
-        index.select_shots(query, 5)
+    for position, query in enumerate(pool[:8]):
+        index.nearest(query.features, 5, exclude=position)
     assert pairs and max(pairs.values()) == 1
 
 
@@ -427,13 +431,12 @@ def test_neighbor_index_requires_a_similarity_role():
     index = NeighborIndex(manifest, pool)
     assert index.kind == ""
     with pytest.raises(ValueError):
-        index.nearest(pool[0], 1)
+        index.nearest(pool[0].features, 1)
 
 
-def test_select_shots_rejects_a_pool_of_only_the_query():
+def test_nearest_finds_nothing_in_a_pool_of_only_the_query():
     pool = _records(golden_tasks.BBB_MANIFEST, [("CCO",)])
-    with pytest.raises(ValueError, match="empty shot pool"):
-        NeighborIndex(golden_tasks.BBB_MANIFEST, pool).select_shots(pool[0], 2)
+    assert NeighborIndex(golden_tasks.BBB_MANIFEST, pool).nearest(pool[0].features, 2, exclude=0) == []
 
 
 def test_shot_source_splits():
@@ -606,9 +609,20 @@ def test_jsonl_round_trip(tmp_path):
     ]
     path = tmp_path / "prompts.jsonl"
     write_prompt_jsonl(rendered, path)
-    back = read_prompt_jsonl(path)
+    objs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    back = [
+        PromptRecord(
+            task_id=obj["task"],
+            record_id=obj["record_id"],
+            split=obj["split"],
+            prompt=obj["prompt"],
+            target=obj["target"],
+            shot_ids=tuple(obj["shots"]),
+            estimated_length=obj["estimated_length"],
+            over_budget=obj["over_budget"],
+            subtask=obj.get("subtask"),
+        )
+        for obj in objs
+    ]
     assert back == rendered
-    import json
-
-    first = json.loads(path.read_text().splitlines()[0])
-    assert set(first) >= {"task", "split", "prompt", "target", "shots", "estimated_length", "over_budget"}
+    assert set(objs[0]) >= {"task", "split", "prompt", "target", "shots", "estimated_length", "over_budget"}

@@ -14,6 +14,7 @@ REMOVED = {
         "Fingerprint.to_bytes",
         "Fingerprint.from_bytes",
         "Fingerprint.nbits",
+        "parse_reaction_side",
     ],
     "corpus": ["replace_split", "TaskManifest.role", "SplitSpec"],
     "promptgen": [
@@ -21,6 +22,9 @@ REMOVED = {
         "select_shots_knn",
         "fit_length_budget",
         "default_token_estimator",
+        "NeighborIndex.select_shots",
+        "read_prompt_jsonl",
+        "BinningSpec.levels",
     ],
     "evalharness": [
         "GenerationRequest",

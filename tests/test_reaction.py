@@ -1,6 +1,17 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import reaction_reference
+from conftest import MOLECULE_CORPUS
 from txf.chem import canonical_reactant_set, score_reactant_prediction
+
+REACTANT_TOKENS = [
+    "C", "c", "N", "O", "S", "Cl", "(C)", "(=O)", "=", "1", "1", "2", "[nH]", "[O-]",
+    "[N+]", "[Na+]", "[C@H]", "[C@@H]", "[CH3:1]", "[OH:2]", "/", "\\", "c1ccccc1", ".",
+]
 
 
 def test_component_order_does_not_matter():
@@ -49,3 +60,20 @@ def test_canonical_reactant_set_contents():
     assert rs is not None
     assert len(rs) == 2
     assert canonical_reactant_set("]]") is None
+
+
+@given(st.lists(st.sampled_from(REACTANT_TOKENS), min_size=1, max_size=24).map("".join))
+def test_reactant_set_equals_the_per_component_sets(text):
+    assert canonical_reactant_set(text) == reaction_reference.canonical_reactant_set(text)
+
+
+def _dot_joins(count, seed):
+    rng = random.Random(seed)
+    return [".".join(rng.choices(MOLECULE_CORPUS, k=rng.randint(1, 4))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("text", _dot_joins(40, seed=5) + ["[Na+].[Na+]", "C.C", "CC.[CH3:1][OH:2]"])
+def test_reactant_set_equals_the_per_component_sets_on_molecules(text):
+    expected = reaction_reference.canonical_reactant_set(text)
+    assert expected is not None
+    assert canonical_reactant_set(text) == expected
