@@ -369,8 +369,12 @@ def contamination_scan(
     Each feature contributes its first max_chars characters as a search
     pattern; a record is flagged when any of its patterns appears as a
     contiguous substring anywhere in the corpus. All patterns are compiled
-    into one automaton so the corpus is streamed in a single pass.
+    into one automaton so the corpus is streamed in a single pass. A
+    max_chars below 1 raises ValueError: a negative cap would cut the end off
+    each feature, and a zero cap would flag nothing.
     """
+    if max_chars < 1:
+        raise ValueError(f"max_chars must be at least 1, not {max_chars}")
     automaton = AhoCorasick()
     pattern_records: list[list[str]] = []
     pattern_ids: dict[str, int] = {}

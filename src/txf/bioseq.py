@@ -15,6 +15,7 @@ __all__ = [
     "BioSequence",
     "AMINO_ACID",
     "NUCLEOTIDE",
+    "identity_bound",
     "percent_identity",
     "top_k_identity",
 ]
@@ -105,6 +106,33 @@ def percent_identity(a: BioSequence, b: BioSequence) -> float:
         raise ValueError(f"sequence kinds differ: {a.kind} vs {b.kind}")
     matches, length = _align(a.residues, b.residues)
     return 100.0 * matches / length
+
+
+def _lcs_length(a: str, b: str) -> int:
+    """Longest common subsequence length, bit-parallel over the residues of a
+    (Allison & Dix 1986; Hyyrö 2004): one pass over b, with the length read
+    off as the zero bits of V."""
+    masks: dict[str, int] = {}
+    for i, c in enumerate(a):
+        masks[c] = masks.get(c, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full
+    for c in b:
+        u = v & masks.get(c, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
+
+
+def identity_bound(a: BioSequence, b: BioSequence) -> float:
+    """An upper bound on ``percent_identity(a, b)`` that needs no alignment.
+
+    An alignment's matches form a common subsequence, and the alignment is at
+    least as long as the longer sequence, so identity <= 100 * LCS / max(n, m).
+    The floats keep that order: both are ``100.0 * i / j`` over integers below
+    2**53, with matches <= LCS and alignment length >= max(n, m), and every
+    step rounds correctly, so monotonely.
+    """
+    return 100.0 * _lcs_length(a.residues, b.residues) / max(len(a), len(b))
 
 
 def top_k_identity(

@@ -132,6 +132,8 @@ def cmd_build(args) -> int:
     from . import corpus, promptgen
 
     policy = _parse_shot_policy(args.shots)
+    if args.mixture < 0:
+        raise ValueError(f"--mixture must be at least 0, not {args.mixture}")
     out = Path(args.out)
     mixture_tasks = {}
     for manifest, records, dropped in _tasks(args):

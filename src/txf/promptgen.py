@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .atomic import write_atomically
-from .bioseq import BioSequence, percent_identity
+from .bioseq import BioSequence, identity_bound, percent_identity
 from .chem import SmilesParseError, morgan_fingerprint, parse_smiles, tanimoto
 from .corpus import _PLACEHOLDER, DataRecord, TaskManifest
 
@@ -239,17 +239,37 @@ def select_shots_random(
     return [pool[i + (i >= skip)] for i in rng.sample(range(size), n)]
 
 
+def _tanimoto_bound(a, b) -> float:
+    """min(|A|, |B|) / max(|A|, |B|) >= Tanimoto (Swamidass & Baldi 2007);
+    1.0 when both are empty, as ``tanimoto`` is."""
+    low, high = a.popcount, b.popcount
+    if low > high:
+        low, high = high, low
+    return low / high if high else 1.0
+
+
 class NeighborIndex:
     """Nearest pool records by feature similarity, built once per shot pool.
 
     Molecules compare by fingerprint Tanimoto on the first smiles role;
     sequence features by percent identity averaged over same-kind roles.
-    Each distinct feature string of the pool is parsed and fingerprinted, or
-    made into a BioSequence, once; identities are memoized by distinct
-    (query residues, pool residues) pair for the index's lifetime. Features
-    that do not parse score 0.0. ``roles`` names the compared roles;
+    Features that do not parse score 0.0. ``roles`` names the compared roles;
     ``kind`` is empty, and ``roles`` too, when no role of the manifest
     supports similarity.
+
+    Each distinct feature string of the pool is parsed and fingerprinted, or
+    made into a BioSequence, once, and pool positions are grouped by their
+    distinct converted features, so a query scores each group once. The
+    search is exact and prunes by an upper bound on each group's similarity,
+    taken through the same role loop as the similarity itself:
+    min(|A|, |B|) / max(|A|, |B|) for fingerprints and
+    ``bioseq.identity_bound`` (longest common subsequence over the longer
+    length) for sequences. Groups are visited by descending bound, and the
+    search stops once k records are held and the next bound is strictly
+    below the k-th best similarity: a group whose bound equals it may still
+    tie and win on a lower pool position. Equal residue strings score 100.0
+    without alignment; other identities and the sequence bounds are memoized
+    by distinct (query residues, pool residues) pair for the index's lifetime.
     """
 
     def __init__(self, manifest: TaskManifest, pool: Sequence[DataRecord]):
@@ -258,19 +278,27 @@ class NeighborIndex:
         self.kind, roles = manifest.similarity_roles()
         if self.kind == "smiles":
             roles = roles[:1]
+            self._score, self._bound = tanimoto, _tanimoto_bound
+        else:
+            self._score, self._bound = self._identity, self._identity_bound
         self.roles = tuple(r.name for r in roles)
-        # _features is filled here only. _identities grows during queries,
-        # which the knn stub runs from evaluate_task's worker threads: the
-        # lock makes its check-then-set one step, so no pair is aligned twice.
+        # _features and _groups are filled here only. _identities grows during
+        # queries, which the knn stub runs from evaluate_task's worker threads:
+        # the lock makes its check-then-set one step, so no pair is aligned
+        # twice. _bounds needs no lock: a bound computed twice is one value.
         self._features: dict[str, object] = {}
         self._identities: dict[tuple[str, str], float] = {}
         self._identities_lock = threading.Lock()
+        self._bounds: dict[tuple[str, str], float] = {}
         for record in pool:
             for name in self.roles:
                 text = record.features[name]
                 if text not in self._features:
                     self._features[text] = self._convert(text)
-        self._pool_features = [self._record_features(r.features) for r in pool]
+        groups: dict[tuple, list[int]] = {}
+        for i, record in enumerate(pool):
+            groups.setdefault(self._record_features(record.features), []).append(i)
+        self._groups = list(groups.items())
 
     def _convert(self, text: str):
         """Fingerprint or BioSequence of one feature string; None if invalid."""
@@ -294,6 +322,9 @@ class NeighborIndex:
         )
 
     def _identity(self, a: BioSequence, b: BioSequence) -> float:
+        # The diagonal is strictly best at every cell of _align(a, a).
+        if a.residues == b.residues:
+            return 100.0
         key = (a.residues, b.residues)
         # percent_identity is pure Python, which threads never run in
         # parallel, so holding the lock while it runs costs no parallelism.
@@ -303,17 +334,26 @@ class NeighborIndex:
                 value = self._identities[key] = percent_identity(a, b)
         return value
 
-    def _similarity(self, query: tuple, candidate: tuple) -> float:
-        if self.kind == "smiles":
-            a, b = query[0], candidate[0]
-            return 0.0 if a is None or b is None else tanimoto(a, b)
-        # Multi-sequence features average the per-role identities.
+    def _identity_bound(self, a: BioSequence, b: BioSequence) -> float:
+        key = (a.residues, b.residues)
+        value = self._bounds.get(key)
+        if value is None:
+            value = self._bounds[key] = identity_bound(a, b)
+        return value
+
+    @staticmethod
+    def _mean(pair, query: tuple, candidate: tuple) -> float:
+        """Mean of ``pair`` over the roles valid on both sides; 0.0 if none.
+
+        Similarities and bounds both go through here, so they skip the same
+        roles and round the same sums: a bound at least each per-role value
+        gives a mean at least the similarity.
+        """
         total, count = 0.0, 0
         for a, b in zip(query, candidate):
-            if a is None or b is None:
-                continue
-            total += self._identity(a, b)
-            count += 1
+            if a is not None and b is not None:
+                total += pair(a, b)
+                count += 1
         return total / count if count else 0.0
 
     def nearest(
@@ -324,19 +364,33 @@ class NeighborIndex:
 
         Only the compared ``roles`` of ``features`` are read. ``exclude`` is
         the query's position in the pool, or None when the query is not in
-        it. Empty when no record is eligible.
+        it. Empty when no record is eligible. The result equals a full scan's.
         """
         if not self.kind:
             raise ValueError(f"{self.manifest.task_id}: no similarity-capable role")
         if k < 1:
             raise ValueError("k must be >= 1")
         q = self._record_features(features)
-        scored = (
-            (-self._similarity(q, candidate), i)
-            for i, candidate in enumerate(self._pool_features)
-            if i != exclude
+        mean, bound, score = self._mean, self._bound, self._score
+        order = sorted(
+            ((mean(bound, q, key), g) for g, (key, _) in enumerate(self._groups)), reverse=True
         )
-        return [(i, -neg) for neg, i in heapq.nsmallest(k, scored)]
+        best: list[tuple[float, int]] = []  # (similarity, -position), worst first
+        for ceiling, g in order:
+            if len(best) == k and ceiling < best[0][0]:
+                break
+            key, positions = self._groups[g]
+            similarity = mean(score, q, key)
+            for i in positions:
+                if i == exclude:
+                    continue
+                if len(best) < k:
+                    heapq.heappush(best, (similarity, -i))
+                elif (similarity, -i) > best[0]:
+                    heapq.heapreplace(best, (similarity, -i))
+                else:
+                    break  # later positions of the group rank lower still
+        return [(-neg_i, similarity) for similarity, neg_i in sorted(best, reverse=True)]
 
 
 def shot_source_splits(eval_split: str) -> tuple[str, ...]:

@@ -250,6 +250,14 @@ def test_contamination_any_feature_flags_record():
     assert report.percent_overlap == 50.0
 
 
+@pytest.mark.parametrize("max_chars", [0, -1])
+def test_contamination_rejects_a_cap_below_one(max_chars):
+    # A cap of -1 would search for "CC" and flag "CCO" in this corpus; a cap
+    # of 0 would search for nothing and flag no record.
+    with pytest.raises(ValueError, match="max_chars must be at least 1"):
+        contamination_scan([("r1", ["CCO"])], ["xxCCNxx"], max_chars=max_chars)
+
+
 def test_contamination_chunk_boundaries():
     # Pattern split across streamed chunks must still match.
     report = contamination_scan([("r1", ["HELLOWORLD"])], ["xxHELLO", "WORLDyy"])

@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txf.bioseq import (
     AMINO_ACID,
     NUCLEOTIDE,
     BioSequence,
+    _lcs_length,
+    identity_bound,
     percent_identity,
     top_k_identity,
 )
@@ -137,3 +141,33 @@ def test_top_k_matches_naive_scan():
         key=lambda item: (-item[1], item[0]),
     )[:10]
     assert top_k_identity(query, pool, 10) == naive
+
+
+# --- identity bound ----------------------------------------------------
+
+_SHORT = st.text(alphabet="ACDEW", min_size=1, max_size=12)
+
+
+def _lcs_dp(a: str, b: str) -> int:
+    """Longest common subsequence length by the textbook dynamic program."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b):
+            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_SHORT, b=_SHORT)
+def test_identity_bound_is_an_lcs_bound_on_percent_identity(a, b):
+    assert _lcs_length(a, b) == _lcs_dp(a, b)
+    x, y = BioSequence(a), BioSequence(b)
+    assert identity_bound(x, y) >= percent_identity(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.text(alphabet="ACDEFGHIKLMNPQRSTVWYX", min_size=1, max_size=40))
+def test_percent_identity_of_a_sequence_with_itself_is_100(a):
+    assert percent_identity(BioSequence(a), BioSequence(a)) == 100.0

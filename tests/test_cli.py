@@ -554,6 +554,31 @@ def _build_knn0(tmp_path):
     ], "bad shot policy 'knn0'"
 
 
+def _build_negative_mixture(tmp_path):
+    manifests, data = _copy_cli_task(tmp_path)
+    return [
+        "build", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(tmp_path / "out"), "--mixture", "-5",
+    ], "--mixture must be at least 0, not -5"
+
+
+def _contamination_max_chars(value):
+    def case(tmp_path):
+        (tmp_path / "features.tsv").write_text("r1\tCCO\n")
+        (tmp_path / "corpus.txt").write_text("xxCCNxx")
+        return [
+            "contamination", "--features", str(tmp_path / "features.tsv"),
+            "--corpus", str(tmp_path / "corpus.txt"), "--out", str(tmp_path / "out"),
+            "--max-chars", str(value),
+        ], f"max_chars must be at least 1, not {value}"
+
+    return case
+
+
+_contamination_max_chars_negative = _contamination_max_chars(-1)
+_contamination_max_chars_zero = _contamination_max_chars(0)
+
+
 @pytest.mark.parametrize("case", [
     _build_unwritable_out,
     _evaluate_unwritable_out,
@@ -570,6 +595,9 @@ def _build_knn0(tmp_path):
     _model_url_not_http,
     _build_random0,
     _build_knn0,
+    _build_negative_mixture,
+    _contamination_max_chars_negative,
+    _contamination_max_chars_zero,
 ])
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     argv, expected = case(tmp_path)
@@ -578,8 +606,14 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     [line] = err.splitlines()
     assert line.startswith("error: ") and expected in line
     assert "Traceback" not in err
-    if case in (_build_random0, _build_knn0):
-        # The policy is rejected before anything is written.
+    if case in (
+        _build_random0,
+        _build_knn0,
+        _build_negative_mixture,
+        _contamination_max_chars_negative,
+        _contamination_max_chars_zero,
+    ):
+        # The option is rejected before anything is written.
         assert not (tmp_path / "out").exists()
 
 

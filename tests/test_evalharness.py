@@ -407,13 +407,19 @@ def test_knn_stub_aligns_each_distinct_pair_once_under_threads(monkeypatch):
     monkeypatch.setattr(promptgen, "percent_identity", slow_counting)
     drug, target = golden_tasks.BINDINGDB_KD_MANIFEST.roles
     manifest = replace(golden_tasks.BINDINGDB_KD_MANIFEST, roles=(target, drug))
-    targets = [golden_tasks.BINDINGDB_KD_QUERY.features["target"], "MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQ"]
+    # Each query target differs from both pool targets in its last residue
+    # only, so both pool targets align at (n-1)/n with bound (n-1)/n: the
+    # second bound ties the best similarity and cannot prune, and each of
+    # the 2 x 2 distinct pairs must be aligned.
+    stem = "MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQ"
+    targets = [stem + "A", stem + "C"]
+    query_targets = [stem + "D", stem + "E"]
     train = [
         DataRecord(f"tr{i}", {"target": targets[i % 2], "drug": "CCO"}, 100.0 * i, split="train")
         for i in range(8)
     ]
     queries = [
-        DataRecord(f"te{i}", {"target": targets[i % 2], "drug": "CCN"}, 500.0, split="test")
+        DataRecord(f"te{i}", {"target": query_targets[i % 2], "drug": "CCN"}, 500.0, split="test")
         for i in range(32)
     ]
     prompts = [render_prompt(r, manifest) for r in queries]

@@ -375,6 +375,43 @@ def test_neighbor_index_matches_naive_scan_on_random_smiles(pool, query, k):
     assert got == naive_nearest(manifest, probe, records, k)
 
 
+_RESIDUES = st.text(alphabet="ACDEaB", min_size=1, max_size=5)  # "B" is no amino acid
+_SMILES = st.lists(st.sampled_from(_SMILES_TOKENS), min_size=1, max_size=4).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), smiles=st.booleans())
+def test_nearest_equals_a_full_scan(data, smiles):
+    # Short strings over few letters give duplicate features, features that
+    # do not parse, equal popcounts and equal identities; MHC1 averages two
+    # sequence roles. Every exclude and k up to beyond the pool are checked.
+    if smiles:
+        manifest, row = golden_tasks.BBB_MANIFEST, st.tuples(_SMILES)
+    else:
+        manifest, row = golden_tasks.MHC1_MANIFEST, st.tuples(_RESIDUES, _RESIDUES)
+    pool = _records(manifest, data.draw(st.lists(row, min_size=1, max_size=8)))
+    query = data.draw(st.sampled_from(pool) | row.map(lambda r: _records(manifest, [r])[0]))
+    index = NeighborIndex(manifest, pool)
+    for exclude in [None, *range(len(pool))]:
+        exclude_id = None if exclude is None else pool[exclude].record_id
+        expected = naive_nearest(manifest, query, pool, len(pool) + 2, exclude_id)
+        for k in range(1, len(pool) + 3):
+            assert index.nearest(query.features, k, exclude=exclude) == expected[:k]
+
+
+def test_nearest_scores_a_group_whose_bound_ties_the_kth_best():
+    # The query aligns to "GAC" at 20 % under a 40 % bound (LCS "AC" over 5
+    # residues), so "GAC" is visited first and holds the one slot. "CC" comes
+    # next with bound and identity both 20 %: it ties and wins on its lower
+    # position, so the search may stop only on a bound strictly below the
+    # k-th best similarity.
+    manifest = golden_tasks.MIRTARBASE_MANIFEST
+    pool = _records(manifest, [("CC", "MSVNMDELRH"), ("GAC", "MSVNMDELRH")])
+    query = _records(manifest, [("ACGUA", "MSVNMDELRH")])[0]
+    assert NeighborIndex(manifest, pool).nearest(query.features, 1) == [(0, 20.0)]
+    assert naive_nearest(manifest, query, pool, 1) == [(0, 20.0)]
+
+
 def test_neighbor_index_fingerprints_each_distinct_smiles_once(monkeypatch):
     import txf.promptgen as promptgen
 
@@ -410,9 +447,13 @@ def test_neighbor_index_aligns_each_distinct_pair_once(monkeypatch):
     peptides = ["QLADETLLKV", "GLADETLLKA", "QLADETLLKV", "GGGGGGGGGG"]
     pool = _records(manifest, [(peptides[i % 4], "YFAMYGEKVAHTHVDTLYVRYHYY") for i in range(40)])
     index = NeighborIndex(manifest, pool)
-    for position, query in enumerate(pool[:8]):
-        index.nearest(query.features, 5, exclude=position)
-    assert pairs and max(pairs.values()) == 1
+    # Query peptides differ from every pool peptide, and k covers the pool,
+    # so no bound can prune: each query peptide meets the 3 distinct pool
+    # peptides. The MHC roles are equal strings and need no alignment.
+    queries = _records(manifest, [(("QLADETLLKW", "ALADETLLKV")[i % 2], "YFAMYGEKVAHTHVDTLYVRYHYY") for i in range(8)])
+    for query in queries:
+        index.nearest(query.features, len(pool))
+    assert len(pairs) == 2 * 3 and max(pairs.values()) == 1
 
 
 def test_neighbor_index_requires_a_similarity_role():
