@@ -43,8 +43,10 @@ def _parse_shot_policy(text: str) -> tuple[str, int]:
 
 
 def _tasks(args):
-    """Yields (manifest, split records, dropped rows) for each selected task,
-    after creating the output directory."""
+    """Yields (manifest, split records, dropped rows, feature table) for each
+    selected task, after creating the output directory. The table is the
+    task's own: its split, shot indexes and knn stub convert each distinct
+    feature once, and it is dropped with the task."""
     from . import corpus
 
     manifests, data = Path(args.manifests), Path(args.data)
@@ -72,22 +74,24 @@ def _tasks(args):
         ]
         if problems:
             raise ValueError("\n".join(problems))
-        tables = [data / f"{manifest.task_id}{s}" for s in (".tsv", ".csv")]
-        table = next((t for t in tables if t.exists()), None)
-        if table is None:
+        files = [data / f"{manifest.task_id}{s}" for s in (".tsv", ".csv")]
+        file = next((f for f in files if f.exists()), None)
+        if file is None:
             raise ValueError(f"{manifest.task_id}: no table under {data}")
-        loaded = corpus.load_table(table, manifest)
-        records = corpus.assign_splits(loaded.records, manifest, args.seed)
+        loaded = corpus.load_table(file, manifest)
+        table = corpus.FeatureTable()
+        records = corpus.assign_splits(loaded.records, manifest, args.seed, table)
         if deferred_range:
             manifest = corpus.fit_label_range(records, manifest)
-        yield manifest, records, loaded.dropped
+        yield manifest, records, loaded.dropped, table
 
 
-def _render(manifest, records, splits, policy, seed):
+def _render(manifest, records, splits, policy, seed, table):
     """Yields (split, shot pool, neighbour index or None, prompts) for each
     split. Splits that draw shots from the same splits share one pool, one
-    record id -> pool position map and, for knn shots, one neighbour index.
-    knn shots for a task with no similarity-capable role are random shots."""
+    record id -> pool position map and, for knn shots, one neighbour index
+    over the task's feature table. knn shots for a task with no
+    similarity-capable role are random shots."""
     from . import promptgen
 
     kind, k = policy
@@ -102,7 +106,7 @@ def _render(manifest, records, splits, policy, seed):
         sources = promptgen.shot_source_splits(split)
         if sources not in pools:
             pool = [r for r in records if r.split in sources]
-            index = promptgen.NeighborIndex(manifest, pool) if kind == "knn" and pool else None
+            index = promptgen.NeighborIndex(manifest, pool, table) if kind == "knn" and pool else None
             positions = {r.record_id: i for i, r in enumerate(pool)}
             pools[sources] = pool, index, positions
         pool, index, positions = pools[sources]
@@ -136,11 +140,11 @@ def cmd_build(args) -> int:
         raise ValueError(f"--mixture must be at least 0, not {args.mixture}")
     out = Path(args.out)
     mixture_tasks = {}
-    for manifest, records, dropped in _tasks(args):
+    for manifest, records, dropped, table in _tasks(args):
         if args.fit_ranges:
             corpus.write_manifest(manifest, out / f"{manifest.task_id}{MANIFEST_SUFFIX}")
         corpus.write_split_audit(records, out / f"{manifest.task_id}.splits.tsv")
-        for split, _, _, prompts in _render(manifest, records, SPLITS, policy, args.seed):
+        for split, _, _, prompts in _render(manifest, records, SPLITS, policy, args.seed, table):
             promptgen.write_prompt_jsonl(prompts, out / f"{manifest.task_id}.{split}.jsonl")
         mixture_tasks[manifest.task_id] = (
             manifest,
@@ -170,8 +174,10 @@ def cmd_evaluate(args) -> int:
     # One HTTP client serves every task, so its connections are reused.
     http_client = None if args.stub else evalharness.HttpModelClient(model_url)
     with http_client or contextlib.nullcontext():
-        for manifest, records, _ in _tasks(args):
-            [(_, pool, index, prompts)] = _render(manifest, records, (args.split,), policy, args.seed)
+        for manifest, records, _, table in _tasks(args):
+            [(_, pool, index, prompts)] = _render(
+                manifest, records, (args.split,), policy, args.seed, table
+            )
             if http_client:
                 client = http_client
             elif args.stub == "echo":
@@ -181,7 +187,7 @@ def cmd_evaluate(args) -> int:
             else:
                 # knn shots built an index over this pool; other shots did not.
                 client = evalharness.NearestNeighborClient(
-                    index or promptgen.NeighborIndex(manifest, pool)
+                    index or promptgen.NeighborIndex(manifest, pool, table)
                 )
             result = evalharness.evaluate_task(
                 manifest, prompts, client, concurrency=args.concurrency

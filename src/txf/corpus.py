@@ -11,17 +11,22 @@ from __future__ import annotations
 import csv
 import random
 import re
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .atomic import write_atomically
-from .chem import SmilesParseError, parse_smiles, scaffold_key
+
+# txf.chem and txf.bioseq are imported by the FeatureTable helpers that
+# convert, so a command that converts no SMILES never loads the
+# cheminformatics kernel.
 
 __all__ = [
     "RoleSpec",
     "TaskManifest",
     "DataRecord",
     "LoadedTable",
+    "FeatureTable",
     "CorpusError",
     "read_manifest",
     "write_manifest",
@@ -112,6 +117,85 @@ class DataRecord:
 class LoadedTable:
     records: list[DataRecord]
     dropped: int
+
+
+_MISSING = object()
+
+
+class FeatureTable:
+    """Converted forms of one task's feature strings, each made at most once.
+
+    One table serves one task for one command: the scaffold split, every
+    shot pool's ``NeighborIndex`` and the knn stub read from it, so each
+    distinct SMILES is parsed, scaffold-keyed and fingerprinted once, and
+    each distinct sequence becomes a ``BioSequence`` once. Entries are made
+    on first use. A string that does not convert maps to None, and its
+    scaffold key is "". The knn stub queries from worker threads, so an
+    entry is made under a lock, after a second look.
+    """
+
+    def __init__(self):
+        self._molecules: dict[str, object] = {}
+        self._scaffolds: dict[str, str] = {}
+        self._fingerprints: dict[str, object] = {}
+        self._sequences: dict[tuple[str, str], object] = {}
+        # Reentrant: a fingerprint or scaffold key asks for the molecule.
+        self._lock = threading.RLock()
+
+    def _entry(self, cache: dict, key, make):
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:
+            with self._lock:
+                value = cache.get(key, _MISSING)
+                if value is _MISSING:
+                    value = cache[key] = make(key)
+        return value
+
+    def molecule(self, text: str):
+        """The parsed ``chem.Molecule``, or None if ``text`` does not parse."""
+        return self._entry(self._molecules, text, _parse)
+
+    def scaffold_key(self, text: str) -> str:
+        """``chem.scaffold_key`` of the molecule; "" if it does not parse."""
+        return self._entry(self._scaffolds, text, self._scaffold_of)
+
+    def fingerprint(self, text: str):
+        """``chem.morgan_fingerprint`` of the molecule, or None."""
+        return self._entry(self._fingerprints, text, self._fingerprint_of)
+
+    def sequence(self, text: str, kind: str):
+        """``bioseq.BioSequence(text, kind)``, or None if it is invalid."""
+        return self._entry(self._sequences, (text, kind), _sequence)
+
+    def _scaffold_of(self, text: str) -> str:
+        from .chem import scaffold_key
+
+        mol = self.molecule(text)
+        return "" if mol is None else scaffold_key(mol)
+
+    def _fingerprint_of(self, text: str):
+        from .chem import morgan_fingerprint
+
+        mol = self.molecule(text)
+        return None if mol is None else morgan_fingerprint(mol)
+
+
+def _parse(text: str):
+    from .chem import SmilesParseError, parse_smiles
+
+    try:
+        return parse_smiles(text)
+    except SmilesParseError:
+        return None
+
+
+def _sequence(key: tuple[str, str]):
+    from .bioseq import BioSequence
+
+    try:
+        return BioSequence(*key)
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +514,16 @@ def _group_records(records, key_fn) -> dict:
 
 
 def assign_splits(
-    records: list[DataRecord], manifest: TaskManifest, seed: int
+    records: list[DataRecord],
+    manifest: TaskManifest,
+    seed: int,
+    table: FeatureTable | None = None,
 ) -> list[DataRecord]:
     """Return copies of the records with train/valid/test assigned by the
     manifest's split method, in SPLIT_FRACTIONS.
+
+    The scaffold split reads scaffold keys from ``table``, the task's
+    feature table; without one it builds its own.
 
     scaffold: group by scaffold key, pack groups largest-first into train,
     then valid, then test. The other methods order groups of records and put
@@ -452,14 +542,8 @@ def assign_splits(
 
     if method == "scaffold":
         role = _first_smiles_role(manifest)
-
-        def key_fn(record):
-            try:
-                return scaffold_key(parse_smiles(record.features[role]))
-            except SmilesParseError:
-                return ""
-
-        groups = _group_records(records, key_fn)
+        table = FeatureTable() if table is None else table
+        groups = _group_records(records, lambda record: table.scaffold_key(record.features[role]))
         ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
         counts = {"train": 0, "valid": 0}
         for _, members in ordered:

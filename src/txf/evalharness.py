@@ -24,7 +24,6 @@ from operator import add
 from typing import Protocol, Sequence
 
 from .atomic import write_atomically
-from .chem import score_reactant_prediction
 from .corpus import TaskManifest
 from .promptgen import (
     ANSWER_NEGATIVE,
@@ -595,6 +594,8 @@ def _row_for_prompt(
         prediction, valid = parse_regression_answer(completion, spec)
         score = 0.0
     else:
+        from .chem import score_reactant_prediction
+
         truth = prompt.target
         score_value, valid = score_reactant_prediction(completion, prompt.target)
         prediction = completion

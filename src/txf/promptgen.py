@@ -19,8 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .atomic import write_atomically
 from .bioseq import BioSequence, identity_bound, percent_identity
-from .chem import SmilesParseError, morgan_fingerprint, parse_smiles, tanimoto
-from .corpus import _PLACEHOLDER, DataRecord, TaskManifest
+from .corpus import _PLACEHOLDER, DataRecord, FeatureTable, TaskManifest
 
 __all__ = [
     "ANSWER_NEGATIVE",
@@ -257,8 +256,10 @@ class NeighborIndex:
     ``kind`` is empty, and ``roles`` too, when no role of the manifest
     supports similarity.
 
-    Each distinct feature string of the pool is parsed and fingerprinted, or
-    made into a BioSequence, once, and pool positions are grouped by their
+    Fingerprints and BioSequences, of pool records and queries alike, come
+    from ``table``, the task's feature table, so each distinct feature
+    string is converted once however many indexes share the table; without
+    one the index builds its own. Pool positions are grouped by their
     distinct converted features, so a query scores each group once. The
     search is exact and prunes by an upper bound on each group's similarity,
     taken through the same role loop as the similarity itself:
@@ -272,54 +273,41 @@ class NeighborIndex:
     by distinct (query residues, pool residues) pair for the index's lifetime.
     """
 
-    def __init__(self, manifest: TaskManifest, pool: Sequence[DataRecord]):
+    def __init__(
+        self,
+        manifest: TaskManifest,
+        pool: Sequence[DataRecord],
+        table: FeatureTable | None = None,
+    ):
         self.manifest = manifest
         self.pool = pool
+        self._table = FeatureTable() if table is None else table
         self.kind, roles = manifest.similarity_roles()
         if self.kind == "smiles":
+            from .chem import tanimoto
+
             roles = roles[:1]
             self._score, self._bound = tanimoto, _tanimoto_bound
         else:
             self._score, self._bound = self._identity, self._identity_bound
         self.roles = tuple(r.name for r in roles)
-        # _features and _groups are filled here only. _identities grows during
-        # queries, which the knn stub runs from evaluate_task's worker threads:
-        # the lock makes its check-then-set one step, so no pair is aligned
+        # _groups is filled here only. _identities grows during queries,
+        # which the knn stub runs from evaluate_task's worker threads: the
+        # lock makes its check-then-set one step, so no pair is aligned
         # twice. _bounds needs no lock: a bound computed twice is one value.
-        self._features: dict[str, object] = {}
         self._identities: dict[tuple[str, str], float] = {}
         self._identities_lock = threading.Lock()
         self._bounds: dict[tuple[str, str], float] = {}
-        for record in pool:
-            for name in self.roles:
-                text = record.features[name]
-                if text not in self._features:
-                    self._features[text] = self._convert(text)
         groups: dict[tuple, list[int]] = {}
         for i, record in enumerate(pool):
             groups.setdefault(self._record_features(record.features), []).append(i)
         self._groups = list(groups.items())
 
-    def _convert(self, text: str):
-        """Fingerprint or BioSequence of one feature string; None if invalid."""
-        if self.kind == "smiles":
-            try:
-                return morgan_fingerprint(parse_smiles(text))
-            except SmilesParseError:
-                return None
-        try:
-            return BioSequence(text, self.kind)
-        except ValueError:
-            return None
-
     def _record_features(self, features: Mapping[str, str]) -> tuple:
-        """Converted features, one per compared role. A string not in the
-        pool is converted again on every call, so the cache stays the size of
-        the pool."""
-        return tuple(
-            self._features[text] if text in self._features else self._convert(text)
-            for text in (features[name] for name in self.roles)
-        )
+        """Converted features, one per compared role; None where invalid."""
+        if self.kind == "smiles":
+            return tuple(self._table.fingerprint(features[name]) for name in self.roles)
+        return tuple(self._table.sequence(features[name], self.kind) for name in self.roles)
 
     def _identity(self, a: BioSequence, b: BioSequence) -> float:
         # The diagonal is strictly best at every cell of _align(a, a).

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -6,6 +7,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -629,9 +632,9 @@ def test_build_knn_shares_one_index_per_shot_pool(tmp_path, monkeypatch):
     real = promptgen.NeighborIndex
     built = []
 
-    def counting_index(manifest, pool):
+    def counting_index(manifest, pool, table=None):
         built.append(len(pool))
-        return real(manifest, pool)
+        return real(manifest, pool, table)
 
     monkeypatch.setattr(promptgen, "NeighborIndex", counting_index)
     out = tmp_path / "out"
@@ -673,9 +676,9 @@ def test_evaluate_knn_stub_reuses_the_shot_index(tmp_path, monkeypatch, shots):
     real = promptgen.NeighborIndex
     built = []
 
-    def counting_index(manifest, pool):
+    def counting_index(manifest, pool, table=None):
         built.append(len(pool))
-        return real(manifest, pool)
+        return real(manifest, pool, table)
 
     monkeypatch.setattr(promptgen, "NeighborIndex", counting_index)
     monkeypatch.setattr(evalharness, "NeighborIndex", counting_index)
@@ -701,6 +704,62 @@ def test_evaluate_knn_stub_reuses_the_shot_index(tmp_path, monkeypatch, shots):
     for row in rows:
         [(best, _)] = naive_nearest(manifest, by_id[row["record_id"]], pool, 1)
         assert row["completion"] == promptgen.render_target(pool[best], manifest)
+
+
+def _mol_knn(root, seed):
+    """The benchmark's mol-knn workload: one scaffold-split SMILES task of
+    45 records, 43 distinct strings at seed 1. Its generator imports
+    nothing from txf."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look the module up while the class bodies run.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.generate("mol-knn", seed, root)
+
+
+@pytest.mark.parametrize("command", [
+    ["build", "--shots", "knn10"],
+    ["evaluate", "--shots", "0", "--stub", "knn"],
+    ["evaluate", "--shots", "knn10", "--stub", "knn"],
+    ["evaluate", "--shots", "0", "--stub", "knn", "--concurrency", "8"],
+])
+def test_command_converts_each_distinct_smiles_once(tmp_path, monkeypatch, command):
+    from txf import chem
+
+    workload = _mol_knn(tmp_path / "in", seed=1)
+    table = (workload.data / "mol_bbb.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    distinct = {line.split("\t")[0] for line in table}
+    # The knn stub converts its queries from worker threads.
+    lock = threading.Lock()
+    parsed, fingerprinted, molecules = Counter(), Counter(), []
+    parse, fingerprint = chem.parse_smiles, chem.morgan_fingerprint
+
+    def counting_parse(text):
+        with lock:
+            parsed[text] += 1
+        return parse(text)
+
+    def counting_fingerprint(mol):
+        with lock:
+            molecules.append(mol)  # held, so no id is reused
+            fingerprinted[id(mol)] += 1
+        return fingerprint(mol)
+
+    monkeypatch.setattr(chem, "parse_smiles", counting_parse)
+    monkeypatch.setattr(chem, "morgan_fingerprint", counting_fingerprint)
+    assert main([
+        command[0], "--manifests", str(workload.manifests), "--data", str(workload.data),
+        "--out", str(tmp_path / "out"), "--seed", "1", *command[1:],
+    ]) == 0
+    assert parsed and fingerprinted
+    assert set(parsed) <= distinct
+    assert max(parsed.values()) == 1 and max(fingerprinted.values()) == 1
+    assert sum(parsed.values()) <= len(distinct) <= 43
 
 
 def test_evaluate_reuses_one_connection_across_tasks(tmp_path):
@@ -778,8 +837,70 @@ def _compare_pairs(tmp_path):
     ], _NEITHER_CHEM_NOR_NUMPY
 
 
+def _write_toy_cold_start(manifests, data, task_id):
+    """A binary drug-target task split cold-start on its amino-acid role,
+    which comes before its SMILES role: 20 targets of two records, one of
+    each label, so the test split holds both labels."""
+    (manifests / f"{task_id}.manifest").write_text(
+        f"task_id: {task_id}\n"
+        "task_kind: binary\n"
+        "metric: auroc\n"
+        "split_method: cold_start\n"
+        "cold_start_role: target\n"
+        "label_column: Y\n"
+        "roles: target drug\n"
+        "role.target.kind: amino_acid\n"
+        "role.target.column: Target\n"
+        "role.target.label: Target amino acid sequence\n"
+        "role.drug.kind: smiles\n"
+        "role.drug.column: Drug\n"
+        "role.drug.label: Drug SMILES\n"
+        "instruction: Classify.\n"
+        "context: Ctx.\n"
+        "question: Binds?\\n\\n(A) no (B) yes\n"
+    )
+    residues = "ACDEFGHIKLMNPQRSTVWY"
+    lines = ["Target\tDrug\tY"]
+    for i in range(40):
+        t = i % 20
+        lines.append(f"MKT{residues[t]}{residues[3 * t % 20]}LLEV\t{'C' * (1 + i % 5)}N\t{i // 20}")
+    (data / f"{task_id}.tsv").write_text("\n".join(lines) + "\n")
+
+
+def _task_dirs(tmp_path, write):
+    (tmp_path / "manifests").mkdir()
+    (tmp_path / "data").mkdir()
+    write(tmp_path / "manifests", tmp_path / "data", "task0")
+    return ["--manifests", str(tmp_path / "manifests"), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+
+
+# None of the next three converts a SMILES string, so none loads txf.chem.
+
+
+def _build_cold_start_amino_acid_knn(tmp_path):
+    return ["build", *_task_dirs(tmp_path, _write_toy_cold_start), "--shots", "knn3"], {"numpy", "txf.chem"}
+
+
+def _evaluate_knn_stub_cold_start(tmp_path):
+    return ["evaluate", *_task_dirs(tmp_path, _write_toy_cold_start), "--stub", "knn"], {"numpy", "txf.chem"}
+
+
+def _build_random_split_zero_shot(tmp_path):
+    return ["build", *_task_dirs(tmp_path, _write_toy_binary), "--shots", "0"], {"numpy", "txf.chem", "txf.evalharness"}
+
+
 @pytest.mark.parametrize(
-    "case", [_build_zero_shot, _contamination_of_the_table, _scoreboard, _evaluate_majority, _compare_pairs]
+    "case",
+    [
+        _build_zero_shot,
+        _contamination_of_the_table,
+        _scoreboard,
+        _evaluate_majority,
+        _compare_pairs,
+        _build_cold_start_amino_acid_knn,
+        _evaluate_knn_stub_cold_start,
+        _build_random_split_zero_shot,
+    ],
 )
 def test_command_loads_only_the_layers_it_runs(tmp_path, case):
     argv, absent = case(tmp_path)

@@ -3,6 +3,7 @@ import pytest
 from txf.corpus import (
     CorpusError,
     DataRecord,
+    FeatureTable,
     RoleSpec,
     TaskManifest,
     assign_splits,
@@ -129,6 +130,71 @@ def test_scaffold_split_groups_never_straddle():
         by_scaffold.setdefault(scaffold_key(parse_smiles(r.features["drug"])), set()).add(r.split)
     for splits in by_scaffold.values():
         assert len(splits) == 1
+
+
+def test_feature_table_entries_equal_the_chem_and_bioseq_values():
+    from txf.bioseq import BioSequence
+    from txf.chem import morgan_fingerprint, parse_smiles, scaffold_key
+
+    table = FeatureTable()
+    mol = table.molecule("c1ccccc1CCO")
+    assert table.molecule("c1ccccc1CCO") is mol
+    assert table.fingerprint("c1ccccc1CCO") == morgan_fingerprint(parse_smiles("c1ccccc1CCO"))
+    assert table.scaffold_key("c1ccccc1CCO") == scaffold_key(mol) != ""
+    assert table.scaffold_key("CCO") == ""  # acyclic
+    assert table.molecule("C1CC(") is None
+    assert table.fingerprint("C1CC(") is None
+    assert table.scaffold_key("C1CC(") == ""
+    assert table.sequence("acgu", "nucleotide") == BioSequence("ACGU", "nucleotide")
+    assert table.sequence("ACGU", "amino_acid") is None  # no U among amino acids
+    assert table.sequence("ACGT", "amino_acid") == BioSequence("ACGT", "amino_acid")
+    assert table.sequence("ACGB", "nucleotide") is None
+
+
+def test_feature_table_converts_each_string_once_under_threads(monkeypatch):
+    import sys
+    import threading
+    import time
+    from collections import Counter
+
+    from txf import chem
+
+    calls = Counter()
+    parse, fingerprint = chem.parse_smiles, chem.morgan_fingerprint
+
+    def slow(counted, key):
+        def wrapper(value):
+            calls[counted, key(value)] += 1
+            time.sleep(0.005)  # lets another thread run into the same entry
+            return (parse if counted == "parse" else fingerprint)(value)
+
+        return wrapper
+
+    monkeypatch.setattr(chem, "parse_smiles", slow("parse", lambda text: text))
+    monkeypatch.setattr(chem, "morgan_fingerprint", slow("fingerprint", id))
+    table = FeatureTable()
+    strings = ["CCO", "c1ccccc1O", "CCN", "C1CC("]
+    start = threading.Barrier(8, timeout=10)
+
+    def worker(n):
+        start.wait()
+        for text in strings[n % 4 :] + strings[: n % 4]:
+            table.fingerprint(text)
+            table.scaffold_key(text)
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(text for what, text in calls if what == "parse") == sorted(strings)
+    assert len(calls) == len(strings) + 3 and max(calls.values()) == 1
 
 
 def test_cold_start_split_keys_disjoint():

@@ -13,7 +13,7 @@ import golden_tasks
 import render_reference
 import sampling_reference
 from knn_reference import naive_nearest
-from txf.corpus import DataRecord, RoleSpec, TaskManifest
+from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest, assign_splits
 from txf.promptgen import (
     BIN_LEVELS,
     BinningSpec,
@@ -399,6 +399,40 @@ def test_nearest_equals_a_full_scan(data, smiles):
             assert index.nearest(query.features, k, exclude=exclude) == expected[:k]
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), smiles=st.booleans())
+def test_indexes_sharing_one_feature_table_equal_a_full_scan(data, smiles):
+    # As one command does per task: the split fills the table first (BBB is
+    # scaffold-split), then a train pool and a train + valid pool each get an
+    # index over that table. Queries come from the task and from outside it,
+    # and each index is asked in turn, so either may convert a query first.
+    if smiles:
+        manifest, row = golden_tasks.BBB_MANIFEST, st.tuples(_SMILES)
+    else:
+        manifest, row = golden_tasks.MHC1_MANIFEST, st.tuples(_RESIDUES, _RESIDUES)
+    table = FeatureTable()
+    rows = data.draw(st.lists(row, min_size=1, max_size=10))
+    records = assign_splits(_records(manifest, rows), manifest, seed=1, table=table)
+    names = [role.name for role in manifest.roles]
+    outside = [
+        DataRecord(f"q{i}", dict(zip(names, r)), True)
+        for i, r in enumerate(data.draw(st.lists(row, max_size=3)))
+    ]
+    indexes = []
+    for sources in (("train",), ("train", "valid")):
+        pool = [r for r in records if r.split in sources]
+        if pool:
+            indexes.append((pool, NeighborIndex(manifest, pool, table)))
+    for query in records + outside:
+        for pool, index in indexes:
+            positions = {r.record_id: i for i, r in enumerate(pool)}
+            exclude = positions.get(query.record_id)
+            exclude_id = None if exclude is None else query.record_id
+            for k in (1, 3, len(pool) + 1):
+                expected = naive_nearest(manifest, query, pool, k, exclude_id)
+                assert index.nearest(query.features, k, exclude=exclude) == expected
+
+
 def test_nearest_scores_a_group_whose_bound_ties_the_kth_best():
     # The query aligns to "GAC" at 20 % under a 40 % bound (LCS "AC" over 5
     # residues), so "GAC" is visited first and holds the one slot. "CC" comes
@@ -413,23 +447,24 @@ def test_nearest_scores_a_group_whose_bound_ties_the_kth_best():
 
 
 def test_neighbor_index_fingerprints_each_distinct_smiles_once(monkeypatch):
-    import txf.promptgen as promptgen
+    import txf.chem as chem
 
     calls = Counter()
-    original = promptgen.morgan_fingerprint
+    original = chem.morgan_fingerprint
 
     def counting(mol, *args, **kwargs):
         calls["fp"] += 1
         return original(mol, *args, **kwargs)
 
-    monkeypatch.setattr(promptgen, "morgan_fingerprint", counting)
+    monkeypatch.setattr(chem, "morgan_fingerprint", counting)
     distinct = ["CCO", "CCCO", "c1ccccc1O", "OCCO", "CCN", "CC(=O)O"]
     pool = _records(golden_tasks.BBB_MANIFEST, [(distinct[i % 6],) for i in range(60)])
     index = NeighborIndex(golden_tasks.BBB_MANIFEST, pool)
     queries = [DataRecord(f"q{i}", {"drug": s}, True) for i, s in enumerate(distinct + ["CCCCN"] * 4)]
     for query in queries:
         index.nearest(query.features, 10)
-    assert calls["fp"] <= len(distinct) + len(queries)
+    # The pool's six strings, then one outside it: "CCCCN".
+    assert calls["fp"] <= len(distinct) + 1
 
 
 def test_neighbor_index_aligns_each_distinct_pair_once(monkeypatch):

@@ -2,9 +2,10 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from canonical_reference import cluster_count, exhaustive_canonical
 from conftest import MOLECULE_CORPUS, permute_molecule
 from txf.chem import (
     SmilesParseError,
@@ -296,3 +297,22 @@ def test_flipping_one_direction_cluster_keeps_the_string(text, data):
         ),
     )
     assert write_canonical(flipped) == write_canonical(mol)
+
+
+# Runs rich in direction tokens, double bonds and ring closures, so that
+# clusters share atoms, flank one double bond or sit on ring bonds.
+_STEREO_TOKENS = ["C", "C", "/", "\\", "=", "C=C", "(C)", "(/C)", "(\\C)", "1", "c1ccccc1", "N", "[C@H]"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(_STEREO_TOKENS), min_size=1, max_size=16).map("".join)
+    | st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=6).map(_chain)
+)
+def test_write_canonical_is_the_least_of_all_cluster_respellings(text):
+    try:
+        mol = parse_smiles(text)
+    except SmilesParseError:
+        return
+    assume(1 <= cluster_count(mol) <= 7)
+    assert write_canonical(mol) == exhaustive_canonical(mol)
