@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from canonical_reference import cluster_count, exhaustive_canonical
-from conftest import MOLECULE_CORPUS, permute_molecule
+from conftest import FIXTURES, MOLECULE_CORPUS, permute_molecule
 from txf.chem import (
     SmilesParseError,
     morgan_fingerprint,
@@ -24,6 +25,22 @@ SMILES_TOKENS = [
     "[nH]", "[O-]", "[N+]", "[C@H]", "[C@@H]", "/", "\\", "c1ccccc1",
 ]
 smiles_token_runs = st.lists(st.sampled_from(SMILES_TOKENS), min_size=1, max_size=20).map("".join)
+
+# Written by tests/make_smiles_golden.py.
+GOLDEN = json.loads((FIXTURES / "smiles_golden.json").read_text(encoding="utf-8"))
+
+
+def test_canonical_and_scaffold_strings_match_the_golden_fixture():
+    for smiles, canonical, key in GOLDEN["canonical"]:
+        mol = parse_smiles(smiles)
+        assert (write_canonical(mol), scaffold_key(mol)) == (canonical, key), smiles
+
+
+@pytest.mark.parametrize("text, message, offset", GOLDEN["errors"])
+def test_parse_error_message_and_offset_match_the_golden_fixture(text, message, offset):
+    with pytest.raises(SmilesParseError) as err:
+        parse_smiles(text)
+    assert (str(err.value), err.value.offset) == (message, offset)
 
 
 def test_ethanol():
