@@ -171,18 +171,26 @@ def implied_hydrogens(symbol: str, aromatic: bool, bond_orders) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _digits(text: str, pos: int) -> tuple[int | None, int]:
+    """The integer written at ``text[pos:]`` (None without a digit) and the position after it."""
+    end = pos
+    while end < len(text) and text[end].isdigit():
+        end += 1
+    return (int(text[pos:end]) if end > pos else None), end
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.atoms: list[dict] = []
-        self.bonds: list[dict] = []
+        self.atoms: list[Atom] = []  # bare atoms get their H count in _build
+        self.bonds: list[Bond] = []
         self.order: list[list] = []  # per-atom written neighbor order
         self.prev: int | None = None
-        self.pending: tuple[int | None, str | None, int] | None = None
+        self.pending: tuple[int, str | None] | None = None
         self.branch_stack: list[int | None] = []
-        # ring number -> (atom, pending bond, offset, slot marker)
-        self.rings: dict[int, tuple[int, tuple | None, int, object]] = {}
+        # ring number -> (atom, bond order, direction, atom's reserved order slot)
+        self.rings: dict[int, tuple[int, int | None, str | None, int]] = {}
         self.bond_keys: set[tuple[int, int]] = set()
 
     def error(self, message: str, offset: int | None = None):
@@ -242,127 +250,107 @@ class _Parser:
             self.error("bond symbol before any atom")
         if self.pending is not None:
             self.error("two bond symbols in a row")
-        self.pending = (order, direction, self.pos)
+        self.pending = (order, direction)
 
     def _take_pending(self) -> tuple[int | None, str | None]:
-        if self.pending is None:
-            return None, None
-        order, direction, _ = self.pending
+        pending = self.pending or (None, None)
         self.pending = None
-        return order, direction
+        return pending
 
-    def _add_atom(self, atom: dict) -> int:
+    def _add_atom(self, atom: Atom):
         idx = len(self.atoms)
         self.atoms.append(atom)
         self.order.append([])
+        order, direction = self._take_pending()
         if self.prev is not None:
-            order, direction = self._take_pending()
             self._add_bond(self.prev, idx, order, direction)
-        else:
-            self._take_pending()
+            self.order[self.prev].append(idx)
+            self.order[idx].append(self.prev)
         # A bracket hydrogen on a stereocenter occupies a neighbor slot right
         # after the preceding atom (or first, for an opening atom).
-        if atom.get("hcount", 0) == 1 and atom.get("chirality") and atom.get("bracket"):
+        if atom.hcount == 1 and atom.chirality and atom.bracket:
             self.order[idx].append("H")
         self.prev = idx
-        return idx
 
-    def _add_bond(self, a: int, b: int, order: int | None, direction: str | None):
-        key = (min(a, b), max(a, b))
+    def _add_bond(self, a: int, b: int, order: int | None, direction: str | None,
+                  ring: int | None = None, offset: int | None = None):
+        """Add the bond a-b, written from a; ``order`` None takes the default.
+        A duplicate names ``ring``, the number of the ring closure at ``offset``."""
+        key = (a, b) if a < b else (b, a)
         if key in self.bond_keys:
-            self.error(f"duplicate bond between atoms {a} and {b}")
+            if ring is None:
+                self.error(f"duplicate bond between atoms {a} and {b}")
+            self.error(f"duplicate ring bond {ring}", offset)
         self.bond_keys.add(key)
-        self.bonds.append({"a": a, "b": b, "order": order, "direction": direction})
-        self.order[a].append(b)
-        self.order[b].append(a)
+        if order is None:
+            order = AROMATIC if self.atoms[a].aromatic and self.atoms[b].aromatic else SINGLE
+        self.bonds.append(Bond(a, b, order, direction))
 
     def _ring_closure(self):
         text = self.text
         start = self.pos
-        if text[self.pos] == "%":
-            if self.pos + 2 >= len(text) or not text[self.pos + 1 : self.pos + 3].isdigit():
+        if text[start] == "%":
+            if start + 2 >= len(text) or not text[start + 1 : start + 3].isdigit():
                 self.error("'%' needs two digits")
-            num = int(text[self.pos + 1 : self.pos + 3])
+            num = int(text[start + 1 : start + 3])
             self.pos += 3
         else:
-            num = int(text[self.pos])
+            num = int(text[start])
             self.pos += 1
         if self.prev is None:
             self.error("ring closure before any atom", start)
         order, direction = self._take_pending()
-        if num in self.rings:
-            open_atom, open_bond, open_off, marker = self.rings.pop(num)
-            if open_atom == self.prev:
-                self.error(f"ring bond {num} to the same atom", start)
-            open_order, open_dir = open_bond if open_bond else (None, None)
-            if order is not None and open_order is not None and order != open_order:
-                self.error(f"conflicting bond orders for ring {num}", start)
-            final = order if order is not None else open_order
-            # Direction chars orient from the atom they were written after.
-            if open_dir is None and direction is not None:
-                open_dir = "\\" if direction == "/" else "/"
-            key = (min(open_atom, self.prev), max(open_atom, self.prev))
-            if key in self.bond_keys:
-                self.error(f"duplicate ring bond {num}", start)
-            self.bond_keys.add(key)
-            self.bonds.append(
-                {"a": open_atom, "b": self.prev, "order": final, "direction": open_dir}
-            )
-            # Patch the opener's reserved stereo slot; append at the closer.
-            slot = self.order[open_atom].index(marker)
-            self.order[open_atom][slot] = self.prev
-            self.order[self.prev].append(open_atom)
-        else:
-            marker = ("ring", num, start)
-            self.rings[num] = (self.prev, (order, direction) if order is not None or direction else None, start, marker)
-            self.order[self.prev].append(marker)
+        if num not in self.rings:
+            # Reserve the opener's stereo slot; the closer fills it.
+            self.rings[num] = (self.prev, order, direction, len(self.order[self.prev]))
+            self.order[self.prev].append(None)
+            return
+        open_atom, open_order, open_dir, slot = self.rings.pop(num)
+        if open_atom == self.prev:
+            self.error(f"ring bond {num} to the same atom", start)
+        if order is not None and open_order is not None and order != open_order:
+            self.error(f"conflicting bond orders for ring {num}", start)
+        # Direction chars orient from the atom they were written after.
+        if open_dir is None and direction is not None:
+            open_dir = "\\" if direction == "/" else "/"
+        final = order if order is not None else open_order
+        self._add_bond(open_atom, self.prev, final, open_dir, num, start)
+        self.order[open_atom][slot] = self.prev
+        self.order[self.prev].append(open_atom)
 
     def _bare_atom(self):
         text = self.text
-        ch = text[self.pos]
         start = self.pos
+        ch = text[start]
         if ch.isupper() or ch == "*":
-            symbol = ch
-            if self.pos + 1 < len(text) and text[self.pos : self.pos + 2] in ("Cl", "Br"):
-                symbol = text[self.pos : self.pos + 2]
-                self.pos += 2
-            else:
-                self.pos += 1
+            symbol = text[start : start + 2] if text[start : start + 2] in ("Cl", "Br") else ch
+            self.pos += len(symbol)
             if symbol not in _ELEMENTS:
                 self.error(f"unknown element {symbol!r}", start)
             if symbol not in _ORGANIC:
                 self.error(f"atom '{symbol}' must be written in brackets", start)
-            self._add_atom({"symbol": symbol, "aromatic": False, "bracket": False})
+            self._add_atom(Atom(symbol))
         elif ch in _AROMATIC_ORGANIC:
             self.pos += 1
-            self._add_atom({"symbol": ch.upper(), "aromatic": True, "bracket": False})
+            self._add_atom(Atom(ch.upper(), aromatic=True))
         else:
             self.error(f"unexpected character {ch!r}", start)
 
     def _bracket_atom(self):
         text = self.text
         start = self.pos
-        end = text.find("]", self.pos)
+        end = text.find("]", start)
         if end == -1:
             self.error("unclosed '['", start)
-        body = text[self.pos + 1 : end]
-        pos = 0
-
-        isotope = None
-        while pos < len(body) and body[pos].isdigit():
-            pos += 1
-        if pos:
-            isotope = int(body[:pos])
+        body = text[start + 1 : end]
+        isotope, pos = _digits(body, 0)
 
         aromatic = False
         symbol = None
-        rest = body[pos:]
-        for cand in ("se", "as", "te", "si"):
-            if rest.startswith(cand):
-                symbol, aromatic = cand.capitalize(), True
-                pos += 2
-                break
-        if symbol is None and pos < len(body):
+        if body[pos : pos + 2] in ("se", "as", "te", "si"):
+            symbol, aromatic = body[pos : pos + 2].capitalize(), True
+            pos += 2
+        elif pos < len(body):
             ch = body[pos]
             if ch == "*":
                 symbol = "*"
@@ -375,119 +363,64 @@ class _Parser:
             elif ch.isupper():
                 if pos + 1 < len(body) and body[pos + 1].islower() and body[pos : pos + 2] in _ELEMENTS:
                     symbol = body[pos : pos + 2]
-                    pos += 2
                 else:
                     symbol = ch
-                    pos += 1
+                pos += len(symbol)
                 if symbol not in _ELEMENTS:
                     self.error(f"unknown element {symbol!r}", start + 1 + pos)
         if symbol is None:
             self.error("bracket atom missing element", start)
 
         chirality = None
-        if pos < len(body) and body[pos] == "@":
-            chirality = "@"
-            pos += 1
-            if pos < len(body) and body[pos] == "@":
-                chirality = "@@"
-                pos += 1
+        if body.startswith("@", pos):
+            chirality = "@@" if body.startswith("@@", pos) else "@"
+            pos += len(chirality)
 
         hcount = 0
-        if pos < len(body) and body[pos] == "H":
-            pos += 1
-            digits = ""
-            while pos < len(body) and body[pos].isdigit():
-                digits += body[pos]
-                pos += 1
-            hcount = int(digits) if digits else 1
+        if body.startswith("H", pos):
+            count, pos = _digits(body, pos + 1)
+            hcount = 1 if count is None else count
 
         charge = 0
-        if pos < len(body) and body[pos] in "+-":
-            sign = 1 if body[pos] == "+" else -1
-            run = 0
-            while pos < len(body) and body[pos] in "+-":
-                if (body[pos] == "+") != (sign > 0):
+        if body[pos : pos + 1] in ("+", "-"):
+            sign = body[pos]
+            run_start = pos
+            while body[pos : pos + 1] in ("+", "-"):
+                if body[pos] != sign:
                     self.error("mixed charge signs", start + 1 + pos)
-                run += 1
                 pos += 1
-            digits = ""
-            while pos < len(body) and body[pos].isdigit():
-                digits += body[pos]
-                pos += 1
-            if digits:
-                if run > 1:
-                    self.error("malformed charge", start + 1 + pos)
-                charge = sign * int(digits)
-            else:
-                charge = sign * run
+            run = pos - run_start
+            magnitude, pos = _digits(body, pos)
+            if magnitude is not None and run > 1:
+                self.error("malformed charge", start + 1 + pos)
+            charge = (1 if sign == "+" else -1) * (run if magnitude is None else magnitude)
 
         map_num = None
-        if pos < len(body) and body[pos] == ":":
-            pos += 1
-            digits = ""
-            while pos < len(body) and body[pos].isdigit():
-                digits += body[pos]
-                pos += 1
-            if not digits:
+        if body.startswith(":", pos):
+            map_num, pos = _digits(body, pos + 1)
+            if map_num is None:
                 self.error("atom map ':' needs digits", start + 1 + pos)
-            map_num = int(digits)
 
         if pos != len(body):
             self.error(f"malformed bracket atom {body!r}", start + 1 + pos)
 
         self.pos = end + 1
-        self._add_atom(
-            {
-                "symbol": symbol,
-                "aromatic": aromatic,
-                "charge": charge,
-                "isotope": isotope,
-                "hcount": hcount,
-                "map_num": map_num,
-                "chirality": chirality,
-                "bracket": True,
-            }
-        )
+        self._add_atom(Atom(symbol, aromatic, charge, isotope, hcount, map_num, chirality, bracket=True))
 
     def _build(self) -> Molecule:
-        adj_orders: list[list[int]] = [[] for _ in self.atoms]
-        final_bonds = []
-        for spec in self.bonds:
-            a, b = spec["a"], spec["b"]
-            order = spec["order"]
-            if order is None:
-                both_aromatic = (
-                    self.atoms[a].get("aromatic") and self.atoms[b].get("aromatic")
-                )
-                order = AROMATIC if both_aromatic else SINGLE
-            final_bonds.append(
-                Bond(a=a, b=b, order=order, direction=spec["direction"])
-            )
-            adj_orders[a].append(order)
-            adj_orders[b].append(order)
-
-        final_atoms = []
-        for idx, spec in enumerate(self.atoms):
-            hcount = spec.get("hcount", 0)
-            if not spec.get("bracket"):
-                hcount = implied_hydrogens(
-                    spec["symbol"], spec.get("aromatic", False), adj_orders[idx]
-                )
-            final_atoms.append(
-                Atom(
-                    symbol=spec["symbol"],
-                    aromatic=spec.get("aromatic", False),
-                    charge=spec.get("charge", 0),
-                    isotope=spec.get("isotope"),
-                    hcount=hcount,
-                    map_num=spec.get("map_num"),
-                    chirality=spec.get("chirality"),
-                    bracket=spec.get("bracket", False),
-                )
-            )
+        orders: list[list[int]] = [[] for _ in self.atoms]
+        for bond in self.bonds:
+            orders[bond.a].append(bond.order)
+            orders[bond.b].append(bond.order)
+        atoms = tuple(
+            atom if atom.bracket
+            else Atom(atom.symbol, atom.aromatic,
+                      hcount=implied_hydrogens(atom.symbol, atom.aromatic, orders[idx]))
+            for idx, atom in enumerate(self.atoms)
+        )
         return Molecule(
-            atoms=tuple(final_atoms),
-            bonds=tuple(final_bonds),
+            atoms=atoms,
+            bonds=tuple(self.bonds),
             written_order=tuple(tuple(o) for o in self.order),
         )
 
@@ -533,27 +466,27 @@ def _initial_invariant(atom: Atom, degree: int) -> tuple:
     )
 
 
+def _dense_ranks(keys: dict[int, object]) -> dict[int, int]:
+    """Rank each atom by the position of its key among the sorted distinct keys."""
+    index = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+    return {a: index[k] for a, k in keys.items()}
+
+
 def _refine(adj, ranks: dict[int, int]) -> dict[int, int]:
-    atoms = list(ranks)
+    classes = len(set(ranks.values()))
     while True:
-        keys = {}
-        for a in atoms:
-            nbr = tuple(sorted((b.order, ranks[v]) for v, b in adj[a] if v in ranks))
-            keys[a] = (ranks[a], nbr)
-        ordered = sorted(set(keys.values()))
-        index = {k: i for i, k in enumerate(ordered)}
-        new_ranks = {a: index[keys[a]] for a in atoms}
-        if len(ordered) == len(set(ranks.values())):
+        new_ranks = _dense_ranks({
+            a: (r, tuple(sorted((b.order, ranks[v]) for v, b in adj[a])))
+            for a, r in ranks.items()
+        })
+        new_classes = len(set(new_ranks.values()))
+        if new_classes == classes:
             return new_ranks
-        ranks = new_ranks
+        ranks, classes = new_ranks, new_classes
 
 
 def _rank_component(mol: Molecule, adj, comp: list[int]) -> dict[int, int]:
-    degree = {a: len(adj[a]) for a in comp}
-    inv = {a: _initial_invariant(mol.atoms[a], degree[a]) for a in comp}
-    ordered = sorted(set(inv.values()))
-    index = {k: i for i, k in enumerate(ordered)}
-    return _refine(adj, {a: index[inv[a]] for a in comp})
+    return _refine(adj, _dense_ranks({a: _initial_invariant(mol.atoms[a], len(adj[a])) for a in comp}))
 
 
 def _canonical_component(mol: Molecule, adj, comp: list[int]) -> str:
@@ -610,43 +543,22 @@ def _canonical_search(mol, adj, comp, ranks, clusters) -> str:
     members = by_rank[min(tied)]
     best = None
     for chosen in members:
-        promoted = {
-            a: (r * 2 if a != chosen else r * 2 - 1) for a, r in ranks.items()
-        }
-        ordered = sorted(set(promoted.values()))
-        index = {k: i for i, k in enumerate(ordered)}
-        candidate = _canonical_search(
-            mol, adj, comp, _refine(adj, {a: index[promoted[a]] for a in comp}), clusters
-        )
+        promoted = _dense_ranks({a: 2 * r - (a == chosen) for a, r in ranks.items()})
+        candidate = _canonical_search(mol, adj, comp, _refine(adj, promoted), clusters)
         if best is None or candidate < best:
             best = candidate
     return best
 
 
-def _perm_parity(src: list, dst: list) -> int:
+def _perm_parity(src, dst) -> int:
+    """Parity of the permutation taking ``src`` to ``dst``, two orders of
+    the same distinct items; 0 when the items differ."""
     if sorted(map(str, src)) != sorted(map(str, dst)):
         return 0
-    remaining = list(range(len(src)))
-    perm = []
-    used = [False] * len(src)
-    for item in dst:
-        for j in range(len(src)):
-            if not used[j] and src[j] == item:
-                used[j] = True
-                perm.append(j)
-                break
-    swaps = 0
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        swaps += length - 1
-    return swaps % 2
+    where = {item: i for i, item in enumerate(src)}
+    perm = [where[item] for item in dst]
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+    return inversions % 2
 
 
 def _bond_token(bond: Bond, from_atom: int, atoms, clusters, flips) -> str:
@@ -716,42 +628,29 @@ def _emit(
     atoms = mol.atoms
     root = min(comp, key=lambda a: ranks[a])
 
+    # Depth-first in rank order. Popping order is the written order, so the
+    # endpoint of a ring bond popped first opens it and writes its bond token.
     parent: dict[int, int | None] = {root: None}
-    children: dict[int, list[int]] = {a: [] for a in comp}
-    ring_digits: dict[int, list[tuple[int, Bond, int]]] = {a: [] for a in comp}
-    visited = {root}
-    next_digit = [1]
-    order_visit = []
-
-    def closure_digit() -> int:
-        d = next_digit[0]
-        next_digit[0] += 1
-        return d
-
+    children: dict[int, list[tuple[int, Bond]]] = {a: [] for a in comp}
+    # Each ring bond once per endpoint: (digit, bond, partner, opens here).
+    rings: dict[int, list[tuple[int, Bond, int, bool]]] = {a: [] for a in comp}
+    digits = 0
+    popped = set()
     stack = [root]
-    closed: set[tuple[int, int]] = set()
     while stack:
         u = stack.pop()
-        order_visit.append(u)
+        popped.add(u)
         for v, bond in sorted(adj[u], key=lambda nb: ranks[nb[0]]):
-            if v == parent.get(u):
+            if v in popped:  # u's parent, or a ring bond that v opened
                 continue
-            key = (min(u, v), max(u, v))
-            if v in visited:
-                if key not in closed:
-                    closed.add(key)
-                    digit = closure_digit()
-                    ring_digits[v].append((digit, bond, u))
-                    ring_digits[u].append((digit, bond, v))
+            if v in parent:
+                digits += 1
+                rings[u].append((digits, bond, v, True))
+                rings[v].append((digits, bond, u, False))
             else:
-                visited.add(v)
                 parent[v] = u
-                children[u].append(v)
-        # Depth-first in rank order: push children reversed.
-        for v in reversed(children[u]):
-            stack.append(v)
-
-    bond_orders = {a: [b.order for _, b in adj[a]] for a in comp}
+                children[u].append((v, bond))
+        stack.extend(v for v, _ in reversed(children[u]))
 
     out = []
     flips: dict[int, bool] = {}  # cluster -> tokens written flipped
@@ -760,29 +659,24 @@ def _emit(
         atom = atoms[u]
         chirality = atom.chirality
         if chirality and atom.bracket:
-            stored = list(mol.written_order[u])
-            emitted: list = []
-            if parent[u] is not None:
-                emitted.append(parent[u])
+            stored = mol.written_order[u]
+            emitted: list = [] if parent[u] is None else [parent[u]]
             if atom.hcount == 1:
                 emitted.append("H")
-            emitted.extend(v for _, _, v in ring_digits[u])
-            emitted.extend(children[u])
-            if len(stored) == len(emitted) and len(stored) >= 3:
-                if _perm_parity(stored, emitted):
-                    chirality = "@@" if chirality == "@" else "@"
-        out.append(_atom_token(atom, bond_orders[u], chirality))
-        for digit, bond, _ in ring_digits[u]:
-            # Emit any non-default bond symbol at the opening site only.
-            if (min(bond.a, bond.b), max(bond.a, bond.b)) not in emitted_rings:
-                emitted_rings.add((min(bond.a, bond.b), max(bond.a, bond.b)))
+            emitted.extend(v for _, _, v, _ in rings[u])
+            emitted.extend(v for v, _ in children[u])
+            if len(stored) == len(emitted) >= 3 and _perm_parity(stored, emitted):
+                chirality = "@@" if chirality == "@" else "@"
+        out.append(_atom_token(atom, [b.order for _, b in adj[u]], chirality))
+        for digit, bond, _, opens in rings[u]:
+            # Write any non-default bond symbol at the opening site only.
+            if opens:
                 out.append(_bond_token(bond, u, atoms, clusters, flips))
             out.append(str(digit) if digit < 10 else f"%{digit:02d}")
-        kids = children[u]
-        for i, v in enumerate(kids):
-            bond = next(b for w, b in adj[u] if w == v)
+        last = len(children[u]) - 1
+        for i, (v, bond) in enumerate(children[u]):
             token = _bond_token(bond, u, atoms, clusters, flips)
-            if i < len(kids) - 1:
+            if i < last:
                 out.append("(")
                 out.append(token)
                 emit_atom(v)
@@ -791,7 +685,6 @@ def _emit(
                 out.append(token)
                 emit_atom(v)
 
-    emitted_rings: set[tuple[int, int]] = set()
     emit_atom(root)
     return "".join(out)
 

@@ -399,14 +399,8 @@ def validate_manifest(manifest: TaskManifest) -> list[str]:
 
 
 def _table_reader(fh, path):
-    suffix = Path(path).suffix.lower()
-    if suffix == ".tsv":
-        return csv.reader(fh, delimiter="\t")
-    if suffix == ".csv":
-        return csv.reader(fh)
-    sample = fh.read(4096)
-    fh.seek(0)
-    delimiter = "\t" if sample.count("\t") >= sample.count(",") else ","
+    """Tab-separated for a ``.tsv`` file, comma-separated otherwise."""
+    delimiter = "\t" if Path(path).suffix.lower() == ".tsv" else ","
     return csv.reader(fh, delimiter=delimiter)
 
 

@@ -624,9 +624,21 @@ def evaluate_task(
     Requests run concurrently up to the limit but results are reduced in
     input order, so the output is identical for any concurrency setting.
     Records that fail transport after retries are kept as invalid rows.
+    A generation truth that does not parse fails the task before any call.
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
+    if manifest.task_kind == "generation":
+        from .chem import parse_smiles
+
+        for prompt in prompts:
+            try:
+                parse_smiles(prompt.target)
+            except ValueError:
+                raise ValueError(
+                    f"{manifest.task_id}: record {prompt.record_id}: "
+                    f"ground-truth SMILES does not parse: {prompt.target!r}"
+                ) from None
 
     def call(prompt: PromptRecord):
         try:

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -201,7 +202,8 @@ def test_compare_command_size_fixture(capsys):
     assert payload["n"] == 66
 
 
-def test_evaluate_echo_stub(tmp_path, capsys):
+def _generation_task(tmp_path, truth):
+    """A 30-row reaction task whose every truth is ``truth``."""
     manifests = tmp_path / "manifests"
     data = tmp_path / "data"
     manifests.mkdir()
@@ -223,8 +225,13 @@ def test_evaluate_echo_stub(tmp_path, capsys):
     (manifests / "gen.manifest").write_text(manifest_text)
     lines = ["Product\tY"]
     for i in range(30):
-        lines.append(f"C{'C' * (i % 5)}O\tCC.O")
+        lines.append(f"C{'C' * (i % 5)}O\t{truth}")
     (data / "gen.tsv").write_text("\n".join(lines) + "\n")
+    return manifests, data
+
+
+def test_evaluate_echo_stub(tmp_path, capsys):
+    manifests, data = _generation_task(tmp_path, "CC.O")
     out = tmp_path / "out"
     code = main([
         "evaluate", "--manifests", str(manifests), "--data", str(data),
@@ -234,6 +241,81 @@ def test_evaluate_echo_stub(tmp_path, capsys):
     payload = json.loads((out / "gen.result.json").read_text())
     assert payload["value"] == 1.0
     assert (out / "gen.rows.csv").exists()
+
+
+def test_evaluate_rejects_an_unparseable_generation_truth_before_any_call(tmp_path, capsys):
+    manifests, data = _generation_task(tmp_path, "C1CC.O")
+    out = tmp_path / "out"
+    code = main([
+        "evaluate", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(out), "--stub", "echo",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: gen: record \S+: ground-truth SMILES does not parse: 'C1CC\.O'", err[0])
+    assert not out.exists() or not any(out.iterdir())
+
+
+def _regression_task_without_range(tmp_path):
+    manifests = tmp_path / "manifests"
+    data = tmp_path / "data"
+    manifests.mkdir()
+    data.mkdir()
+    (manifests / "perm.manifest").write_text(
+        "task_id: perm\n"
+        "task_kind: regression\n"
+        "metric: pearson\n"
+        "split_method: random\n"
+        "label_column: Y\n"
+        "roles: drug\n"
+        "role.drug.kind: smiles\n"
+        "role.drug.column: Drug\n"
+        "role.drug.label: Drug SMILES\n"
+        "instruction: Answer the following question about drug properties.\n"
+        "context: Permeability.\n"
+        "question: Given a drug SMILES string, predict the permeability from 000 to 1000.\n"
+    )
+    labels = [round(-7.5 + 0.173 * ((i * 17) % 40), 3) for i in range(40)]
+    lines = ["Drug\tY"] + [f"{'C' * (i % 7 + 1)}O\t{y}" for i, y in enumerate(labels)]
+    (data / "perm.tsv").write_text("\n".join(lines) + "\n")
+    return manifests, data, labels
+
+
+def test_build_fit_ranges_fits_the_train_split_range(tmp_path):
+    from txf.corpus import read_manifest
+    from txf.promptgen import BinningSpec, bin_label
+
+    manifests, data, labels = _regression_task_without_range(tmp_path)
+    out = tmp_path / "out"
+    code = main([
+        "build", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(out), "--fit-ranges",
+    ])
+    assert code == 0
+    splits = dict(
+        line.split("\t") for line in (out / "perm.splits.tsv").read_text().splitlines()
+    )
+    train = [labels[int(rid)] for rid, split in splits.items() if split == "train"]
+    assert 0 < len(train) < len(labels)
+    fitted = read_manifest(out / "perm.manifest")
+    assert fitted.label_range == (min(train), max(train))
+    assert fitted.label_range != (min(labels), max(labels))  # valid/test labels left out
+    spec = BinningSpec(min(train), max(train))
+    for split in ("train", "valid", "test"):
+        for line in (out / f"perm.{split}.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            assert record["target"] == bin_label(labels[int(record["record_id"])], spec)[1]
+
+
+def test_build_without_fit_ranges_needs_a_label_range(tmp_path, capsys):
+    manifests, data, _ = _regression_task_without_range(tmp_path)
+    code = main([
+        "build", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: perm: regression manifest needs a label range\n"
 
 
 def test_evaluate_requires_model(tmp_path):

@@ -504,6 +504,31 @@ def test_failed_record_scores_as_the_empty_completion(manifest, query):
     assert replace(failed, failed=False) == empty
 
 
+class _CountingClient:
+    def __init__(self):
+        self.calls = 0
+
+    def generate(self, prompt):
+        self.calls += 1
+        return GenerationResponse("CCO")
+
+
+def test_unparseable_generation_truth_fails_before_any_model_call():
+    manifest = golden_tasks.USPTO_MANIFEST
+    good = replace(golden_tasks.USPTO_QUERY, record_id="good")
+    bad = replace(golden_tasks.USPTO_QUERY, record_id="bad", label="C1CC")
+    prompts = [render_prompt(r, manifest) for r in (good, bad, bad)]
+    client = _CountingClient()
+    with pytest.raises(
+        ValueError, match=r"^uspto: record bad: ground-truth SMILES does not parse: 'C1CC'$"
+    ):
+        evaluate_task(manifest, prompts, client, concurrency=2)
+    assert client.calls == 0
+    # Parseable truths still reach the model, once per prompt.
+    evaluate_task(manifest, prompts[:1], client)
+    assert client.calls == 1
+
+
 # --- HTTP contract -----------------------------------------------------
 
 
