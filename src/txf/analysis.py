@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
+import re
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -27,7 +27,6 @@ __all__ = [
     "median_relative_difference_by_feature_type",
     "wilcoxon_signed_rank",
     "compare_pairs",
-    "AhoCorasick",
     "ContaminationReport",
     "contamination_scan",
     "filtered_eval",
@@ -288,67 +287,9 @@ def compare_pairs(pairs: Sequence[PairRow]) -> ComparisonResult:
 # Contamination scan
 # ---------------------------------------------------------------------------
 
-
-class AhoCorasick:
-    """Multi-pattern substring automaton; state survives across text chunks."""
-
-    def __init__(self):
-        self._next: list[dict[str, int]] = [{}]
-        self._fail: list[int] = [0]
-        self._output: list[set[int]] = [set()]
-        self._state = 0
-        self._built = False
-
-    def add(self, pattern: str, pattern_id: int) -> None:
-        if self._built:
-            raise RuntimeError("automaton already built")
-        if not pattern:
-            return
-        state = 0
-        for ch in pattern:
-            nxt = self._next[state].get(ch)
-            if nxt is None:
-                nxt = len(self._next)
-                self._next[state][ch] = nxt
-                self._next.append({})
-                self._fail.append(0)
-                self._output.append(set())
-            state = nxt
-        self._output[state].add(pattern_id)
-
-    def build(self) -> None:
-        queue = deque()
-        for state in self._next[0].values():
-            self._fail[state] = 0
-            queue.append(state)
-        while queue:
-            r = queue.popleft()
-            for ch, s in self._next[r].items():
-                queue.append(s)
-                state = self._fail[r]
-                while state and ch not in self._next[state]:
-                    state = self._fail[state]
-                self._fail[s] = self._next[state].get(ch, 0)
-                if self._fail[s] == s:
-                    self._fail[s] = 0
-                self._output[s] |= self._output[self._fail[s]]
-        self._built = True
-
-    def feed(self, chunk: str) -> set[int]:
-        """Advance through a chunk; returns ids of patterns that matched."""
-        if not self._built:
-            raise RuntimeError("call build() first")
-        found: set[int] = set()
-        state = self._state
-        nxt, fail, output = self._next, self._fail, self._output
-        for ch in chunk:
-            while state and ch not in nxt[state]:
-                state = fail[state]
-            state = nxt[state].get(ch, 0)
-            if output[state]:
-                found |= output[state]
-        self._state = state
-        return found
+# The scan's regex spells only each pattern's first _DEPTH characters:
+# re.compile recurses once per nested group and fails at about 500 of them.
+_DEPTH = 32
 
 
 @dataclass
@@ -357,6 +298,30 @@ class ContaminationReport:
     n_records: int
     n_flagged: int
     percent_overlap: float
+
+
+def _longest_key_regex(keys: Iterable[str]) -> re.Pattern:
+    """A regex matching the longest key that starts at a position: a
+    character trie with a group at each branch and an optional group where
+    a key ends. Every branch opens with a literal, so search skips, in C,
+    the characters that begin no key."""
+    trie: dict = {}
+    for key in keys:
+        node = trie
+        for ch in key:
+            node = node.setdefault(ch, {})
+        node[""] = {}
+
+    def spell(node: dict) -> str:
+        branches = [re.escape(ch) + spell(child) for ch, child in node.items() if ch]
+        if not branches:
+            return ""
+        body = "|".join(branches)
+        if "" in node:
+            return f"(?:{body})?"
+        return body if len(branches) == 1 else f"(?:{body})"
+
+    return re.compile(spell(trie))
 
 
 def contamination_scan(
@@ -368,35 +333,67 @@ def contamination_scan(
 
     Each feature contributes its first max_chars characters as a search
     pattern; a record is flagged when any of its patterns appears as a
-    contiguous substring anywhere in the corpus. All patterns are compiled
-    into one automaton so the corpus is streamed in a single pass. A
-    max_chars below 1 raises ValueError: a negative cap would cut the end off
-    each feature, and a zero cap would flag nothing.
+    contiguous substring anywhere in the corpus. A max_chars below 1 raises
+    ValueError: a negative cap would cut the end off each feature, and a
+    zero cap would flag nothing.
+
+    The corpus is streamed in one pass that stops once every pattern is
+    found. A regex over the patterns' first _DEPTH characters finds the
+    longest such key at each position; the key flags every pattern it
+    begins with, and a longer pattern is compared with the text there. Each
+    chunk is scanned behind the previous text's last characters, so a
+    pattern that spans chunks is found.
     """
     if max_chars < 1:
         raise ValueError(f"max_chars must be at least 1, not {max_chars}")
-    automaton = AhoCorasick()
-    pattern_records: list[list[str]] = []
-    pattern_ids: dict[str, int] = {}
+    records: dict[str, list[str]] = {}
     for record_id, values in features:
         for value in values:
             target = value[:max_chars]
-            if not target:
-                continue
-            pid = pattern_ids.get(target)
-            if pid is None:
-                pid = len(pattern_records)
-                pattern_ids[target] = pid
-                pattern_records.append([])
-                automaton.add(target, pid)
-            pattern_records[pid].append(record_id)
-    automaton.build()
+            if target:
+                records.setdefault(target, []).append(record_id)
+    # Per key, the patterns it begins with, and the longer patterns that
+    # begin with it and are not found yet.
+    short = {
+        key: [key[:k] for k in range(1, len(key) + 1) if key[:k] in records]
+        for key in {p[:_DEPTH] for p in records}
+    }
+    long: dict[str, list[str]] = {}
+    for pattern in records:
+        if len(pattern) > _DEPTH:
+            long.setdefault(pattern[:_DEPTH], []).append(pattern)
+    longest = max(map(len, records), default=0)
+    search = _longest_key_regex(short).search
 
-    flagged: set[str] = set()
+    found: set[str] = set()
+    carry = ""
     for chunk in corpus_chunks:
-        for pid in automaton.feed(chunk):
-            flagged.update(pattern_records[pid])
+        if len(found) == len(records):
+            break
+        text = carry + chunk
+        checked: set[str] = set()  # at most the chunk's length in characters
+        room = len(chunk)
+        pos = 0
+        while len(found) < len(records) and (match := search(text, pos)):
+            key = match[0]
+            start = match.start()
+            # Matches may overlap: the next search starts one character on.
+            pos = start + 1
+            found.update(short.pop(key, ()))
+            pending = long.get(key)
+            if not pending:
+                continue
+            window = text[start : start + longest]
+            if window in checked:
+                continue
+            if room > 0:
+                checked.add(window)
+                room -= len(window)
+            found.update(p for p in pending if window.startswith(p))
+            long[key] = [p for p in pending if p not in found]
+        carry = text[max(0, len(text) - longest + 1) :]
 
+    flagged = {record_id for pattern in found for record_id in records[pattern]}
     flags = {record_id: record_id in flagged for record_id, _ in features}
     n = len(flags)
     n_flagged = sum(flags.values())

@@ -171,12 +171,9 @@ def implied_hydrogens(symbol: str, aromatic: bool, bond_orders) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _digits(text: str, pos: int) -> tuple[int | None, int]:
-    """The integer written at ``text[pos:]`` (None without a digit) and the position after it."""
-    end = pos
-    while end < len(text) and text[end].isdigit():
-        end += 1
-    return (int(text[pos:end]) if end > pos else None), end
+# The longest number a bracket atom may write: int() refuses strings past a
+# few thousand digits, and no isotope, count, charge or map needs 19.
+_MAX_DIGITS = 18
 
 
 class _Parser:
@@ -195,6 +192,23 @@ class _Parser:
 
     def error(self, message: str, offset: int | None = None):
         raise SmilesParseError(message, self.pos if offset is None else offset)
+
+    def _digits(self, body: str, pos: int) -> tuple[int | None, int]:
+        """The integer written at ``body[pos:]`` of the bracket atom being read
+        (None without a digit) and the position after it.
+
+        Only ASCII 0-9 are digits: str.isdigit also accepts "²", which int()
+        rejects, and "٣", which SMILES does not spell. Either is an error at
+        its offset, as it is outside brackets.
+        """
+        end = pos
+        while end < len(body) and "0" <= body[end] <= "9":
+            end += 1
+        if body[end : end + 1].isdigit():
+            self.error(f"unexpected character {body[end]!r}", self.pos + 1 + end)
+        if end - pos > _MAX_DIGITS:
+            self.error("number too long", self.pos + 1 + pos)
+        return (int(body[pos:end]) if end > pos else None), end
 
     def parse(self) -> Molecule:
         text = self.text
@@ -228,7 +242,7 @@ class _Parser:
                     self.error("'.' inside a branch")
                 self.prev = None
                 self.pos += 1
-            elif ch.isdigit() or ch == "%":
+            elif "0" <= ch <= "9" or ch == "%":
                 self._ring_closure()
             elif ch == "[":
                 self._bracket_atom()
@@ -290,9 +304,10 @@ class _Parser:
         text = self.text
         start = self.pos
         if text[start] == "%":
-            if start + 2 >= len(text) or not text[start + 1 : start + 3].isdigit():
+            pair = text[start + 1 : start + 3]
+            if not (len(pair) == 2 and pair.isascii() and pair.isdigit()):
                 self.error("'%' needs two digits")
-            num = int(text[start + 1 : start + 3])
+            num = int(pair)
             self.pos += 3
         else:
             num = int(text[start])
@@ -343,7 +358,7 @@ class _Parser:
         if end == -1:
             self.error("unclosed '['", start)
         body = text[start + 1 : end]
-        isotope, pos = _digits(body, 0)
+        isotope, pos = self._digits(body, 0)
 
         aromatic = False
         symbol = None
@@ -378,7 +393,7 @@ class _Parser:
 
         hcount = 0
         if body.startswith("H", pos):
-            count, pos = _digits(body, pos + 1)
+            count, pos = self._digits(body, pos + 1)
             hcount = 1 if count is None else count
 
         charge = 0
@@ -390,14 +405,14 @@ class _Parser:
                     self.error("mixed charge signs", start + 1 + pos)
                 pos += 1
             run = pos - run_start
-            magnitude, pos = _digits(body, pos)
+            magnitude, pos = self._digits(body, pos)
             if magnitude is not None and run > 1:
                 self.error("malformed charge", start + 1 + pos)
             charge = (1 if sign == "+" else -1) * (run if magnitude is None else magnitude)
 
         map_num = None
         if body.startswith(":", pos):
-            map_num, pos = _digits(body, pos + 1)
+            map_num, pos = self._digits(body, pos + 1)
             if map_num is None:
                 self.error("atom map ':' needs digits", start + 1 + pos)
 
@@ -473,16 +488,61 @@ def _dense_ranks(keys: dict[int, object]) -> dict[int, int]:
 
 
 def _refine(adj, ranks: dict[int, int]) -> dict[int, int]:
-    classes = len(set(ranks.values()))
-    while True:
-        new_ranks = _dense_ranks({
-            a: (r, tuple(sorted((b.order, ranks[v]) for v, b in adj[a])))
-            for a, r in ranks.items()
-        })
-        new_classes = len(set(new_ranks.values()))
-        if new_classes == classes:
-            return new_ranks
-        ranks, classes = new_ranks, new_classes
+    """Refine dense ranks until no class splits, and return them dense.
+
+    Each round splits every class at once by its atoms' sorted (bond order,
+    neighbour rank) pairs, and orders the parts by those keys within the
+    class's place. Ranks only need to keep their order for that, so an atom
+    is labelled with the number of atoms ranked below its class: a part
+    that starts where its class started keeps its label. After the first
+    round, an atom whose neighbours kept their labels has the key its whole
+    class shared a round ago, so a round re-keys only the neighbours of
+    atoms relabelled in the one before, and one other atom per class.
+    """
+    label: dict[int, int] = {}
+    starts: dict[int, int] = {}
+    for i, a in enumerate(sorted(ranks, key=ranks.__getitem__)):
+        label[a] = starts.setdefault(ranks[a], i)
+    cells: dict[int, set[int]] = {}
+    for a, start in label.items():
+        cells.setdefault(start, set()).add(a)
+
+    def key(a: int) -> tuple:
+        return tuple(sorted((b.order, label[v]) for v, b in adj[a]))
+
+    touched = set(ranks)
+    while touched:
+        by_cell: dict[int, list[int]] = {}
+        for a in touched:
+            by_cell.setdefault(label[a], []).append(a)
+        # Every part is found before any label moves: a round keys on the
+        # labels the round began with.
+        splits = []
+        for start, moved in by_cell.items():
+            members = cells[start]
+            if len(members) == 1:
+                continue
+            parts: dict[tuple, set[int]] = {}
+            for a in moved:
+                parts.setdefault(key(a), set()).add(a)
+            rest = members.difference(moved)
+            if rest:
+                parts.setdefault(key(next(iter(rest))), set()).update(rest)
+            if len(parts) > 1:
+                splits.append((start, parts))
+        relabelled: list[int] = []
+        for start, parts in splits:
+            at = start
+            for k in sorted(parts):
+                cell = cells[at] = parts[k]
+                if at != start:
+                    for a in cell:
+                        label[a] = at
+                    relabelled.extend(cell)
+                at += len(cell)
+        touched = {v for a in relabelled for v, _ in adj[a]}
+    index = {start: i for i, start in enumerate(sorted(cells))}
+    return {a: index[label[a]] for a in ranks}
 
 
 def _rank_component(mol: Molecule, adj, comp: list[int]) -> dict[int, int]:
@@ -654,8 +714,18 @@ def _emit(
 
     out = []
     flips: dict[int, bool] = {}  # cluster -> tokens written flipped
-
-    def emit_atom(u: int):
+    # Writing order, as a stack of literal tokens and of (atom, bond from its
+    # parent). A bond's token is made when it is written, since the first
+    # token written of each cluster orients the cluster.
+    stack: list = [(root, None)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        u, bond = item
+        if bond is not None:
+            out.append(_bond_token(bond, parent[u], atoms, clusters, flips))
         atom = atoms[u]
         chirality = atom.chirality
         if chirality and atom.bracket:
@@ -673,19 +743,12 @@ def _emit(
             if opens:
                 out.append(_bond_token(bond, u, atoms, clusters, flips))
             out.append(str(digit) if digit < 10 else f"%{digit:02d}")
-        last = len(children[u]) - 1
-        for i, (v, bond) in enumerate(children[u]):
-            token = _bond_token(bond, u, atoms, clusters, flips)
-            if i < last:
-                out.append("(")
-                out.append(token)
-                emit_atom(v)
-                out.append(")")
-            else:
-                out.append(token)
-                emit_atom(v)
-
-    emit_atom(root)
+        # Every child but the last is a parenthesised branch.
+        branches = children[u]
+        if branches:
+            stack.append(branches[-1])
+            for branch in reversed(branches[:-1]):
+                stack += (")", branch, "(")
     return "".join(out)
 
 

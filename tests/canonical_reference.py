@@ -1,4 +1,5 @@
-"""Exhaustive cis/trans orientation reference for canonical SMILES.
+"""References for canonical SMILES: exhaustive cis/trans orientation, and
+rank refinement round by round.
 
 ``write_canonical`` orients each direction-token cluster as it writes it:
 the cluster's first written token is "/". That is meant to be the least of
@@ -15,7 +16,12 @@ written is thus the least respelling as stored.
 
 from dataclasses import replace
 
-from txf.chem.smiles import _canonical_search, _direction_clusters, _rank_component
+from txf.chem.smiles import (
+    _canonical_search,
+    _dense_ranks,
+    _direction_clusters,
+    _rank_component,
+)
 
 _FLIP = {"/": "\\", "\\": "/"}
 
@@ -49,3 +55,19 @@ def exhaustive_canonical(mol) -> str:
 
 def cluster_count(mol) -> int:
     return sum(len(set(_direction_clusters(mol, comp).values())) for comp in mol.components())
+
+
+def round_refine(adj, ranks):
+    """Refinement as ``_refine`` once wrote it: every round re-keys every atom
+    by its rank and its sorted (bond order, neighbour rank) pairs, and the
+    rounds stop when the number of classes stops growing."""
+    classes = len(set(ranks.values()))
+    while True:
+        new_ranks = _dense_ranks({
+            a: (r, tuple(sorted((b.order, ranks[v]) for v, b in adj[a])))
+            for a, r in ranks.items()
+        })
+        new_classes = len(set(new_ranks.values()))
+        if new_classes == classes:
+            return new_ranks
+        ranks, classes = new_ranks, new_classes

@@ -1,11 +1,11 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from conftest import FIXTURES
 from txf.analysis import (
-    AhoCorasick,
     ScoreRow,
     compare_pairs,
     contamination_scan,
@@ -270,27 +270,79 @@ def test_contamination_empty_corpus():
     assert report.percent_overlap == 0.0
 
 
+def _chunked(text, rng):
+    """text cut at random points, with empty and one-character chunks."""
+    cuts = sorted(rng.randint(0, len(text)) for _ in range(rng.randint(0, 12)))
+    return [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+
+
 def test_contamination_matches_naive_oracle():
+    # Pattern lengths on both sides of the scan's 32-character regex keys,
+    # regex metacharacters, non-ASCII text, prefix chains, random caps and
+    # random chunk splits.
     rng = random.Random(101)
-    alphabet = "AB"
-    for _ in range(40):
-        corpus = "".join(rng.choice(alphabet) for _ in range(2000))
-        features = []
-        for r in range(25):
-            pattern = "".join(rng.choice(alphabet) for _ in range(rng.randint(2, 8)))
-            features.append((f"r{r}", [pattern]))
-        chunks = [corpus[i : i + 97] for i in range(0, len(corpus), 97)]
-        report = contamination_scan(features, chunks)
-        for record_id, patterns in features:
-            assert report.flags[record_id] == (patterns[0] in corpus), patterns
+    for alphabet in ("AB", "AB[](){}.*+?|^$\\", "Aé☃𝔸\n"):
+        for _ in range(20):
+            corpus = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3000)))
+            max_chars = rng.randint(1, 90)
+            features = []
+            for r in range(25):
+                n = rng.randint(1, 80)
+                if corpus and rng.random() < 0.6:
+                    # Taken from the corpus, sometimes with one character changed.
+                    start = rng.randrange(len(corpus))
+                    pattern = corpus[start : start + n]
+                    if rng.random() < 0.3:
+                        k = rng.randrange(len(pattern))
+                        pattern = pattern[:k] + rng.choice(alphabet) + pattern[k + 1 :]
+                else:
+                    pattern = "".join(rng.choice(alphabet) for _ in range(n))
+                if rng.random() < 0.2:
+                    # A chain of prefixes, in one record or spread over several.
+                    chain = [pattern[:k] for k in range(1, len(pattern) + 1, rng.randint(1, 9))]
+                    features.append((f"r{r}", chain))
+                    features.extend((f"r{r}.{k}", [p]) for k, p in enumerate(chain))
+                else:
+                    features.append((f"r{r}", [pattern]))
+            report = contamination_scan(features, _chunked(corpus, rng), max_chars=max_chars)
+            for record_id, patterns in features:
+                expected = any(p[:max_chars] in corpus for p in patterns)
+                assert report.flags[record_id] == expected, (record_id, patterns, max_chars)
 
 
-def test_aho_corasick_overlapping_patterns():
-    ac = AhoCorasick()
-    for i, p in enumerate(["he", "she", "his", "hers"]):
-        ac.add(p, i)
-    ac.build()
-    assert ac.feed("ushers") == {0, 1, 3}
+def test_contamination_overlapping_patterns():
+    features = [(p, [p]) for p in ["he", "she", "his", "hers"]]
+    report = contamination_scan(features, ["ushers"])
+    assert report.flags == {"he": True, "she": True, "his": False, "hers": True}
+
+
+_SEQUENCE = "".join(random.Random(5).choice("ACDEFGHIKLMNPQRSTVWY") for _ in range(512))
+_MUTANTS = [
+    _SEQUENCE[:i] + ("Y" if _SEQUENCE[i] == "W" else "W") + _SEQUENCE[i + 1 :]
+    for i in range(512)
+]
+
+
+@pytest.mark.parametrize(
+    ("patterns", "corpus", "flagged"),
+    [
+        # A run of one character that matches a long pattern's first 32.
+        (["A" * 511 + "B"], "A" * 200_000, 0),
+        (["A" * k + "B" for k in range(511)], "A" * 200_000, 0),
+        # A 512-deep chain of prefixes.
+        (["A" * k for k in range(1, 513)], "A" * 200_000, 512),
+        # Point mutants that share most of their 32-character keys.
+        ([_SEQUENCE, *_MUTANTS], _SEQUENCE * 1000, 1),
+    ],
+    ids=["run-vs-long", "run-vs-511", "prefix-chain", "point-mutants"],
+)
+def test_contamination_adversarial_inputs_finish(patterns, corpus, flagged):
+    features = [(f"r{i}", [p]) for i, p in enumerate(patterns)]
+    started = time.perf_counter()
+    chunks = [corpus[i : i + 65536] for i in range(0, len(corpus), 65536)]
+    report = contamination_scan(features, chunks)
+    assert time.perf_counter() - started < 2.0
+    assert report.n_flagged == flagged
 
 
 def test_contamination_fixture_consistency():

@@ -112,13 +112,30 @@ def test_parse_regression_agrees_with_int_below_its_limit(completion):
     assert parse_regression_answer(completion, spec) == _parse_regression_by_int(completion, spec)
 
 
+# Completions from the classes that once raised in reactant scoring:
+# non-ASCII digits and letters amid SMILES tokens, chains and branched
+# chains of 2,000 to 5,000 atoms, and unbalanced brackets. Symmetric
+# molecules, which still stall the canonical search, are not drawn.
+_HARD_COMPLETIONS = st.one_of(
+    st.lists(
+        st.sampled_from(["C", "c1ccccc1", "1", "%1", "[", "]", "[13CH3]", "[NH4+]", "(", ")"])
+        | st.characters(categories=["Nd", "No", "L"]),
+        max_size=20,
+    ).map("".join),
+    st.integers(2000, 5000).map(lambda n: "C" * n),
+    st.integers(1000, 2500).map(lambda n: "C(" * n + "C" + ")C" * n),
+    st.lists(st.sampled_from(["C", "O", "(", ")", "[", "]", "[C", "N]", "(("]), max_size=30).map("".join),
+)
+
+
 @settings(deadline=None)
 @given(
     task=st.sampled_from([
         (golden_tasks.BBB_MANIFEST, golden_tasks.BBB_QUERY),
         (golden_tasks.CACO2_MANIFEST, golden_tasks.CACO2_QUERY),
+        (golden_tasks.USPTO_MANIFEST, golden_tasks.USPTO_QUERY),
     ]),
-    completion=st.text(),
+    completion=st.text() | _HARD_COMPLETIONS,
     scores=st.none() | st.dictionaries(st.sampled_from(["(A)", "(B)"]) | st.text(max_size=4), st.floats()),
 )
 def test_row_for_prompt_never_raises(task, completion, scores):

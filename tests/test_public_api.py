@@ -32,7 +32,7 @@ REMOVED = {
         "GenerationResponse.logprob",
         "make_stub_client",
     ],
-    "analysis": ["AhoCorasick.reset"],
+    "analysis": ["AhoCorasick.reset", "AhoCorasick"],
 }
 
 

@@ -45,6 +45,23 @@ def test_invalid_prediction_scores_zero_and_flags():
     assert valid is False
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["C²", "C¹", "٣C", "C٣", "[²CH4]", "[CH²]", "C%1²", "[" + "1" * 5000 + "C]"],
+    ids=["C²", "C¹", "٣C", "C٣", "[²CH4]", "[CH²]", "C%1²", "5000-digit-isotope"],
+)
+def test_non_ascii_digits_and_huge_numbers_are_invalid_predictions(text):
+    # str.isdigit accepts "²", which int() rejects, and int() refuses
+    # strings past a few thousand digits; both are parse errors.
+    assert score_reactant_prediction(text, "CC") == (0, False)
+
+
+def test_a_5000_atom_chain_scores():
+    chain = "C" * 5000
+    assert score_reactant_prediction(chain, "CC") == (0, True)
+    assert score_reactant_prediction(chain, chain) == (1, True)
+
+
 def test_invalid_truth_raises():
     with pytest.raises(ValueError):
         score_reactant_prediction("CCO", "C((")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from canonical_reference import cluster_count, exhaustive_canonical
+from canonical_reference import cluster_count, exhaustive_canonical, round_refine
 from conftest import FIXTURES, MOLECULE_CORPUS, permute_molecule
 from txf.chem import (
     SmilesParseError,
@@ -16,7 +16,7 @@ from txf.chem import (
     strip_atom_maps,
     write_canonical,
 )
-from txf.chem.smiles import _direction_clusters
+from txf.chem.smiles import _dense_ranks, _direction_clusters, _initial_invariant, _refine
 
 SMILES_ALPHABET = "CNOSPFIBrlcnosp()[]=#$:/\\.%@+-*H0123456789"
 # Runs of these tokens parse about one time in five, so the pins see molecules.
@@ -333,3 +333,41 @@ def test_write_canonical_is_the_least_of_all_cluster_respellings(text):
         return
     assume(1 <= cluster_count(mol) <= 7)
     assert write_canonical(mol) == exhaustive_canonical(mol)
+
+
+def _refine_starts(mol, adj, comp, chosen, colours):
+    """Ranks _refine starts from: the atoms' invariants, the refined ranks
+    with one atom set apart as the canonical search does, and a colouring."""
+    initial = _dense_ranks({a: _initial_invariant(mol.atoms[a], len(adj[a])) for a in comp})
+    ranks = _refine(adj, initial)
+    promoted = _dense_ranks({a: 2 * r - (a == chosen) for a, r in ranks.items()})
+    return [initial, promoted, _dense_ranks(dict(zip(comp, colours)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(smiles_token_runs | st.sampled_from(MOLECULE_CORPUS), st.data())
+def test_refine_matches_the_round_by_round_reference(text, data):
+    try:
+        mol = parse_smiles(text)
+    except SmilesParseError:
+        return
+    adj = mol.neighbors()
+    for comp in mol.components():
+        chosen = data.draw(st.sampled_from(comp))
+        colours = data.draw(st.lists(st.integers(0, 2), min_size=len(comp), max_size=len(comp)))
+        for start in _refine_starts(mol, adj, comp, chosen, colours):
+            assert _refine(adj, start) == round_refine(adj, start)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["C" * 60, "C1" + "C" * 40 + "C1", "C(" * 30 + "C" + ")C" * 30, "CC(C)" * 20, "c1ccccc1" * 6],
+    ids=["chain", "ring", "nested-branches", "methyl-comb", "hexaphenyl"],
+)
+def test_refine_matches_the_round_by_round_reference_on_long_chains(text):
+    mol = parse_smiles(text)
+    adj = mol.neighbors()
+    (comp,) = mol.components()
+    for chosen in comp:
+        for start in _refine_starts(mol, adj, comp, chosen, [a % 3 for a in comp]):
+            assert _refine(adj, start) == round_refine(adj, start)
