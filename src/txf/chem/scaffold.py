@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .smiles import Molecule, implied_hydrogens, write_canonical
+from .smiles import Molecule, _refill_hydrogens, write_canonical
 
 __all__ = ["murcko_scaffold", "scaffold_key"]
 
@@ -43,18 +43,7 @@ def murcko_scaffold(mol: Molecule) -> Molecule | None:
         for b in mol.bonds
         if b.a in alive and b.b in alive
     )
-    orders: list[list[int]] = [[] for _ in keep]
-    for b in bonds:
-        orders[b.a].append(b.order)
-        orders[b.b].append(b.order)
-    atoms = []
-    for new, old in enumerate(keep):
-        atom = mol.atoms[old]
-        if not atom.bracket:
-            atom = replace(
-                atom, hcount=implied_hydrogens(atom.symbol, atom.aromatic, orders[new])
-            )
-        atoms.append(atom)
+    atoms = _refill_hydrogens([mol.atoms[old] for old in keep], bonds)
     order = tuple(
         tuple(
             remap[x] if isinstance(x, int) else x
@@ -63,7 +52,7 @@ def murcko_scaffold(mol: Molecule) -> Molecule | None:
         )
         for old in keep
     )
-    return Molecule(atoms=tuple(atoms), bonds=bonds, written_order=order)
+    return Molecule(atoms=atoms, bonds=bonds, written_order=order)
 
 
 def scaffold_key(mol: Molecule) -> str:

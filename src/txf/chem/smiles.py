@@ -84,9 +84,6 @@ class Bond:
     order: int = SINGLE
     direction: str | None = None  # "/" or "\\", oriented from a to b
 
-    def other(self, idx: int) -> int:
-        return self.b if idx == self.a else self.a
-
 
 @dataclass(frozen=True)
 class Molecule:
@@ -164,6 +161,21 @@ def implied_hydrogens(symbol: str, aromatic: bool, bond_orders) -> int:
         if valence >= need:
             return valence - need
     return 0
+
+
+def _refill_hydrogens(atoms, bonds) -> tuple[Atom, ...]:
+    """``atoms`` with the H count of each bare atom implied from ``bonds``."""
+    orders: list[list[int]] = [[] for _ in atoms]
+    for bond in bonds:
+        orders[bond.a].append(bond.order)
+        orders[bond.b].append(bond.order)
+    return tuple(
+        atom if atom.bracket
+        else Atom(atom.symbol, atom.aromatic, atom.charge, atom.isotope,
+                  implied_hydrogens(atom.symbol, atom.aromatic, orders[i]),
+                  atom.map_num, atom.chirality)
+        for i, atom in enumerate(atoms)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -423,18 +435,8 @@ class _Parser:
         self._add_atom(Atom(symbol, aromatic, charge, isotope, hcount, map_num, chirality, bracket=True))
 
     def _build(self) -> Molecule:
-        orders: list[list[int]] = [[] for _ in self.atoms]
-        for bond in self.bonds:
-            orders[bond.a].append(bond.order)
-            orders[bond.b].append(bond.order)
-        atoms = tuple(
-            atom if atom.bracket
-            else Atom(atom.symbol, atom.aromatic,
-                      hcount=implied_hydrogens(atom.symbol, atom.aromatic, orders[idx]))
-            for idx, atom in enumerate(self.atoms)
-        )
         return Molecule(
-            atoms=atoms,
+            atoms=_refill_hydrogens(self.atoms, self.bonds),
             bonds=tuple(self.bonds),
             written_order=tuple(tuple(o) for o in self.order),
         )

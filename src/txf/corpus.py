@@ -9,6 +9,7 @@ format documented in docs/manifest_format.md.
 from __future__ import annotations
 
 import csv
+import math
 import random
 import re
 import threading
@@ -127,11 +128,12 @@ class FeatureTable:
 
     One table serves one task for one command: the scaffold split, every
     shot pool's ``NeighborIndex`` and the knn stub read from it, so each
-    distinct SMILES is parsed, scaffold-keyed and fingerprinted once, and
-    each distinct sequence becomes a ``BioSequence`` once. Entries are made
-    on first use. A string that does not convert maps to None, and its
-    scaffold key is "". The knn stub queries from worker threads, so an
-    entry is made under a lock, after a second look.
+    distinct SMILES is parsed, scaffold-keyed and fingerprinted once, each
+    distinct sequence becomes a ``BioSequence`` once, and each distinct
+    sequence pair is scored once per pair function. Entries are made on
+    first use. A string that does not convert maps to None, and its scaffold
+    key is "". The knn stub queries from worker threads, so an entry is made
+    under a lock, after a second look.
     """
 
     def __init__(self):
@@ -139,6 +141,7 @@ class FeatureTable:
         self._scaffolds: dict[str, str] = {}
         self._fingerprints: dict[str, object] = {}
         self._sequences: dict[tuple[str, str], object] = {}
+        self._pairs: dict[tuple, float] = {}
         # Reentrant: a fingerprint or scaffold key asks for the molecule.
         self._lock = threading.RLock()
 
@@ -166,6 +169,15 @@ class FeatureTable:
     def sequence(self, text: str, kind: str):
         """``bioseq.BioSequence(text, kind)``, or None if it is invalid."""
         return self._entry(self._sequences, (text, kind), _sequence)
+
+    def pair_score(self, score, a, b) -> float:
+        """``score(a, b)`` of two ``BioSequence``s, kept by (score, a's
+        residues, b's residues). Equal residues give 100.0 without a call,
+        which is exact for ``bioseq.percent_identity`` and
+        ``bioseq.identity_bound``."""
+        if a.residues == b.residues:
+            return 100.0
+        return self._entry(self._pairs, (score, a.residues, b.residues), lambda _: score(a, b))
 
     def _scaffold_of(self, text: str) -> str:
         from .chem import scaffold_key
@@ -364,7 +376,9 @@ def validate_manifest(manifest: TaskManifest) -> list[str]:
             problems.append("regression manifest needs a label range")
         else:
             lo, hi = manifest.label_range
-            if not (lo < hi):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                problems.append("label range must be finite")
+            elif not (lo < hi):
                 problems.append("label range must satisfy min < max")
     if manifest.split_method == "scaffold" and not any(
         r.kind == "smiles" for r in manifest.roles
@@ -404,6 +418,13 @@ def _table_reader(fh, path):
     return csv.reader(fh, delimiter=delimiter)
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"label is not finite: {raw!r}")
+    return value
+
+
 def _parse_label(raw: str, kind: str):
     if kind == "binary":
         lowered = raw.strip().lower()
@@ -411,9 +432,9 @@ def _parse_label(raw: str, kind: str):
             return True
         if lowered in ("0", "false", "no", "0.0"):
             return False
-        return float(raw) != 0.0
+        return _finite(raw) != 0.0
     if kind == "regression":
-        return float(raw)
+        return _finite(raw)
     return raw
 
 

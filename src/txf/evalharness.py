@@ -170,7 +170,7 @@ class HttpModelClient:
                 else:
                     try:
                         text, scores = _wire_response(json.loads(data))
-                    except (ValueError, OverflowError) as exc:
+                    except (ValueError, OverflowError, RecursionError) as exc:
                         raise TransportError(f"{self.url}: bad JSON response: {exc}") from exc
                     return GenerationResponse(
                         text=text, option_scores=scores, latency=time.monotonic() - started,

@@ -8,17 +8,16 @@ bare "Answer:" that the model must complete.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
 import math
 import random
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .atomic import write_atomically
-from .bioseq import BioSequence, identity_bound, percent_identity
 from .corpus import _PLACEHOLDER, DataRecord, FeatureTable, TaskManifest
 
 __all__ = [
@@ -256,21 +255,15 @@ class NeighborIndex:
     ``kind`` is empty, and ``roles`` too, when no role of the manifest
     supports similarity.
 
-    Fingerprints and BioSequences, of pool records and queries alike, come
-    from ``table``, the task's feature table, so each distinct feature
-    string is converted once however many indexes share the table; without
-    one the index builds its own. Pool positions are grouped by their
-    distinct converted features, so a query scores each group once. The
-    search is exact and prunes by an upper bound on each group's similarity,
-    taken through the same role loop as the similarity itself:
-    min(|A|, |B|) / max(|A|, |B|) for fingerprints and
-    ``bioseq.identity_bound`` (longest common subsequence over the longer
-    length) for sequences. Groups are visited by descending bound, and the
-    search stops once k records are held and the next bound is strictly
-    below the k-th best similarity: a group whose bound equals it may still
-    tie and win on a lower pool position. Equal residue strings score 100.0
-    without alignment; other identities and the sequence bounds are memoized
-    by distinct (query residues, pool residues) pair for the index's lifetime.
+    Converted features and sequence-pair scores come from ``table``, the
+    task's feature table, shared by every index of the task; without one the
+    index builds its own. Pool positions are grouped by distinct converted
+    features, so a query scores each group once. The search is exact: it
+    visits groups by descending upper bound on similarity, min(|A|, |B|) /
+    max(|A|, |B|) for fingerprints and ``bioseq.identity_bound`` for
+    sequences, and stops once k records are held and the next bound is
+    strictly below the k-th best similarity (an equal bound may still tie
+    and win on a lower pool position).
     """
 
     def __init__(
@@ -289,15 +282,12 @@ class NeighborIndex:
             roles = roles[:1]
             self._score, self._bound = tanimoto, _tanimoto_bound
         else:
-            self._score, self._bound = self._identity, self._identity_bound
+            from .bioseq import identity_bound, percent_identity
+
+            pair = self._table.pair_score
+            self._score = functools.partial(pair, percent_identity)
+            self._bound = functools.partial(pair, identity_bound)
         self.roles = tuple(r.name for r in roles)
-        # _groups is filled here only. _identities grows during queries,
-        # which the knn stub runs from evaluate_task's worker threads: the
-        # lock makes its check-then-set one step, so no pair is aligned
-        # twice. _bounds needs no lock: a bound computed twice is one value.
-        self._identities: dict[tuple[str, str], float] = {}
-        self._identities_lock = threading.Lock()
-        self._bounds: dict[tuple[str, str], float] = {}
         groups: dict[tuple, list[int]] = {}
         for i, record in enumerate(pool):
             groups.setdefault(self._record_features(record.features), []).append(i)
@@ -308,26 +298,6 @@ class NeighborIndex:
         if self.kind == "smiles":
             return tuple(self._table.fingerprint(features[name]) for name in self.roles)
         return tuple(self._table.sequence(features[name], self.kind) for name in self.roles)
-
-    def _identity(self, a: BioSequence, b: BioSequence) -> float:
-        # The diagonal is strictly best at every cell of _align(a, a).
-        if a.residues == b.residues:
-            return 100.0
-        key = (a.residues, b.residues)
-        # percent_identity is pure Python, which threads never run in
-        # parallel, so holding the lock while it runs costs no parallelism.
-        with self._identities_lock:
-            value = self._identities.get(key)
-            if value is None:
-                value = self._identities[key] = percent_identity(a, b)
-        return value
-
-    def _identity_bound(self, a: BioSequence, b: BioSequence) -> float:
-        key = (a.residues, b.residues)
-        value = self._bounds.get(key)
-        if value is None:
-            value = self._bounds[key] = identity_bound(a, b)
-        return value
 
     @staticmethod
     def _mean(pair, query: tuple, candidate: tuple) -> float:

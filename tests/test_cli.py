@@ -318,6 +318,28 @@ def test_build_without_fit_ranges_needs_a_label_range(tmp_path, capsys):
     assert capsys.readouterr().err == "error: perm: regression manifest needs a label range\n"
 
 
+def test_build_drops_a_row_with_a_non_finite_label(tmp_path):
+    manifests, data, labels = _regression_task_without_range(tmp_path)
+    with open(manifests / "perm.manifest", "a") as fh:
+        fh.write("label_min: -8\nlabel_max: 0\n")
+    with open(data / "perm.tsv", "a") as fh:
+        fh.write("CCN\tnan\n")
+    out = tmp_path / "out"
+    code = main(["build", "--manifests", str(manifests), "--data", str(data), "--out", str(out)])
+    assert code == 0
+    split_ids = [line.split("\t")[0] for line in (out / "perm.splits.tsv").read_text().splitlines()]
+    assert sorted(split_ids, key=int) == [str(i) for i in range(len(labels))]
+
+
+def test_build_rejects_a_non_finite_label_range(tmp_path, capsys):
+    manifests, data, _ = _regression_task_without_range(tmp_path)
+    with open(manifests / "perm.manifest", "a") as fh:
+        fh.write("label_min: -inf\nlabel_max: 0\n")
+    code = main(["build", "--manifests", str(manifests), "--data", str(data), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: perm: label range must be finite\n"
+
+
 def test_evaluate_requires_model(tmp_path):
     manifests, data = _copy_cli_task(tmp_path)
     code = main([

@@ -78,6 +78,16 @@ def test_load_table_csv_delimiter(tmp_path):
     assert len(loaded.records) == 1
 
 
+@pytest.mark.parametrize("kind", ["binary", "regression"])
+def test_load_table_drops_non_finite_numeric_labels(tmp_path, kind):
+    path = tmp_path / "toy.tsv"
+    path.write_text("Drug\tY\nCCO\t1\nCC\tnan\nCCC\tinf\nCCCC\t-Infinity\nCCN\t0\n")
+    manifest = _binary_manifest(task_kind=kind, label_range=(0.0, 1.0))
+    loaded = load_table(path, manifest)
+    assert [r.features["drug"] for r in loaded.records] == ["CCO", "CCN"]
+    assert loaded.dropped == 3
+
+
 @pytest.mark.parametrize("name", ["toy.tsv", "toy.txt"])
 def test_load_table_not_utf8(tmp_path, name):
     path = tmp_path / name
@@ -261,6 +271,13 @@ def test_validate_regression_needs_range():
     manifest = _binary_manifest(task_kind="regression", metric="mae", lower_is_better=True)
     problems = validate_manifest(manifest)
     assert any("label range" in p for p in problems)
+
+
+@pytest.mark.parametrize("label_range", [(float("-inf"), 1.0), (0.0, float("inf")), (float("nan"), 1.0)])
+def test_validate_rejects_a_non_finite_label_range(label_range):
+    manifest = _binary_manifest(task_kind="regression", metric="mae", lower_is_better=True,
+                                label_range=label_range)
+    assert validate_manifest(manifest) == ["label range must be finite"]
 
 
 def test_validate_placeholder_roles():

@@ -408,20 +408,20 @@ def test_knn_stub_shared_index_under_threads():
 
 def test_knn_stub_aligns_each_distinct_pair_once_under_threads(monkeypatch):
     # A slow alignment makes the worker threads overlap, so an unguarded
-    # check-then-set in the index's identity memo would align a pair twice.
+    # check-then-set in the feature table's pair memo would align a pair twice.
     from dataclasses import replace
 
-    import txf.promptgen as promptgen
+    import txf.bioseq as bioseq
 
     calls = []
-    original = promptgen.percent_identity
+    original = bioseq.percent_identity
 
     def slow_counting(a, b):
         calls.append((a.residues, b.residues))
         time.sleep(0.001)
         return original(a, b)
 
-    monkeypatch.setattr(promptgen, "percent_identity", slow_counting)
+    monkeypatch.setattr(bioseq, "percent_identity", slow_counting)
     drug, target = golden_tasks.BINDINGDB_KD_MANIFEST.roles
     manifest = replace(golden_tasks.BINDINGDB_KD_MANIFEST, roles=(target, drug))
     # Each query target differs from both pool targets in its last residue
@@ -617,6 +617,8 @@ def test_http_client_retries_5xx(http_server):
     '{"text": "(B)", "option_scores": {"(B)": 1e999}}',
     # An integer too large for a float.
     '{"text": "(B)", "option_scores": {"(B)": 1' + "0" * 400 + '}}',
+    # Nested deeper than json.loads recurses.
+    pytest.param('{"text": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested-100000-deep"),
 ])
 def test_http_client_rejects_payload_off_the_wire_contract(http_server, reply):
     with HttpModelClient(http_server, backoff=0.01) as client:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 import golden_tasks
 import render_reference
 import sampling_reference
+import txf
 from knn_reference import naive_nearest
 from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest, assign_splits
 from txf.promptgen import (
@@ -467,17 +472,22 @@ def test_neighbor_index_fingerprints_each_distinct_smiles_once(monkeypatch):
     assert calls["fp"] <= len(distinct) + 1
 
 
-def test_neighbor_index_aligns_each_distinct_pair_once(monkeypatch):
-    import txf.promptgen as promptgen
+def _count_alignments(monkeypatch) -> Counter:
+    import txf.bioseq as bioseq
 
     pairs = Counter()
-    original = promptgen.percent_identity
+    original = bioseq.percent_identity
 
     def counting(a, b):
         pairs[a.residues, b.residues] += 1
         return original(a, b)
 
-    monkeypatch.setattr(promptgen, "percent_identity", counting)
+    monkeypatch.setattr(bioseq, "percent_identity", counting)
+    return pairs
+
+
+def test_neighbor_index_aligns_each_distinct_pair_once(monkeypatch):
+    pairs = _count_alignments(monkeypatch)
     manifest = golden_tasks.MHC1_MANIFEST
     peptides = ["QLADETLLKV", "GLADETLLKA", "QLADETLLKV", "GGGGGGGGGG"]
     pool = _records(manifest, [(peptides[i % 4], "YFAMYGEKVAHTHVDTLYVRYHYY") for i in range(40)])
@@ -489,6 +499,33 @@ def test_neighbor_index_aligns_each_distinct_pair_once(monkeypatch):
     for query in queries:
         index.nearest(query.features, len(pool))
     assert len(pairs) == 2 * 3 and max(pairs.values()) == 1
+
+
+def test_indexes_sharing_one_feature_table_align_a_shared_pair_once(monkeypatch):
+    # As one command does per task: a train pool and a train + valid pool
+    # each get an index over the task's table, and a query meets the same
+    # train record in both.
+    pairs = _count_alignments(monkeypatch)
+    manifest = golden_tasks.MHC1_MANIFEST
+    mhc = "YFAMYGEKVAHTHVDTLYVRYHYY"
+    train = _records(manifest, [("QLADETLLKV", mhc)])
+    valid = _records(manifest, [("GGGGGGGGGG", mhc)])
+    table = FeatureTable()
+    query = _records(manifest, [("QLADETLLKW", mhc)])[0]
+    for pool in (train, train + valid):
+        NeighborIndex(manifest, pool, table).nearest(query.features, 1)
+    assert pairs == Counter({("QLADETLLKW", "QLADETLLKV"): 1})
+
+
+def test_importing_promptgen_leaves_bioseq_unloaded():
+    # A fresh interpreter, so modules the test session imported do not count.
+    src = str(Path(txf.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, txf.promptgen; print('txf.bioseq' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_neighbor_index_requires_a_similarity_role():

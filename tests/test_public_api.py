@@ -15,6 +15,7 @@ REMOVED = {
         "Fingerprint.from_bytes",
         "Fingerprint.nbits",
         "parse_reaction_side",
+        "Bond.other",
     ],
     "corpus": ["replace_split", "TaskManifest.role", "SplitSpec"],
     "promptgen": [
