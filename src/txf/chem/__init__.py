@@ -7,6 +7,7 @@ from .fingerprint import (
     top_k_tanimoto,
 )
 from .reaction import (
+    Reactants,
     canonical_reactant_set,
     score_reactant_prediction,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "top_k_tanimoto",
     "murcko_scaffold",
     "scaffold_key",
+    "Reactants",
     "canonical_reactant_set",
     "score_reactant_prediction",
 ]

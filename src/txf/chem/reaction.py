@@ -2,39 +2,82 @@
 
 from __future__ import annotations
 
-from .smiles import SmilesParseError, parse_smiles, strip_atom_maps, write_canonical
+from .smiles import Molecule, SmilesParseError, parse_smiles, strip_atom_maps, write_canonical
 
-__all__ = ["canonical_reactant_set", "score_reactant_prediction"]
+__all__ = ["Reactants", "canonical_reactant_set", "score_reactant_prediction"]
+
+
+class Reactants:
+    """A parsed reactant string, compared without its atom maps.
+
+    ``compositions`` holds each component's composition: the multiset of
+    its atoms' (symbol, aromatic, charge, isotope, H count). A component's
+    canonical string spells every one of those, so two sets with different
+    compositions cannot have equal canonical component sets. The canonical
+    set is written on the first call to ``canonical`` and kept; that call
+    is not locked, so one thread scores with a given instance.
+    """
+
+    def __init__(self, molecule: Molecule):
+        self.molecule = molecule
+        atoms = molecule.atoms
+        self.compositions = frozenset(
+            tuple(sorted(
+                (a.symbol, a.aromatic, a.charge, a.isotope or 0, a.hcount)
+                for a in map(atoms.__getitem__, comp)
+            ))
+            for comp in molecule.components()
+        )
+        self._canonical: frozenset[str] | None = None
+
+    @classmethod
+    def parse(cls, text: str) -> Reactants:
+        """Raises SmilesParseError when ``text`` does not parse."""
+        return cls(parse_smiles(text))
+
+    def canonical(self) -> frozenset[str]:
+        """The canonical SMILES of each component. ``write_canonical``
+        writes each component on its own and joins them with '.', so
+        splitting its output gives the components."""
+        if self._canonical is None:
+            self._canonical = frozenset(write_canonical(strip_atom_maps(self.molecule)).split("."))
+        return self._canonical
 
 
 def canonical_reactant_set(text: str) -> frozenset[str] | None:
     """Canonicalize a dot-separated SMILES into a set of canonical,
-    map-stripped component serializations.
-
-    Atom maps are stripped before canonicalization so mapped and unmapped
-    spellings compare equal. ``write_canonical`` writes each component on its
-    own and joins them with '.', so splitting its output gives the
-    components. Returns None when the string does not parse.
+    map-stripped component serializations, so mapped and unmapped spellings
+    compare equal. Returns None when the string does not parse.
     """
     try:
-        molecule = parse_smiles(text)
+        return Reactants.parse(text).canonical()
     except SmilesParseError:
         return None
-    return frozenset(write_canonical(strip_atom_maps(molecule)).split("."))
 
 
-def score_reactant_prediction(predicted: str, truth: str) -> tuple[int, bool]:
+def score_reactant_prediction(predicted: str, truth: str | Reactants) -> tuple[int, bool]:
     """Score a predicted reactant string against the ground truth.
 
     Returns (score, predicted_valid): score 1 only when both sides parse to
-    identical component sets; an unparseable prediction scores 0 and is
-    flagged invalid. An unparseable truth string is a data error.
-    """
-    truth_set = canonical_reactant_set(truth)
-    if truth_set is None:
-        raise ValueError(f"ground-truth SMILES does not parse: {truth!r}")
-    predicted_set = canonical_reactant_set(predicted)
-    if predicted_set is None:
-        return 0, False
-    return (1 if predicted_set == truth_set else 0), True
+    identical canonical component sets; an unparseable prediction scores 0
+    and is flagged invalid. An unparseable truth string is a data error
+    (ValueError).
 
+    ``truth`` is a SMILES string or its ``Reactants``; scoring many answers
+    against one ``Reactants`` parses the truth once and writes it
+    canonically at most once. Canonical strings are written only when the
+    answer's component compositions equal the truth's, since equal
+    canonical sets need equal compositions.
+    """
+    if isinstance(truth, str):
+        try:
+            truth = Reactants.parse(truth)
+        except SmilesParseError:
+            raise ValueError(f"ground-truth SMILES does not parse: {truth!r}") from None
+    try:
+        answer = Reactants.parse(predicted)
+    except SmilesParseError:
+        return 0, False
+    if answer.compositions != truth.compositions:
+        return 0, True
+    return (1 if answer.canonical() == truth.canonical() else 0), True

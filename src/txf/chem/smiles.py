@@ -596,20 +596,61 @@ def _direction_clusters(mol: Molecule, comp: list[int]) -> dict[tuple[int, int],
 
 
 def _canonical_search(mol, adj, comp, ranks, clusters) -> str:
-    by_rank: dict[int, list[int]] = {}
-    for a in comp:
-        by_rank.setdefault(ranks[a], []).append(a)
-    tied = [r for r, members in by_rank.items() if len(members) > 1]
-    if not tied:
-        return _emit(mol, adj, comp, ranks, clusters)
-    members = by_rank[min(tied)]
-    best = None
-    for chosen in members:
-        promoted = _dense_ranks({a: 2 * r - (a == chosen) for a, r in ranks.items()})
-        candidate = _canonical_search(mol, adj, comp, _refine(adj, promoted), clusters)
-        if best is None or candidate < best:
-            best = candidate
-    return best
+    """The least string written at a leaf of the individualisation tree.
+
+    A node whose ranks still tie splits its first tied class: each member
+    in turn is promoted ahead of its class, and the ranks are refined again.
+    Two leaves that write the same string give an automorphism, which maps
+    the k-th atom written at one to the k-th atom written at the other. It
+    keeps everything the string encodes, stereo included, so a subtree and
+    its image write the same strings. A member is skipped when the
+    automorphisms found so far that fix every atom promoted on the path to
+    the node map an explored member onto it (nauty's orbit rule: McKay &
+    Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 2014).
+    """
+    first_written: dict[str, list[int]] = {}  # string -> atom order at its first leaf
+    automorphisms: list[dict[int, int]] = []  # each as its moved atoms
+
+    def search(ranks: dict[int, int], path: tuple[int, ...]) -> str:
+        by_rank: dict[int, list[int]] = {}
+        for a in comp:
+            by_rank.setdefault(ranks[a], []).append(a)
+        tied = [r for r, members in by_rank.items() if len(members) > 1]
+        if not tied:
+            text, written = _emit(mol, adj, comp, ranks, clusters)
+            first = first_written.setdefault(text, written)
+            moved = {a: b for a, b in zip(first, written) if a != b}
+            if moved:
+                automorphisms.append(moved)
+            return text
+        orbit: dict[int, int] = {}  # union-find parent; a root is no key
+
+        def find(a: int) -> int:
+            while a in orbit:
+                a = orbit[a]
+            return a
+
+        used = 0
+        explored: list[int] = []
+        best = None
+        for chosen in by_rank[min(tied)]:
+            for moved in automorphisms[used:]:
+                if not any(v in moved for v in path):
+                    for a, b in moved.items():
+                        a, b = find(a), find(b)
+                        if a != b:
+                            orbit[a] = b
+            used = len(automorphisms)
+            if any(find(chosen) == find(e) for e in explored):
+                continue
+            explored.append(chosen)
+            promoted = _dense_ranks({a: 2 * r - (a == chosen) for a, r in ranks.items()})
+            candidate = search(_refine(adj, promoted), path + (chosen,))
+            if best is None or candidate < best:
+                best = candidate
+        return best
+
+    return search(ranks, ())
 
 
 def _perm_parity(src, dst) -> int:
@@ -686,7 +727,9 @@ def _emit(
     comp: list[int],
     ranks: dict[int, int],
     clusters: dict[tuple[int, int], int],
-) -> str:
+) -> tuple[str, list[int]]:
+    """The string written from ``ranks``, a discrete ranking, and the atoms
+    in the order it writes them."""
     atoms = mol.atoms
     root = min(comp, key=lambda a: ranks[a])
 
@@ -715,6 +758,7 @@ def _emit(
         stack.extend(v for v, _ in reversed(children[u]))
 
     out = []
+    written: list[int] = []
     flips: dict[int, bool] = {}  # cluster -> tokens written flipped
     # Writing order, as a stack of literal tokens and of (atom, bond from its
     # parent). A bond's token is made when it is written, since the first
@@ -726,6 +770,7 @@ def _emit(
             out.append(item)
             continue
         u, bond = item
+        written.append(u)
         if bond is not None:
             out.append(_bond_token(bond, parent[u], atoms, clusters, flips))
         atom = atoms[u]
@@ -751,7 +796,7 @@ def _emit(
             stack.append(branches[-1])
             for branch in reversed(branches[:-1]):
                 stack += (")", branch, "(")
-    return "".join(out)
+    return "".join(out), written
 
 
 def write_canonical(mol: Molecule) -> str:
@@ -760,8 +805,11 @@ def write_canonical(mol: Molecule) -> str:
     Atom order is fixed by iterative neighborhood refinement; residual ties
     are resolved by trying each tied atom and keeping the lexicographically
     smallest serialization, so any input ordering of the same labeled graph
-    produces the same string. Components are serialized independently,
-    sorted, and joined with '.'.
+    produces the same string. A tied atom that a symmetry already found maps
+    onto a tried one is skipped, since it writes the same strings, so a
+    symmetric molecule costs a few tries rather than the product of its
+    tie sizes. Components are serialized independently, sorted, and joined
+    with '.'.
 
     Cis/trans direction tokens are oriented per cluster (the bonds whose
     tokens may only flip together): each cluster's first written token is

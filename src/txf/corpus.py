@@ -515,10 +515,15 @@ def _first_smiles_role(manifest: TaskManifest) -> str:
 
 
 def _timestamp_sort_key(value: str):
+    """Numbers first, in order; then, by their text, the timestamps that are
+    not numbers, "nan" among them, since NaN compares false both ways."""
     try:
-        return (0, float(value), "")
+        number = float(value)
     except ValueError:
+        number = math.nan
+    if math.isnan(number):
         return (1, 0.0, value)
+    return (0, number, "")
 
 
 def _group_records(records, key_fn) -> dict:

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .atomic import write_atomically
 from .corpus import TaskManifest
@@ -36,6 +36,9 @@ from .promptgen import (
     unbin_label,
 )
 from .ranks import _floats, average_ranks
+
+if TYPE_CHECKING:  # txf.chem loads only for generation tasks
+    from .chem import Reactants
 
 __all__ = [
     "GenerationResponse",
@@ -580,9 +583,12 @@ def _row_for_prompt(
     manifest: TaskManifest,
     response: GenerationResponse | None,
     failure: str | None,
+    reactants: Reactants | str | None,
 ) -> EvalRow:
     """A transport failure has no response and scores as the empty
-    completion: invalid, with each task kind's fallback prediction."""
+    completion: invalid, with each task kind's fallback prediction.
+    A generation row scores against ``reactants``, the target's
+    ``chem.Reactants`` (or its SMILES); other kinds pass None."""
     completion = response.text if response else ""
     scores = response.option_scores if response else None
     if manifest.task_kind == "binary":
@@ -597,7 +603,7 @@ def _row_for_prompt(
         from .chem import score_reactant_prediction
 
         truth = prompt.target
-        score_value, valid = score_reactant_prediction(completion, prompt.target)
+        score_value, valid = score_reactant_prediction(completion, reactants)
         prediction = completion
         score = float(score_value)
     return EvalRow(
@@ -625,15 +631,21 @@ def evaluate_task(
     input order, so the output is identical for any concurrency setting.
     Records that fail transport after retries are kept as invalid rows.
     A generation truth that does not parse fails the task before any call.
+    Each distinct generation truth is parsed once, and the rows that share
+    it score against that one parse. Scoring runs in this thread after the
+    model calls, so the truths' lazily written canonical sets need no lock.
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
+    truths = {}  # generation target -> its chem.Reactants
     if manifest.task_kind == "generation":
-        from .chem import parse_smiles
+        from .chem import Reactants
 
         for prompt in prompts:
+            if prompt.target in truths:
+                continue
             try:
-                parse_smiles(prompt.target)
+                truths[prompt.target] = Reactants.parse(prompt.target)
             except ValueError:
                 raise ValueError(
                     f"{manifest.task_id}: record {prompt.record_id}: "
@@ -650,7 +662,7 @@ def evaluate_task(
         outcomes = list(pool.map(call, prompts))
 
     rows = [
-        _row_for_prompt(prompt, manifest, response, failure)
+        _row_for_prompt(prompt, manifest, response, failure, truths.get(prompt.target))
         for prompt, (response, failure) in zip(prompts, outcomes)
     ]
     failures = [

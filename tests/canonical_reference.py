@@ -1,5 +1,5 @@
-"""References for canonical SMILES: exhaustive cis/trans orientation, and
-rank refinement round by round.
+"""References for canonical SMILES: the unpruned canonical search,
+exhaustive cis/trans orientation, and rank refinement round by round.
 
 ``write_canonical`` orients each direction-token cluster as it writes it:
 the cluster's first written token is "/". That is meant to be the least of
@@ -17,13 +17,43 @@ written is thus the least respelling as stored.
 from dataclasses import replace
 
 from txf.chem.smiles import (
-    _canonical_search,
     _dense_ranks,
     _direction_clusters,
+    _emit,
     _rank_component,
+    _refine,
 )
 
 _FLIP = {"/": "\\", "\\": "/"}
+
+
+def unpruned_search(mol, adj, comp, ranks, clusters) -> str:
+    """The canonical search as ``_canonical_search`` once wrote it: every
+    member of the first tied class is tried at every node, with no orbit
+    pruning, so its cost is the product of the tie-class sizes."""
+    by_rank = {}
+    for a in comp:
+        by_rank.setdefault(ranks[a], []).append(a)
+    tied = [r for r, members in by_rank.items() if len(members) > 1]
+    if not tied:
+        return _emit(mol, adj, comp, ranks, clusters)[0]
+    best = None
+    for chosen in by_rank[min(tied)]:
+        promoted = _dense_ranks({a: 2 * r - (a == chosen) for a, r in ranks.items()})
+        candidate = unpruned_search(mol, adj, comp, _refine(adj, promoted), clusters)
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+def unpruned_canonical(mol) -> str:
+    """``write_canonical`` through the unpruned search."""
+    adj = mol.neighbors()
+    parts = [
+        unpruned_search(mol, adj, comp, _rank_component(mol, adj, comp), _direction_clusters(mol, comp))
+        for comp in mol.components()
+    ]
+    return ".".join(sorted(parts))
 
 
 def exhaustive_canonical(mol) -> str:
@@ -46,7 +76,7 @@ def exhaustive_canonical(mol) -> str:
                     for b in mol.bonds
                 ),
             )
-            text = _canonical_search(respelled, respelled.neighbors(), comp, ranks, one)
+            text = unpruned_search(respelled, respelled.neighbors(), comp, ranks, one)
             if best is None or text < best:
                 best = text
         parts.append(best)

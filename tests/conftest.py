@@ -1,10 +1,12 @@
-"""Shared helpers: fixture paths, a real-molecule corpus, graph permutation."""
+"""Shared helpers: fixture paths, a real-molecule corpus, symmetric
+molecules, graph permutation."""
 
 import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from txf.chem import Molecule
 
@@ -82,6 +84,56 @@ def permute_molecule(mol: Molecule, rng: random.Random) -> Molecule:
         for old in perm
     )
     return Molecule(atoms=atoms, bonds=bonds, written_order=order)
+
+
+# Symmetric molecules, the hard case of the canonical search: copies of one
+# unit on a central atom or round a ring. Units carry stereo centres,
+# direction tokens and rings, so the automorphisms found must keep stereo.
+# tert-Butyl units go on stars of at most three, which the unpruned
+# reference (tests/canonical_reference.py) still finishes.
+_UNIT_HEADS = ["C", "N", "O", "c1ccccc1", "C1CC1", "[C@H](F)", "[C@@H](F)", "C=C"]
+_UNIT_TAILS = ["", "C", "O", "(C)", "(C)C", "/C=C/C", "\\C=C/C", "[C@H](Cl)O", "C(=O)O"]
+_units = st.tuples(st.sampled_from(_UNIT_HEADS), st.sampled_from(_UNIT_TAILS)).map("".join)
+
+
+def star_smiles(unit: str, copies: int) -> str:
+    return "C" + f"({unit})" * (copies - 1) + unit
+
+
+def ring_smiles(unit: str, size: int) -> str:
+    return f"C%99({unit})" + f"C({unit})" * (size - 2) + f"C%99({unit})"
+
+
+SYMMETRIC_MOLECULES = st.one_of(
+    st.builds(star_smiles, _units, st.integers(2, 4)),
+    st.builds(star_smiles, st.just("C(C)(C)C"), st.integers(2, 3)),
+    st.builds(ring_smiles, _units, st.integers(3, 6)),
+    st.sampled_from([
+        "C12C3C4C1C5C2C3C45",  # cubane
+        "C1C2CC3CC1CC(C2)C3",  # adamantane
+        "Cc1c(C)c(C)c(C)c(C)c1C",
+        "c1cc2ccc3ccc4ccc5ccc6ccc1c7c2c3c4c5c67",  # coronene
+        "C1CC1.C1CC1.C1CC1",
+        "F[C@@H]1C[C@H](F)C1",
+        "C(/C=C/C)(/C=C/C)(/C=C\\C)/C=C\\C",
+    ]),
+)
+
+
+# The inputs whose canonical search once stalled: symmetric groups multiply
+# the leaves of an unpruned search (tetra-tert-butylmethane takes 31,104,
+# the 200-atom ring 400), and long chains and rings cost refinement rounds.
+_TBU = "C(C)(C)C"
+CANONICAL_WORST_CASES = {
+    "tetra-tert-butylmethane": star_smiles(_TBU, 4),
+    "tri-tert-butylmethane": star_smiles(_TBU, 3),
+    "chain-1000": "C" * 1000,
+    "chain-1400": "C" * 1400,
+    "ring-50": "C1" + "C" * 48 + "C1",
+    "ring-100": "C1" + "C" * 98 + "C1",
+    "ring-200": "C1" + "C" * 198 + "C1",
+    "hexa-tert-butylcyclohexane": ring_smiles(_TBU, 6),
+}
 
 
 @pytest.fixture

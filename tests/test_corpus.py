@@ -263,6 +263,20 @@ def test_temporal_split_ordering():
     assert max_train <= min_test
 
 
+def test_temporal_split_sorts_nan_after_every_number():
+    # NaN compares false both ways, so read as a number it left the sort
+    # order, and the split, to depend on the row it sat in.
+    manifest = _binary_manifest(split_method="temporal", timestamp_column="Year")
+    splits = []
+    for nan_row in (0, 10):
+        stamps = [str(t) for t in range(20, 0, -1)]
+        stamps.insert(nan_row, "nan")
+        records = [DataRecord(stamp, {"drug": "CCO"}, True, timestamp=stamp) for stamp in stamps]
+        splits.append({r.timestamp: r.split for r in assign_splits(records, manifest, seed=1)})
+    assert splits[0] == splits[1]
+    assert {stamp for stamp, split in splits[0].items() if split == "test"} == {"20", "nan"}
+
+
 def test_validate_manifest_ok():
     assert validate_manifest(_binary_manifest()) == []
 

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_tasks
-from conftest import FIXTURES
+from conftest import CANONICAL_WORST_CASES, FIXTURES, SYMMETRIC_MOLECULES
 from keepalive_server import CountingServer, serving
 from knn_reference import naive_nearest
 from txf import atomic, evalharness
+from txf.chem import Reactants, parse_smiles, write_canonical
 from txf.cli import main
 from txf.corpus import DataRecord, RoleSpec, TaskManifest, write_manifest, write_split_audit
 from txf.evalharness import (
@@ -112,10 +113,13 @@ def test_parse_regression_agrees_with_int_below_its_limit(completion):
     assert parse_regression_answer(completion, spec) == _parse_regression_by_int(completion, spec)
 
 
-# Completions from the classes that once raised in reactant scoring:
-# non-ASCII digits and letters amid SMILES tokens, chains and branched
-# chains of 2,000 to 5,000 atoms, and unbalanced brackets. Symmetric
-# molecules, which still stall the canonical search, are not drawn.
+# Symmetric molecules, among them those whose canonical search once stalled.
+_SYMMETRIC = SYMMETRIC_MOLECULES | st.sampled_from(list(CANONICAL_WORST_CASES.values()))
+
+# Completions from the classes that once raised or stalled in reactant
+# scoring: non-ASCII digits and letters amid SMILES tokens, chains and
+# branched chains of 2,000 to 5,000 atoms, unbalanced brackets, and
+# symmetric molecules.
 _HARD_COMPLETIONS = st.one_of(
     st.lists(
         st.sampled_from(["C", "c1ccccc1", "1", "%1", "[", "]", "[13CH3]", "[NH4+]", "(", ")"])
@@ -125,7 +129,20 @@ _HARD_COMPLETIONS = st.one_of(
     st.integers(2000, 5000).map(lambda n: "C" * n),
     st.integers(1000, 2500).map(lambda n: "C(" * n + "C" + ")C" * n),
     st.lists(st.sampled_from(["C", "O", "(", ")", "[", "]", "[C", "N]", "(("]), max_size=30).map("".join),
+    _SYMMETRIC,
 )
+
+
+def _same_composition(truth: str):
+    """Respellings of ``truth`` with its component compositions, so that
+    scoring writes canonical strings: its components permuted, one of them
+    repeated, and its canonical string."""
+    parts = truth.split(".")
+    return st.one_of(
+        st.permutations(parts).map(".".join),
+        st.sampled_from(parts).map(lambda part: f"{truth}.{part}"),
+        st.just(write_canonical(parse_smiles(truth))),
+    )
 
 
 @settings(deadline=None)
@@ -137,12 +154,24 @@ _HARD_COMPLETIONS = st.one_of(
     ]),
     completion=st.text() | _HARD_COMPLETIONS,
     scores=st.none() | st.dictionaries(st.sampled_from(["(A)", "(B)"]) | st.text(max_size=4), st.floats()),
+    data=st.data(),
 )
-def test_row_for_prompt_never_raises(task, completion, scores):
+def test_row_for_prompt_never_raises(task, completion, scores, data):
     manifest, query = task
+    reactants = respelled = None
+    if manifest.task_kind == "generation":
+        # A symmetric truth, answered by a respelling of itself, runs the
+        # canonical search on both sides.
+        truth = data.draw(st.just(query.label) | _SYMMETRIC, label="truth")
+        query = replace(query, label=truth)
+        respelled = data.draw(st.none() | _same_composition(truth), label="respelled")
+        completion = completion if respelled is None else respelled
+        reactants = data.draw(st.sampled_from([truth, Reactants.parse(truth)]), label="reactants")
     prompt = render_prompt(query, manifest)
-    row = evalharness._row_for_prompt(prompt, manifest, GenerationResponse(completion, scores), None)
+    row = evalharness._row_for_prompt(prompt, manifest, GenerationResponse(completion, scores), None, reactants)
     assert row.completion == completion and not row.failed
+    if respelled is not None:
+        assert (row.score, row.valid) == (1.0, True)
 
 
 # --- metrics -----------------------------------------------------------
@@ -544,6 +573,58 @@ def test_unparseable_generation_truth_fails_before_any_model_call():
     # Parseable truths still reach the model, once per prompt.
     evaluate_task(manifest, prompts[:1], client)
     assert client.calls == 1
+
+
+class _ScriptedClient:
+    def __init__(self, answers):
+        self.answers = answers
+
+    def generate(self, prompt):
+        return GenerationResponse(self.answers[prompt])
+
+
+def test_evaluate_parses_each_truth_once_and_writes_canonical_only_for_possible_matches(monkeypatch):
+    from txf import chem
+    from txf.chem import reaction
+
+    parsed, written = [], []
+    parse, write = reaction.parse_smiles, reaction.write_canonical
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse(text)
+
+    def counting_write(mol):
+        written.append(write(mol))
+        return written[-1]
+
+    for module in (chem, reaction):
+        monkeypatch.setattr(module, "parse_smiles", counting_parse)
+        monkeypatch.setattr(module, "write_canonical", counting_write)
+    manifest = golden_tasks.USPTO_MANIFEST
+    # (product, truth, answer): an unparseable answer, two answers whose
+    # compositions differ from the truth's, and two that match it.
+    cases = [
+        ("CCCO", "CCO.CC", "C(("),
+        ("CCCCO", "CCO.CC", "COC.CC"),
+        ("CCCCCO", "CCO.CC", "CC.OCC"),
+        ("c1ccccc1C", "c1ccccc1", "c1ccccc1.c1ccccc1"),
+        ("c1ccccc1CC", "c1ccccc1", "C1CCCCC1"),
+    ]
+    prompts = [
+        render_prompt(DataRecord(str(i), {"product": product}, truth, split="test"), manifest)
+        for i, (product, truth, _) in enumerate(cases)
+    ]
+    client = _ScriptedClient({p.prompt: answer for p, (_, _, answer) in zip(prompts, cases)})
+    result = evaluate_task(manifest, prompts, client, concurrency=2)
+    assert [(r.score, r.valid) for r in result.rows] == [
+        (0.0, False), (0.0, True), (1.0, True), (1.0, True), (0.0, True),
+    ]
+    assert sorted(parsed) == sorted(["CCO.CC", "c1ccccc1"] + [answer for _, _, answer in cases])
+    # Each matching answer and its truth, the shared truth written once.
+    assert sorted(written) == sorted(
+        write(parse(text)) for text in ["CCO.CC", "CC.OCC", "c1ccccc1", "c1ccccc1.c1ccccc1"]
+    )
 
 
 # --- HTTP contract -----------------------------------------------------

@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reaction_reference
 from conftest import MOLECULE_CORPUS
-from txf.chem import canonical_reactant_set, score_reactant_prediction
+from txf.chem import Reactants, canonical_reactant_set, score_reactant_prediction
 
 REACTANT_TOKENS = [
     "C", "c", "N", "O", "S", "Cl", "(C)", "(=O)", "=", "1", "1", "2", "[nH]", "[O-]",
@@ -94,3 +94,50 @@ def test_reactant_set_equals_the_per_component_sets_on_molecules(text):
     expected = reaction_reference.canonical_reactant_set(text)
     assert expected is not None
     assert canonical_reactant_set(text) == expected
+
+
+def _reference_score(predicted, truth):
+    """Scoring as it was before compositions: both sides written canonically."""
+    predicted_set = reaction_reference.canonical_reactant_set(predicted)
+    if predicted_set is None:
+        return 0, False
+    return (1 if predicted_set == reaction_reference.canonical_reactant_set(truth) else 0), True
+
+
+# Spellings whose components share compositions within a group: respellings,
+# atom-mapped spellings, isomers, cis/trans isomers and enantiomers.
+# ("CCO" and "COC" differ in their atoms' H counts, so in composition.)
+_SHARED_COMPOSITIONS = [
+    ["CCO", "OCC", "[CH3:1][CH2:2][OH:3]", "COC", "[CH3:4]O[CH3:5]"],
+    ["CC(C)CCC", "CCC(C)CC", "C(C)CC(C)C", "[CH3:1][CH:2]([CH3:3])CCC"],
+    ["Cc1ccccc1C", "Cc1cccc(C)c1", "Cc1ccc(C)cc1", "[CH3:9]c1ccc(C)cc1"],
+    ["C/C=C/C", "C/C=C\\C", "C\\C=C\\C", "CC=CC"],
+    ["N[C@@H](C)C(=O)O", "N[C@H](C)C(=O)O", "C[C@H](N)C(=O)O", "NC(C)C(=O)O", "[NH2:1][C@@H:2](C)C(=O)O"],
+    ["CC", "[CH3:1][CH3:2]", "CC.CC"],
+    ["[Na+]", "[Na+:3]"],
+    ["[Cl-]", "Cl"],
+]
+
+
+@st.composite
+def _shared_composition_pairs(draw):
+    """(answer, truth) made from the same groups: the answer's components
+    are respelled, permuted, repeated or left out."""
+    groups = draw(st.lists(st.sampled_from(_SHARED_COMPOSITIONS), min_size=1, max_size=3))
+    truth = ".".join(draw(st.sampled_from(g)) for g in groups)
+    answer_groups = draw(st.permutations(groups)) + draw(st.lists(st.sampled_from(groups), max_size=2))
+    if len(answer_groups) > 1 and draw(st.booleans()):
+        answer_groups.pop(draw(st.integers(0, len(answer_groups) - 1)))
+    return ".".join(draw(st.sampled_from(g)) for g in answer_groups), truth
+
+
+_reactant_runs = st.lists(st.sampled_from(REACTANT_TOKENS), min_size=1, max_size=16).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_composition_pairs() | st.tuples(_reactant_runs, st.sampled_from(MOLECULE_CORPUS)))
+def test_score_equals_the_canonical_set_reference(pair):
+    answer, truth = pair
+    expected = _reference_score(answer, truth)
+    assert score_reactant_prediction(answer, truth) == expected
+    assert score_reactant_prediction(answer, Reactants.parse(truth)) == expected

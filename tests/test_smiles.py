@@ -1,13 +1,14 @@
 import json
 import random
+import time
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from canonical_reference import cluster_count, exhaustive_canonical, round_refine
-from conftest import FIXTURES, MOLECULE_CORPUS, permute_molecule
+from canonical_reference import cluster_count, exhaustive_canonical, round_refine, unpruned_canonical
+from conftest import CANONICAL_WORST_CASES, FIXTURES, MOLECULE_CORPUS, SYMMETRIC_MOLECULES, permute_molecule
 from txf.chem import (
     SmilesParseError,
     morgan_fingerprint,
@@ -16,6 +17,7 @@ from txf.chem import (
     strip_atom_maps,
     write_canonical,
 )
+from txf.chem import smiles
 from txf.chem.smiles import _dense_ranks, _direction_clusters, _initial_invariant, _refine
 
 SMILES_ALPHABET = "CNOSPFIBrlcnosp()[]=#$:/\\.%@+-*H0123456789"
@@ -371,3 +373,43 @@ def test_refine_matches_the_round_by_round_reference_on_long_chains(text):
     for chosen in comp:
         for start in _refine_starts(mol, adj, comp, chosen, [a % 3 for a in comp]):
             assert _refine(adj, start) == round_refine(adj, start)
+
+
+@settings(max_examples=200, deadline=None)
+@given(smiles_token_runs | SYMMETRIC_MOLECULES, st.randoms(use_true_random=False))
+def test_pruned_search_writes_what_the_unpruned_search_writes(text, rng):
+    try:
+        mol = parse_smiles(text)
+    except SmilesParseError:
+        return
+    permuted = permute_molecule(mol, rng)
+    expected = unpruned_canonical(mol)
+    assert write_canonical(mol) == expected
+    assert write_canonical(permuted) == unpruned_canonical(permuted) == expected
+
+
+@pytest.mark.parametrize("text", CANONICAL_WORST_CASES.values(), ids=CANONICAL_WORST_CASES.keys())
+def test_canonical_search_visits_few_leaves(text, monkeypatch):
+    emit = smiles._emit
+    leaves = 0
+
+    def counting_emit(*args):
+        nonlocal leaves
+        leaves += 1
+        if leaves > 64:
+            raise AssertionError("canonical search passed 64 leaves")
+        return emit(*args)
+
+    monkeypatch.setattr(smiles, "_emit", counting_emit)
+    write_canonical(parse_smiles(text))
+
+
+@pytest.mark.parametrize("text", CANONICAL_WORST_CASES.values(), ids=CANONICAL_WORST_CASES.keys())
+def test_worst_case_canonical_writes_take_under_a_quarter_second(text):
+    mol = parse_smiles(text)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        write_canonical(mol)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.25
