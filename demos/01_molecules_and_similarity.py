@@ -6,6 +6,7 @@ Run from the repo root:  python demos/01_molecules_and_similarity.py
 """
 
 from txf.chem import (
+    Reactants,
     morgan_fingerprint,
     murcko_scaffold,
     parse_smiles,
@@ -56,7 +57,7 @@ print("ethyl- and butylbenzene share a scaffold key:",
 print("\n=== Atom maps and reaction sets ===")
 mapped = "[CH3:1][OH:2]"
 print(f"{mapped} stripped ->", write_canonical(strip_atom_maps(parse_smiles(mapped))))
-print("order-invariant:", score_reactant_prediction("CCO.CC", "CC.CCO")[0])
-print("missing member: ", score_reactant_prediction("CCO", "CCO.CC")[0])
-print("maps ignored:   ", score_reactant_prediction("[CH3:1][OH:2]", "CO")[0])
-print("garbage guess:  ", score_reactant_prediction("C((", "CO")[0])
+print("order-invariant:", score_reactant_prediction("CCO.CC", Reactants.parse("CC.CCO"))[0])
+print("missing member: ", score_reactant_prediction("CCO", Reactants.parse("CCO.CC"))[0])
+print("maps ignored:   ", score_reactant_prediction("[CH3:1][OH:2]", Reactants.parse("CO"))[0])
+print("garbage guess:  ", score_reactant_prediction("C((", Reactants.parse("CO"))[0])

@@ -7,7 +7,7 @@ Run from the repo root:  python demos/02_prompts_and_mixture.py
 import statistics
 from collections import Counter
 
-from txf.corpus import DataRecord, RoleSpec, TaskManifest, assign_splits
+from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest, assign_splits
 from txf.promptgen import (
     INPUT_BUDGET,
     BinningSpec,
@@ -48,7 +48,7 @@ def _molecule(i: int) -> str:
 records = [
     DataRecord(str(i), {"drug": _molecule(i)}, float(i % 21)) for i in range(200)
 ]
-records = assign_splits(records, manifest, seed=1)
+records = assign_splits(records, manifest, seed=1, table=FeatureTable())
 by_split = Counter(r.split for r in records)
 print("split sizes:", dict(by_split))
 
@@ -62,7 +62,7 @@ print("\n=== A rendered prompt ===")
 test_records = [r for r in records if r.split == "test"]
 query = test_records[0]
 pool = [r for r in records if r.split in shot_source_splits("test")]
-index = NeighborIndex(manifest, pool)
+index = NeighborIndex(manifest, pool, FeatureTable())
 shots = [pool[i] for i, _ in index.nearest(query.features, 3)]
 prompt = render_prompt(query, manifest, shots, budget=INPUT_BUDGET)
 print(prompt.prompt)
@@ -105,8 +105,8 @@ tasks = {
 }
 sample = list(build_mixture(tasks, 5000, seed=1))
 task_freq = Counter(p.task_id for p in sample)
-zero = sum(1 for p in sample if p.shot_count == 0)
-shot_hist = Counter(p.shot_count for p in sample if p.shot_count)
+zero = sum(1 for p in sample if not p.shot_ids)
+shot_hist = Counter(len(p.shot_ids) for p in sample if p.shot_ids)
 print("task draw frequencies:", {k: f"{v / len(sample):.3f}" for k, v in task_freq.items()})
 print(f"zero-shot fraction: {zero / len(sample):.3f} (target 0.70)")
 print("shot-count histogram:", dict(sorted(shot_hist.items())))

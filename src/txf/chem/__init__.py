@@ -8,7 +8,6 @@ from .fingerprint import (
 )
 from .reaction import (
     Reactants,
-    canonical_reactant_set,
     score_reactant_prediction,
 )
 from .scaffold import murcko_scaffold, scaffold_key
@@ -37,6 +36,5 @@ __all__ = [
     "murcko_scaffold",
     "scaffold_key",
     "Reactants",
-    "canonical_reactant_set",
     "score_reactant_prediction",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .smiles import Molecule, SmilesParseError, parse_smiles, strip_atom_maps, write_canonical
 
-__all__ = ["Reactants", "canonical_reactant_set", "score_reactant_prediction"]
+__all__ = ["Reactants", "score_reactant_prediction"]
 
 
 class Reactants:
@@ -44,36 +44,18 @@ class Reactants:
         return self._canonical
 
 
-def canonical_reactant_set(text: str) -> frozenset[str] | None:
-    """Canonicalize a dot-separated SMILES into a set of canonical,
-    map-stripped component serializations, so mapped and unmapped spellings
-    compare equal. Returns None when the string does not parse.
+def score_reactant_prediction(predicted: str, truth: Reactants) -> tuple[int, bool]:
+    """Score a predicted reactant string against the parsed ground truth.
+
+    Returns (score, predicted_valid): score 1 only when the prediction
+    parses to the truth's canonical component set; an unparseable
+    prediction scores 0 and is flagged invalid.
+
+    Scoring many answers against one ``Reactants`` parses the truth once
+    and writes it canonically at most once. Canonical strings are written
+    only when the answer's component compositions equal the truth's, since
+    equal canonical sets need equal compositions.
     """
-    try:
-        return Reactants.parse(text).canonical()
-    except SmilesParseError:
-        return None
-
-
-def score_reactant_prediction(predicted: str, truth: str | Reactants) -> tuple[int, bool]:
-    """Score a predicted reactant string against the ground truth.
-
-    Returns (score, predicted_valid): score 1 only when both sides parse to
-    identical canonical component sets; an unparseable prediction scores 0
-    and is flagged invalid. An unparseable truth string is a data error
-    (ValueError).
-
-    ``truth`` is a SMILES string or its ``Reactants``; scoring many answers
-    against one ``Reactants`` parses the truth once and writes it
-    canonically at most once. Canonical strings are written only when the
-    answer's component compositions equal the truth's, since equal
-    canonical sets need equal compositions.
-    """
-    if isinstance(truth, str):
-        try:
-            truth = Reactants.parse(truth)
-        except SmilesParseError:
-            raise ValueError(f"ground-truth SMILES does not parse: {truth!r}") from None
     try:
         answer = Reactants.parse(predicted)
     except SmilesParseError:

@@ -56,6 +56,9 @@ def _tasks(args):
     paths = sorted(manifests.glob(f"*{MANIFEST_SUFFIX}"))
     if args.task:
         paths = [p for p in paths if p.stem in args.task]
+        unknown = sorted(set(args.task) - {p.stem for p in paths})
+        if unknown:
+            raise ValueError(f"no {MANIFEST_SUFFIX} file under {manifests} for --task {', '.join(unknown)}")
     if not paths:
         raise ValueError(f"no *{MANIFEST_SUFFIX} files under {manifests}")
     Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -169,6 +172,8 @@ def cmd_evaluate(args) -> int:
     model_url = args.model_url or os.environ.get("TXF_MODEL_URL")
     if not args.stub and not model_url:
         raise ValueError("need --stub or --model-url (or TXF_MODEL_URL)")
+    if args.concurrency < 1:
+        raise ValueError(f"--concurrency must be at least 1, not {args.concurrency}")
     out = Path(args.out)
     worst = EXIT_OK
     # One HTTP client serves every task, so its connections are reused.
@@ -220,6 +225,9 @@ def _result_pairs(dir_a: Path, dir_b: Path) -> list:
     directories."""
     from . import analysis, evalharness
 
+    for path in (dir_a, dir_b):
+        if not path.is_dir():
+            raise ValueError(f"results directory {path} does not exist")
     pairs = []
     for path_a in sorted(dir_a.glob("*.result.json")):
         path_b = dir_b / path_a.name

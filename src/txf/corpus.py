@@ -537,13 +537,13 @@ def assign_splits(
     records: list[DataRecord],
     manifest: TaskManifest,
     seed: int,
-    table: FeatureTable | None = None,
+    table: FeatureTable,
 ) -> list[DataRecord]:
     """Return copies of the records with train/valid/test assigned by the
     manifest's split method, in SPLIT_FRACTIONS.
 
     The scaffold split reads scaffold keys from ``table``, the task's
-    feature table; without one it builds its own.
+    feature table.
 
     scaffold: group by scaffold key, pack groups largest-first into train,
     then valid, then test. The other methods order groups of records and put
@@ -562,7 +562,6 @@ def assign_splits(
 
     if method == "scaffold":
         role = _first_smiles_role(manifest)
-        table = FeatureTable() if table is None else table
         groups = _group_records(records, lambda record: table.scaffold_key(record.features[role]))
         ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
         counts = {"train": 0, "valid": 0}

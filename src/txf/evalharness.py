@@ -583,12 +583,12 @@ def _row_for_prompt(
     manifest: TaskManifest,
     response: GenerationResponse | None,
     failure: str | None,
-    reactants: Reactants | str | None,
+    reactants: Reactants | None,
 ) -> EvalRow:
     """A transport failure has no response and scores as the empty
     completion: invalid, with each task kind's fallback prediction.
-    A generation row scores against ``reactants``, the target's
-    ``chem.Reactants`` (or its SMILES); other kinds pass None."""
+    A generation row scores against ``reactants``, the target's parsed
+    ``chem.Reactants``; other kinds pass None."""
     completion = response.text if response else ""
     scores = response.option_scores if response else None
     if manifest.task_kind == "binary":

@@ -107,10 +107,6 @@ class PromptRecord:
     over_budget: bool = False
     subtask: str | None = None
 
-    @property
-    def shot_count(self) -> int:
-        return len(self.shot_ids)
-
 
 def render_target(record: DataRecord, manifest: TaskManifest) -> str:
     if manifest.task_kind == "binary":
@@ -256,25 +252,24 @@ class NeighborIndex:
     supports similarity.
 
     Converted features and sequence-pair scores come from ``table``, the
-    task's feature table, shared by every index of the task; without one the
-    index builds its own. Pool positions are grouped by distinct converted
-    features, so a query scores each group once. The search is exact: it
-    visits groups by descending upper bound on similarity, min(|A|, |B|) /
-    max(|A|, |B|) for fingerprints and ``bioseq.identity_bound`` for
-    sequences, and stops once k records are held and the next bound is
-    strictly below the k-th best similarity (an equal bound may still tie
-    and win on a lower pool position).
+    task's feature table, shared by every index of the task. Pool positions
+    are grouped by distinct converted features, so a query scores each
+    group once. The search is exact: it visits groups by descending upper
+    bound on similarity, min(|A|, |B|) / max(|A|, |B|) for fingerprints and
+    ``bioseq.identity_bound`` for sequences, and stops once k records are
+    held and the next bound is strictly below the k-th best similarity (an
+    equal bound may still tie and win on a lower pool position).
     """
 
     def __init__(
         self,
         manifest: TaskManifest,
         pool: Sequence[DataRecord],
-        table: FeatureTable | None = None,
+        table: FeatureTable,
     ):
         self.manifest = manifest
         self.pool = pool
-        self._table = FeatureTable() if table is None else table
+        self._table = table
         self.kind, roles = manifest.similarity_roles()
         if self.kind == "smiles":
             from .chem import tanimoto

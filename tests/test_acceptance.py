@@ -313,10 +313,10 @@ def test_criterion_8_mixture_statistics():
     zero_shot = 0
     shot_counts = Counter()
     for prompt in build_mixture(tasks, n, seed=1):
-        if prompt.shot_count == 0:
+        if len(prompt.shot_ids) == 0:
             zero_shot += 1
         else:
-            shot_counts[prompt.shot_count] += 1
+            shot_counts[len(prompt.shot_ids)] += 1
 
     fraction = zero_shot / n
     sigma = math.sqrt(0.7 * 0.3 / n)

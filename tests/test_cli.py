@@ -686,6 +686,39 @@ _contamination_max_chars_negative = _contamination_max_chars(-1)
 _contamination_max_chars_zero = _contamination_max_chars(0)
 
 
+def _build_tasks(tmp_path, *tasks):
+    manifests, data = _copy_cli_task(tmp_path)
+    argv = ["build", "--manifests", str(manifests), "--data", str(data), "--out", str(tmp_path / "out")]
+    for task in tasks:
+        argv += ["--task", task]
+    return argv, f"no .manifest file under {manifests} for --task nosuch"
+
+
+def _only_unknown_task(tmp_path):
+    return _build_tasks(tmp_path, "nosuch")
+
+
+def _known_and_unknown_task(tmp_path):
+    # The typo must not be dropped while the known task builds.
+    return _build_tasks(tmp_path, "bbb_martins", "nosuch")
+
+
+def _evaluate_concurrency_zero(tmp_path):
+    manifests, data = _copy_cli_task(tmp_path)
+    return [
+        "evaluate", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(tmp_path / "out"), "--stub", "majority", "--concurrency", "0",
+    ], "--concurrency must be at least 1, not 0"
+
+
+def _compare_missing_results_dir(tmp_path):
+    (tmp_path / "a").mkdir()
+    missing = tmp_path / "b"
+    return [
+        "compare", "--results-a", str(tmp_path / "a"), "--results-b", str(missing),
+    ], f"results directory {missing} does not exist"
+
+
 @pytest.mark.parametrize("case", [
     _build_unwritable_out,
     _evaluate_unwritable_out,
@@ -705,6 +738,10 @@ _contamination_max_chars_zero = _contamination_max_chars(0)
     _build_negative_mixture,
     _contamination_max_chars_negative,
     _contamination_max_chars_zero,
+    _only_unknown_task,
+    _known_and_unknown_task,
+    _evaluate_concurrency_zero,
+    _compare_missing_results_dir,
 ])
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     argv, expected = case(tmp_path)
@@ -719,6 +756,9 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
         _build_negative_mixture,
         _contamination_max_chars_negative,
         _contamination_max_chars_zero,
+        _only_unknown_task,
+        _known_and_unknown_task,
+        _evaluate_concurrency_zero,
     ):
         # The option is rejected before anything is written.
         assert not (tmp_path / "out").exists()
@@ -736,7 +776,7 @@ def test_build_knn_shares_one_index_per_shot_pool(tmp_path, monkeypatch):
     real = promptgen.NeighborIndex
     built = []
 
-    def counting_index(manifest, pool, table=None):
+    def counting_index(manifest, pool, table):
         built.append(len(pool))
         return real(manifest, pool, table)
 
@@ -752,7 +792,7 @@ def test_build_knn_shares_one_index_per_shot_pool(tmp_path, monkeypatch):
     # Every split's shots are the naive scan's top 3 over that split's pool.
     manifest = corpus.read_manifest(manifests / "knnpool.manifest")
     loaded = corpus.load_table(data / "knnpool.tsv", manifest)
-    records = corpus.assign_splits(loaded.records, manifest, seed=2)
+    records = corpus.assign_splits(loaded.records, manifest, seed=2, table=corpus.FeatureTable())
     by_id = {r.record_id: r for r in records}
     for split, sources in (("train", {"train"}), ("valid", {"train"}), ("test", {"train", "valid"})):
         pool = [r for r in records if r.split in sources]
@@ -780,7 +820,7 @@ def test_evaluate_knn_stub_reuses_the_shot_index(tmp_path, monkeypatch, shots):
     real = promptgen.NeighborIndex
     built = []
 
-    def counting_index(manifest, pool, table=None):
+    def counting_index(manifest, pool, table):
         built.append(len(pool))
         return real(manifest, pool, table)
 
@@ -799,7 +839,7 @@ def test_evaluate_knn_stub_reuses_the_shot_index(tmp_path, monkeypatch, shots):
     # Each answer is the target of the naive scan's nearest pool record.
     manifest = corpus.read_manifest(manifests / "knnev.manifest")
     loaded = corpus.load_table(data / "knnev.tsv", manifest)
-    records = corpus.assign_splits(loaded.records, manifest, seed=2)
+    records = corpus.assign_splits(loaded.records, manifest, seed=2, table=corpus.FeatureTable())
     pool = [r for r in records if r.split in ("train", "valid")]
     by_id = {r.record_id: r for r in records}
     with open(out / "knnev.rows.csv", encoding="utf-8", newline="") as fh:

@@ -99,19 +99,19 @@ def test_load_table_not_utf8(tmp_path, name):
 def test_random_split_deterministic():
     manifest = _binary_manifest()
     records = _records(10)
-    first = assign_splits(records, manifest, seed=1)
+    first = assign_splits(records, manifest, seed=1, table=FeatureTable())
     counts = {s: sum(1 for r in first if r.split == s) for s in ("train", "valid", "test")}
     assert counts == {"train": 8, "valid": 1, "test": 1}
-    second = assign_splits(records, manifest, seed=1)
+    second = assign_splits(records, manifest, seed=1, table=FeatureTable())
     assert [r.split for r in first] == [r.split for r in second]
-    different = assign_splits(records, manifest, seed=2)
+    different = assign_splits(records, manifest, seed=2, table=FeatureTable())
     assert [r.split for r in first] != [r.split for r in different]
 
 
 def test_split_partition_properties():
     manifest = _binary_manifest()
     records = _records(53)
-    out = assign_splits(records, manifest, seed=7)
+    out = assign_splits(records, manifest, seed=7, table=FeatureTable())
     assert len(out) == 53
     assert {r.record_id for r in out} == {r.record_id for r in records}
     n_train = sum(1 for r in out if r.split == "train")
@@ -132,7 +132,7 @@ def test_scaffold_split_groups_never_straddle():
         "CCO", "CCCO", "CCCCO",                        # acyclic
     ]
     records = [DataRecord(str(i), {"drug": s}, True) for i, s in enumerate(smiles)]
-    out = assign_splits(records, manifest, seed=1)
+    out = assign_splits(records, manifest, seed=1, table=FeatureTable())
     from txf.chem import parse_smiles, scaffold_key
 
     by_scaffold = {}
@@ -220,7 +220,7 @@ def test_cold_start_split_keys_disjoint():
         DataRecord(str(i), {"drug": "CCO", "target": f"SEQ{i % 7}"}, True)
         for i in range(40)
     ]
-    out = assign_splits(records, manifest, seed=1)
+    out = assign_splits(records, manifest, seed=1, table=FeatureTable())
     seen = {}
     for r in out:
         seen.setdefault(r.features["target"], set()).add(r.split)
@@ -242,7 +242,7 @@ def test_combination_split_unordered_pairs():
         x, y = f"C{'C' * (i % 4)}", f"N{'C' * (i % 3)}"
         records.append(DataRecord(f"f{i}", {"a": x, "b": y}, True))
         records.append(DataRecord(f"r{i}", {"a": y, "b": x}, True))
-    out = assign_splits(records, manifest, seed=1)
+    out = assign_splits(records, manifest, seed=1, table=FeatureTable())
     by_pair = {}
     for r in out:
         key = tuple(sorted((r.features["a"], r.features["b"])))
@@ -257,7 +257,7 @@ def test_temporal_split_ordering():
         DataRecord(str(i), {"drug": "CCO"}, True, timestamp=str(2000 + (i * 7) % 20))
         for i in range(20)
     ]
-    out = assign_splits(records, manifest, seed=1)
+    out = assign_splits(records, manifest, seed=1, table=FeatureTable())
     max_train = max(int(r.timestamp) for r in out if r.split == "train")
     min_test = min(int(r.timestamp) for r in out if r.split == "test")
     assert max_train <= min_test
@@ -272,7 +272,7 @@ def test_temporal_split_sorts_nan_after_every_number():
         stamps = [str(t) for t in range(20, 0, -1)]
         stamps.insert(nan_row, "nan")
         records = [DataRecord(stamp, {"drug": "CCO"}, True, timestamp=stamp) for stamp in stamps]
-        splits.append({r.timestamp: r.split for r in assign_splits(records, manifest, seed=1)})
+        splits.append({r.timestamp: r.split for r in assign_splits(records, manifest, seed=1, table=FeatureTable())})
     assert splits[0] == splits[1]
     assert {stamp for stamp, split in splits[0].items() if split == "test"} == {"20", "nan"}
 

@@ -19,7 +19,7 @@ from knn_reference import naive_nearest
 from txf import atomic, evalharness
 from txf.chem import Reactants, parse_smiles, write_canonical
 from txf.cli import main
-from txf.corpus import DataRecord, RoleSpec, TaskManifest, write_manifest, write_split_audit
+from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest, write_manifest, write_split_audit
 from txf.evalharness import (
     EchoClient,
     GenerationResponse,
@@ -166,7 +166,7 @@ def test_row_for_prompt_never_raises(task, completion, scores, data):
         query = replace(query, label=truth)
         respelled = data.draw(st.none() | _same_composition(truth), label="respelled")
         completion = completion if respelled is None else respelled
-        reactants = data.draw(st.sampled_from([truth, Reactants.parse(truth)]), label="reactants")
+        reactants = Reactants.parse(truth)
     prompt = render_prompt(query, manifest)
     row = evalharness._row_for_prompt(prompt, manifest, GenerationResponse(completion, scores), None, reactants)
     assert row.completion == completion and not row.failed
@@ -343,7 +343,7 @@ def test_knn_stub_beats_majority_on_separable_task():
             test.append(DataRecord(f"te_a{i}", {"drug": "C" * rng.randint(8, 14)}, True, split="test"))
             test.append(DataRecord(f"te_b{i}", {"drug": "OC" + "C" * rng.randint(0, 3) + "O"}, False, split="test"))
     prompts = [render_prompt(r, manifest) for r in test]
-    knn = NearestNeighborClient(NeighborIndex(manifest, train))
+    knn = NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable()))
     knn_result = evaluate_task(manifest, prompts, knn, concurrency=2)
     majority_result = evaluate_task(manifest, prompts, MajorityClient(), concurrency=2)
     assert knn_result.value is not None
@@ -388,7 +388,7 @@ def _golden_train_pool(manifest, query):
 )
 def test_knn_stub_answers_match_naive_scan_on_golden_tasks(name, manifest, query):
     train = _golden_train_pool(manifest, query)
-    knn = NearestNeighborClient(NeighborIndex(manifest, train))
+    knn = NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable()))
     for probe in [query, *train[::3]]:
         prompt = render_prompt(probe, manifest).prompt
         [(best, _)] = naive_nearest(manifest, probe, train, 1)
@@ -412,7 +412,7 @@ def test_knn_stub_answers_a_question_that_templates_an_uncompared_role():
     prompt = render_prompt(query, manifest).prompt
     assert "Disease:" not in prompt
     [(best, _)] = naive_nearest(manifest, query, train, 1)
-    answer = NearestNeighborClient(NeighborIndex(manifest, train)).generate(prompt).text
+    answer = NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable())).generate(prompt).text
     assert answer == render_target(train[best], manifest)
 
 
@@ -424,12 +424,12 @@ def test_knn_stub_shared_index_under_threads():
     prompts = [render_prompt(r, manifest) for r in train * 4]
     expected = [
         (r.record_id, r.prediction)
-        for r in evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train)), concurrency=1).rows
+        for r in evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable())), concurrency=1).rows
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        result = evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train)), concurrency=8)
+        result = evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable())), concurrency=8)
     finally:
         sys.setswitchinterval(interval)
     assert [(r.record_id, r.prediction) for r in result.rows] == expected
@@ -469,7 +469,7 @@ def test_knn_stub_aligns_each_distinct_pair_once_under_threads(monkeypatch):
         for i in range(32)
     ]
     prompts = [render_prompt(r, manifest) for r in queries]
-    evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train)), concurrency=8)
+    evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable())), concurrency=8)
     assert len(calls) == len(set(calls)) == 4
 
 

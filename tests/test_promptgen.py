@@ -89,14 +89,14 @@ def test_zero_shot_prompt_single_answer_line():
     rendered = render_prompt(golden_tasks.BBB_QUERY, golden_tasks.BBB_MANIFEST)
     assert rendered.prompt.endswith("Answer:")
     assert rendered.prompt.count("Answer:") == 1
-    assert rendered.shot_count == 0
+    assert len(rendered.shot_ids) == 0
 
 
 def test_fewshot_prompt_counts():
     rendered = render_prompt(
         golden_tasks.BBB_QUERY, golden_tasks.BBB_MANIFEST, golden_tasks.BBB_SHOTS
     )
-    assert rendered.shot_count == 10
+    assert len(rendered.shot_ids) == 10
     assert rendered.prompt.count("Answer:") == 11
     assert rendered.shot_ids == tuple(s.record_id for s in golden_tasks.BBB_SHOTS)
 
@@ -261,7 +261,7 @@ def test_random_shots_reject_an_exclude_outside_the_pool():
 def test_knn_duplicate_is_first_shot():
     pool = _pool(8)
     pool.append(DataRecord("dup", {"drug": golden_tasks.BBB_QUERY.features["drug"]}, True, split="train"))
-    ranked = NeighborIndex(golden_tasks.BBB_MANIFEST, pool).nearest(golden_tasks.BBB_QUERY.features, 3)
+    ranked = NeighborIndex(golden_tasks.BBB_MANIFEST, pool, FeatureTable()).nearest(golden_tasks.BBB_QUERY.features, 3)
     assert pool[ranked[0][0]].record_id == "dup"
 
 
@@ -272,7 +272,7 @@ def test_knn_matches_naive_scan():
     smiles = ["C" * rng.randint(1, 6) + "O" * rng.randint(0, 2) for _ in range(40)]
     pool = [DataRecord(f"p{i}", {"drug": s}, True, split="train") for i, s in enumerate(smiles)]
     query = DataRecord("q", {"drug": "CCCO"}, True, split="test")
-    got = [pool[i] for i, _ in NeighborIndex(golden_tasks.BBB_MANIFEST, pool).nearest(query.features, 5)]
+    got = [pool[i] for i, _ in NeighborIndex(golden_tasks.BBB_MANIFEST, pool, FeatureTable()).nearest(query.features, 5)]
     qfp = morgan_fingerprint(parse_smiles("CCCO"))
     naive = sorted(
         ((i, tanimoto(qfp, morgan_fingerprint(parse_smiles(s)))) for i, s in enumerate(smiles)),
@@ -287,7 +287,7 @@ def test_knn_sequence_averaging():
         DataRecord("near", {"peptide": "QLADETLLKV", "mhc": "YFAMYGEKVAHTHVDTLYVRYHYYTWAEWAYTWY"}, True, split="train"),
         DataRecord("far", {"peptide": "GGGGGGGGGG", "mhc": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}, True, split="train"),
     ]
-    [(best, _)] = NeighborIndex(manifest, pool).nearest(golden_tasks.MHC1_QUERY.features, 1)
+    [(best, _)] = NeighborIndex(manifest, pool, FeatureTable()).nearest(golden_tasks.MHC1_QUERY.features, 1)
     assert pool[best].record_id == "near"
 
 
@@ -348,7 +348,7 @@ _SMILES_POOL = [
 )
 def test_neighbor_index_matches_naive_scan(manifest, rows, queries):
     pool = _records(manifest, rows)
-    index = NeighborIndex(manifest, pool)
+    index = NeighborIndex(manifest, pool, FeatureTable())
     positions = {r.record_id: i for i, r in enumerate(pool)}
     candidates = _records(manifest, queries) + pool[:3]
     for query in candidates:
@@ -376,7 +376,7 @@ def test_neighbor_index_matches_naive_scan_on_random_smiles(pool, query, k):
     manifest = golden_tasks.BBB_MANIFEST
     records = _records(manifest, [(s,) for s in pool])
     probe = DataRecord("q", {"drug": query}, True)
-    got = NeighborIndex(manifest, records).nearest(probe.features, k)
+    got = NeighborIndex(manifest, records, FeatureTable()).nearest(probe.features, k)
     assert got == naive_nearest(manifest, probe, records, k)
 
 
@@ -396,7 +396,7 @@ def test_nearest_equals_a_full_scan(data, smiles):
         manifest, row = golden_tasks.MHC1_MANIFEST, st.tuples(_RESIDUES, _RESIDUES)
     pool = _records(manifest, data.draw(st.lists(row, min_size=1, max_size=8)))
     query = data.draw(st.sampled_from(pool) | row.map(lambda r: _records(manifest, [r])[0]))
-    index = NeighborIndex(manifest, pool)
+    index = NeighborIndex(manifest, pool, FeatureTable())
     for exclude in [None, *range(len(pool))]:
         exclude_id = None if exclude is None else pool[exclude].record_id
         expected = naive_nearest(manifest, query, pool, len(pool) + 2, exclude_id)
@@ -447,7 +447,7 @@ def test_nearest_scores_a_group_whose_bound_ties_the_kth_best():
     manifest = golden_tasks.MIRTARBASE_MANIFEST
     pool = _records(manifest, [("CC", "MSVNMDELRH"), ("GAC", "MSVNMDELRH")])
     query = _records(manifest, [("ACGUA", "MSVNMDELRH")])[0]
-    assert NeighborIndex(manifest, pool).nearest(query.features, 1) == [(0, 20.0)]
+    assert NeighborIndex(manifest, pool, FeatureTable()).nearest(query.features, 1) == [(0, 20.0)]
     assert naive_nearest(manifest, query, pool, 1) == [(0, 20.0)]
 
 
@@ -464,7 +464,7 @@ def test_neighbor_index_fingerprints_each_distinct_smiles_once(monkeypatch):
     monkeypatch.setattr(chem, "morgan_fingerprint", counting)
     distinct = ["CCO", "CCCO", "c1ccccc1O", "OCCO", "CCN", "CC(=O)O"]
     pool = _records(golden_tasks.BBB_MANIFEST, [(distinct[i % 6],) for i in range(60)])
-    index = NeighborIndex(golden_tasks.BBB_MANIFEST, pool)
+    index = NeighborIndex(golden_tasks.BBB_MANIFEST, pool, FeatureTable())
     queries = [DataRecord(f"q{i}", {"drug": s}, True) for i, s in enumerate(distinct + ["CCCCN"] * 4)]
     for query in queries:
         index.nearest(query.features, 10)
@@ -491,7 +491,7 @@ def test_neighbor_index_aligns_each_distinct_pair_once(monkeypatch):
     manifest = golden_tasks.MHC1_MANIFEST
     peptides = ["QLADETLLKV", "GLADETLLKA", "QLADETLLKV", "GGGGGGGGGG"]
     pool = _records(manifest, [(peptides[i % 4], "YFAMYGEKVAHTHVDTLYVRYHYY") for i in range(40)])
-    index = NeighborIndex(manifest, pool)
+    index = NeighborIndex(manifest, pool, FeatureTable())
     # Query peptides differ from every pool peptide, and k covers the pool,
     # so no bound can prune: each query peptide meets the 3 distinct pool
     # peptides. The MHC roles are equal strings and need no alignment.
@@ -541,7 +541,7 @@ def test_neighbor_index_requires_a_similarity_role():
         split_method="random",
     )
     pool = [DataRecord(f"p{i}", {"note": f"n{i}"}, True, split="train") for i in range(3)]
-    index = NeighborIndex(manifest, pool)
+    index = NeighborIndex(manifest, pool, FeatureTable())
     assert index.kind == ""
     with pytest.raises(ValueError):
         index.nearest(pool[0].features, 1)
@@ -549,7 +549,7 @@ def test_neighbor_index_requires_a_similarity_role():
 
 def test_nearest_finds_nothing_in_a_pool_of_only_the_query():
     pool = _records(golden_tasks.BBB_MANIFEST, [("CCO",)])
-    assert NeighborIndex(golden_tasks.BBB_MANIFEST, pool).nearest(pool[0].features, 2, exclude=0) == []
+    assert NeighborIndex(golden_tasks.BBB_MANIFEST, pool, FeatureTable()).nearest(pool[0].features, 2, exclude=0) == []
 
 
 def test_shot_source_splits():
@@ -565,7 +565,7 @@ def test_budget_large_keeps_all_shots():
     rendered = render_prompt(
         golden_tasks.BBB_QUERY, golden_tasks.BBB_MANIFEST, golden_tasks.BBB_SHOTS, budget=10_000
     )
-    assert rendered.shot_count == 10
+    assert len(rendered.shot_ids) == 10
     assert not rendered.over_budget
 
 
@@ -584,7 +584,7 @@ def test_budget_zero_shot_over_budget_flagged():
     rendered = render_prompt(
         golden_tasks.BBB_QUERY, golden_tasks.BBB_MANIFEST, golden_tasks.BBB_SHOTS, budget=10
     )
-    assert rendered.shot_count == 0
+    assert len(rendered.shot_ids) == 0
     assert rendered.over_budget
 
 
@@ -602,7 +602,7 @@ def test_budget_fitting_renders_each_shot_once(monkeypatch):
 
     monkeypatch.setattr(promptgen, "render_target", counting)
     rendered = render_prompt(query, manifest, shots, budget=budget)
-    assert rendered.shot_count == 4
+    assert len(rendered.shot_ids) == 4
     # Ten shots and the query's own target, each rendered once.
     assert len(targets) == 11
 
@@ -677,11 +677,11 @@ def test_mixture_task_weighting_and_shot_stats():
     sigma_task = math.sqrt(n * 0.9 * 0.1)
     assert abs(big - 0.9 * n) <= 3 * sigma_task
 
-    few = [p for p in sample if p.shot_count > 0]
+    few = [p for p in sample if len(p.shot_ids) > 0]
     sigma_shot = math.sqrt(n * 0.7 * 0.3)
     assert abs((n - len(few)) - 0.7 * n) <= 3 * sigma_shot
 
-    counts = Counter(p.shot_count for p in few)
+    counts = Counter(len(p.shot_ids) for p in few)
     assert set(counts) <= set(range(1, 11))
 
 

@@ -16,6 +16,7 @@ REMOVED = {
         "Fingerprint.nbits",
         "parse_reaction_side",
         "Bond.other",
+        "canonical_reactant_set",
     ],
     "corpus": ["replace_split", "TaskManifest.role", "SplitSpec"],
     "promptgen": [
@@ -26,6 +27,7 @@ REMOVED = {
         "NeighborIndex.select_shots",
         "read_prompt_jsonl",
         "BinningSpec.levels",
+        "PromptRecord.shot_count",
     ],
     "evalharness": [
         "GenerationRequest",
