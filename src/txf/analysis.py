@@ -217,6 +217,8 @@ def wilcoxon_signed_rank(
         raise ValueError("paired inputs must have equal length")
     if len(a) < 5:
         raise ValueError("need at least 5 pairs")
+    if not all(math.isfinite(x) for x in (*a, *b)):
+        raise ValueError("paired values must be finite")
     if isinstance(lower_is_better, bool):
         directions = [lower_is_better] * len(a)
     else:
@@ -419,34 +421,49 @@ def filtered_eval(result: EvalResult, flags: dict[str, bool]) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def _read_csv(path, columns) -> list[dict]:
-    """Rows of a CSV file whose header names every one of columns and whose
-    rows reach each of them."""
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        rows = list(reader)
-    for n, row in enumerate(rows, 1):
+def _read_csv(path, columns) -> list[tuple[int, dict]]:
+    """Numbered rows of a UTF-8 CSV file whose header names every one of
+    columns and whose rows reach each of them. A leading byte-order mark is
+    ignored."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(line for line in fh if not line.startswith("#"))
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{path}: missing columns {missing}")
+            rows = list(enumerate(reader, 1))
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+    for n, row in rows:
         if any(row[c] is None for c in columns):
             raise ValueError(f"{path}: row {n} has fewer cells than the header")
     return rows
 
 
+def _number(path, n: int, row: dict, column: str) -> float:
+    """The cell as a finite float; raises ValueError naming file, row and column."""
+    text = row[column]
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: row {n} column {column!r} is not a finite number: {text!r}")
+    return value
+
+
 def load_score_rows(path, model_col: str = "model") -> list[ScoreRow]:
     """Rows of task,feature_type,metric,lower_is_better,sota,<model_col>."""
     rows = []
-    for rec in _read_csv(path, ("task", "metric", "lower_is_better", model_col)):
-        sota_raw = (rec.get("sota") or "").strip()
+    for n, rec in _read_csv(path, ("task", "metric", "lower_is_better", model_col)):
         rows.append(
             ScoreRow(
                 task=rec["task"],
                 feature_type=rec.get("feature_type", ""),
                 metric=rec["metric"],
                 lower_is_better=rec["lower_is_better"].strip().lower() == "true",
-                sota=float(sota_raw) if sota_raw else None,
-                model=float(rec[model_col]),
+                sota=_number(path, n, rec, "sota") if (rec.get("sota") or "").strip() else None,
+                model=_number(path, n, rec, model_col),
             )
         )
     return rows
@@ -455,15 +472,15 @@ def load_score_rows(path, model_col: str = "model") -> list[ScoreRow]:
 def load_pair_rows(path, a_col: str, b_col: str) -> list[PairRow]:
     """Paired per-task values; a tie_winner column is honored when present."""
     pairs = []
-    for rec in _read_csv(path, ("task", "metric", "lower_is_better", a_col, b_col)):
+    for n, rec in _read_csv(path, ("task", "metric", "lower_is_better", a_col, b_col)):
         tie = (rec.get("tie_winner") or "").strip() or None
         pairs.append(
             PairRow(
                 task=rec["task"],
                 metric=rec["metric"],
                 lower_is_better=rec["lower_is_better"].strip().lower() == "true",
-                a=float(rec[a_col]),
-                b=float(rec[b_col]),
+                a=_number(path, n, rec, a_col),
+                b=_number(path, n, rec, b_col),
                 tie_winner=tie,
             )
         )

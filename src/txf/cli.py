@@ -220,9 +220,15 @@ def _report(payload: dict, out: str | None) -> None:
         write_atomically(out, lambda fh: fh.write(text + "\n"))
 
 
+def _scored_by(result: dict) -> str:
+    better = "lower" if result.get("lower_is_better") else "higher"
+    return f"{result['metric']} ({better} is better)"
+
+
 def _result_pairs(dir_a: Path, dir_b: Path) -> list:
     """One ``analysis.PairRow`` per task with a defined value in both result
-    directories."""
+    directories. A task must be scored by the same metric, in the same
+    direction, in both."""
     from . import analysis, evalharness
 
     for path in (dir_a, dir_b):
@@ -235,6 +241,9 @@ def _result_pairs(dir_a: Path, dir_b: Path) -> list:
             continue
         ra = evalharness.read_result_json(path_a)
         rb = evalharness.read_result_json(path_b)
+        scored_a, scored_b = _scored_by(ra), _scored_by(rb)
+        if scored_a != scored_b:
+            raise ValueError(f"task {ra['task']}: scored by {scored_a} in {dir_a} but {scored_b} in {dir_b}")
         if ra["value"] is None or rb["value"] is None:
             continue
         pairs.append(
@@ -304,7 +313,7 @@ def cmd_contamination(args) -> int:
 
     features = []
     try:
-        with open(args.features, encoding="utf-8") as fh:
+        with open(args.features, encoding="utf-8-sig") as fh:
             for line in fh:
                 line = line.rstrip("\n")
                 if not line or line.startswith("#"):

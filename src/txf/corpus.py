@@ -46,18 +46,6 @@ LOWER_IS_BETTER_METRICS = {"mae", "mse"}
 # Target train/valid/test shares of the records for every split method.
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
-# Feature-type tag for each combination of role kinds present, mirroring the
-# seven feature categories used in the result tables.
-_FEATURE_TAGS = {
-    frozenset({"smiles"}): "SMILES",
-    frozenset({"amino_acid"}): "Amino acid",
-    frozenset({"nucleotide"}): "Nucleotide",
-    frozenset({"amino_acid", "smiles"}): "Amino acid + SMILES",
-    frozenset({"nucleotide", "amino_acid"}): "Nucleotide + Amino acid",
-    frozenset({"smiles", "text"}): "SMILES + Text",
-    frozenset({"amino_acid", "text"}): "Amino acid + Text",
-}
-
 _PLACEHOLDER = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
@@ -90,11 +78,6 @@ class TaskManifest:
     combination_roles: tuple[str, str] | None = None
     timestamp_column: str | None = None
     subtask_column: str | None = None
-
-    @property
-    def feature_type(self) -> str:
-        kinds = frozenset(r.kind for r in self.roles)
-        return _FEATURE_TAGS.get(kinds, " + ".join(sorted(kinds)))
 
     def similarity_roles(self) -> tuple[str, list[RoleSpec]]:
         """Kind of the first similarity-capable role and all roles of that kind."""
@@ -219,30 +202,20 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace("\n", "\\n")
 
 
+_ESCAPED = re.compile(r"\\([n\\])")
+
+
 def _unescape(value: str) -> str:
-    out = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    """Inverse of ``_escape``; a backslash before any other character stays."""
+    return _ESCAPED.sub(lambda m: "\n" if m[1] == "n" else "\\", value)
 
 
 def read_manifest(path) -> TaskManifest:
     data: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark, as spreadsheet exports
+        # write, is not part of the first key.
+        with open(path, encoding="utf-8-sig") as fh:
             lines = list(fh)
     except UnicodeDecodeError:
         raise CorpusError(f"{path}: not UTF-8 text") from None
@@ -253,7 +226,10 @@ def read_manifest(path) -> TaskManifest:
         if ":" not in line:
             raise CorpusError(f"{path}:{lineno}: expected 'key: value'")
         key, _, value = line.partition(":")
-        data[key.strip()] = _unescape(value.strip())
+        key = key.strip()
+        if key in data:
+            raise CorpusError(f"{path}:{lineno}: repeated key {key!r}")
+        data[key] = _unescape(value.strip())
 
     def need(key: str) -> str:
         if key not in data:
@@ -312,40 +288,35 @@ def read_manifest(path) -> TaskManifest:
 
 
 def write_manifest(manifest: TaskManifest, path) -> None:
-    lines = [
-        f"task_id: {manifest.task_id}",
-        f"task_kind: {manifest.task_kind}",
-        f"metric: {manifest.metric}",
-        f"lower_is_better: {'true' if manifest.lower_is_better else 'false'}",
-        f"split_method: {manifest.split_method}",
-        f"label_column: {manifest.label_column}",
-        f"roles: {' '.join(r.name for r in manifest.roles)}",
+    """Write every value escaped, so ``read_manifest`` reads it back equal."""
+    pairs = [
+        ("task_id", manifest.task_id),
+        ("task_kind", manifest.task_kind),
+        ("metric", manifest.metric),
+        ("lower_is_better", "true" if manifest.lower_is_better else "false"),
+        ("split_method", manifest.split_method),
+        ("label_column", manifest.label_column),
+        ("roles", " ".join(r.name for r in manifest.roles)),
     ]
     for r in manifest.roles:
-        lines += [
-            f"role.{r.name}.kind: {r.kind}",
-            f"role.{r.name}.column: {r.column}",
-            f"role.{r.name}.label: {r.label}",
-        ]
+        pairs += [(f"role.{r.name}.{field}", getattr(r, field)) for field in ("kind", "column", "label")]
     if manifest.label_range is not None:
-        lines += [
-            f"label_min: {manifest.label_range[0]!r}",
-            f"label_max: {manifest.label_range[1]!r}",
-        ]
-    if manifest.cold_start_role:
-        lines.append(f"cold_start_role: {manifest.cold_start_role}")
-    if manifest.combination_roles:
-        lines.append(f"combination_roles: {' '.join(manifest.combination_roles)}")
-    if manifest.timestamp_column:
-        lines.append(f"timestamp_column: {manifest.timestamp_column}")
-    if manifest.subtask_column:
-        lines.append(f"subtask_column: {manifest.subtask_column}")
-    lines += [
-        f"instruction: {_escape(manifest.instruction)}",
-        f"context: {_escape(manifest.context)}",
-        f"question: {_escape(manifest.question)}",
+        lo, hi = manifest.label_range
+        pairs += [("label_min", repr(lo)), ("label_max", repr(hi))]
+    optional = [
+        ("cold_start_role", manifest.cold_start_role),
+        ("combination_roles", " ".join(manifest.combination_roles or ())),
+        ("timestamp_column", manifest.timestamp_column),
+        ("subtask_column", manifest.subtask_column),
     ]
-    write_atomically(path, lambda fh: fh.write("\n".join(lines) + "\n"))
+    pairs += [(key, value) for key, value in optional if value]
+    pairs += [
+        ("instruction", manifest.instruction),
+        ("context", manifest.context),
+        ("question", manifest.question),
+    ]
+    text = "".join(f"{key}: {_escape(value)}\n" for key, value in pairs)
+    write_atomically(path, lambda fh: fh.write(text))
 
 
 def validate_manifest(manifest: TaskManifest) -> list[str]:
@@ -441,11 +412,12 @@ def _parse_label(raw: str, kind: str):
 def load_table(path, manifest: TaskManifest) -> LoadedTable:
     """Read a delimited table into typed records.
 
-    Rows with any empty mapped cell are dropped and counted. Raises on a
-    file that is not UTF-8, a missing column, or when no usable rows remain.
+    Rows with any empty mapped cell are dropped and counted. A leading
+    byte-order mark is ignored. Raises on a file that is not UTF-8, a
+    missing column, or when no usable rows remain.
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = _table_reader(fh, path)
             try:
                 header = next(reader)

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import re
+import sys
 import threading
 import time
 import urllib.parse
@@ -698,18 +699,19 @@ def write_result_json(result: EvalResult, path) -> None:
 
 def read_result_json(path) -> dict:
     """The payload of a result file. Raises ValueError naming the file when it
-    is not JSON, or not an object with task, metric and a numeric or null value."""
+    is not JSON, or not an object with task, metric and a finite numeric or
+    null value (JSON ``NaN`` and ``true`` are neither)."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:  # also UnicodeDecodeError
             raise ValueError(f"{path}: not a result file: {exc}") from None
-    if not (
-        isinstance(payload, dict)
-        and {"task", "metric", "value"} <= payload.keys()
-        and isinstance(payload["value"], (int, float, type(None)))
-    ):
-        raise ValueError(f"{path}: not a result file: needs task, metric and a numeric or null value")
+    if not (isinstance(payload, dict) and {"task", "metric", "value"} <= payload.keys()):
+        raise ValueError(f"{path}: not a result file: needs task, metric and value")
+    value = payload["value"]
+    # abs() compares an int exactly, so an int too large for a float fails too.
+    if value is not None and not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{path}: not a result file: value {value!r} is not a finite number or null")
     return payload
 
 

@@ -184,6 +184,18 @@ def test_wilcoxon_needs_five_pairs():
         wilcoxon_signed_rank([1, 2], [2, 3])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_wilcoxon_rejects_a_non_finite_value(bad):
+    # A NaN difference is neither a win nor a loss, yet it would still enter
+    # the exact null and halve the p-value.
+    a = [0.5, 0.6, 0.7, 0.8, 0.9, 0.4]
+    b = [0.6, 0.7, 0.8, 0.9, 1.0, bad]
+    with pytest.raises(ValueError, match="finite"):
+        wilcoxon_signed_rank(a, b)
+    with pytest.raises(ValueError, match="finite"):
+        wilcoxon_signed_rank(b, a)
+
+
 def test_wilcoxon_normal_mode_reasonable():
     rng = random.Random(97)
     a = [rng.uniform(0, 1) for _ in range(60)]

@@ -417,6 +417,49 @@ def test_contamination_command(tmp_path, capsys):
     assert flags_out.read_text() == "r1\t1\nr2\t0\n"
 
 
+BOM = "\ufeff".encode("utf-8")
+
+
+@pytest.mark.parametrize("name", ["manifests/bbb_martins.manifest", "data/bbb_martins.tsv"])
+def test_build_ignores_a_leading_byte_order_mark(tmp_path, name):
+    outputs = []
+    for mark in (b"", BOM):
+        root = tmp_path / ("marked" if mark else "plain")
+        _copy_cli_task(root)
+        path = root / name
+        path.write_bytes(mark + path.read_bytes())
+        out = root / "out"
+        assert main([
+            "build", "--manifests", str(root / "manifests"), "--data", str(root / "data"),
+            "--out", str(out), "--seed", "1",
+        ]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert "bbb_martins.splits.tsv" in outputs[0] and "bbb_martins.train.jsonl" in outputs[0]
+    assert outputs[1] == outputs[0]
+
+
+def test_contamination_ignores_a_leading_byte_order_mark(tmp_path, capsys):
+    features = tmp_path / "features.tsv"
+    features.write_bytes(BOM + b"r1\tNEEDLE\nr2\tABSENT\n")
+    (tmp_path / "corpus.txt").write_text("hay NEEDLE hay")
+    flags_out = tmp_path / "flags.tsv"
+    assert main([
+        "contamination", "--features", str(features), "--corpus", str(tmp_path / "corpus.txt"),
+        "--out", str(flags_out),
+    ]) == 0
+    assert flags_out.read_text(encoding="utf-8") == "r1\t1\nr2\t0\n"
+
+
+def test_compare_pairs_ignores_a_leading_byte_order_mark(tmp_path, capsys):
+    marked = tmp_path / "pairs.csv"
+    marked.write_bytes(BOM + (FIXTURES / "model_size_results.csv").read_bytes())
+    payloads = []
+    for path in (FIXTURES / "model_size_results.csv", marked):
+        assert main(["compare", "--pairs", str(path), "--a-col", "model_s", "--b-col", "model_m"]) == 0
+        payloads.append(capsys.readouterr().out)
+    assert payloads[1] == payloads[0]
+
+
 def _write_toy_binary(manifests, data, task_id, n=100):
     (manifests / f"{task_id}.manifest").write_text(
         f"task_id: {task_id}\n"
@@ -604,6 +647,75 @@ def _result_dirs(tmp_path, text_a):
     return ["compare", "--results-a", str(dir_a), "--results-b", str(dir_b)]
 
 
+def _result_nan_value(tmp_path):
+    # json.load reads NaN, which Python's json.dump writes for a float nan.
+    return _result_dirs(tmp_path, '{"task": "t", "metric": "auroc", "value": NaN}'), (
+        "t.result.json: not a result file: value nan is not a finite number or null"
+    )
+
+
+def _result_bool_value(tmp_path):
+    return _result_dirs(tmp_path, '{"task": "t", "metric": "auroc", "value": true}'), (
+        "t.result.json: not a result file: value True is not a finite number or null"
+    )
+
+
+def _results_metric_mismatch(tmp_path):
+    # Six tasks, enough for the test, scored by auroc in A and by mae in B.
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    for d, metric, lower in ((dir_a, "auroc", "false"), (dir_b, "mae", "true")):
+        d.mkdir()
+        for i in range(6):
+            (d / f"t{i}.result.json").write_text(
+                f'{{"task": "t{i}", "metric": "{metric}", "lower_is_better": {lower}, "value": 0.{i + 1}}}'
+            )
+    return ["compare", "--results-a", str(dir_a), "--results-b", str(dir_b)], (
+        f"task t0: scored by auroc (higher is better) in {dir_a} but mae (lower is better) in {dir_b}"
+    )
+
+
+def _manifest_repeated_key(tmp_path):
+    manifests, data = _copy_cli_task(tmp_path)
+    path = manifests / "bbb_martins.manifest"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + ["metric: mae"]) + "\n", encoding="utf-8")
+    return [
+        "build", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(tmp_path / "out"),
+    ], f"bbb_martins.manifest:{len(lines) + 1}: repeated key 'metric'"
+
+
+def _csv_case(command, header, row, expected):
+    """A CSV of five good rows then ``row``, given to compare --pairs or
+    scoreboard --fixture."""
+    def case(tmp_path):
+        path = tmp_path / "in.csv"
+        rows = [header] + [f"t{i},auroc,false,0.5,0.6" for i in range(5)]
+        path.write_bytes(("\n".join(rows) + "\n").encode("utf-8") + row + b"\n")
+        flag = "--pairs" if command == "compare" else "--fixture"
+        return [command, flag, str(path)], expected.format(path=path)
+
+    return case
+
+
+_PAIRS = "task,metric,lower_is_better,a,b"
+_SCORES = "task,metric,lower_is_better,sota,model"
+_pairs_latin1 = _csv_case("compare", _PAIRS, b"caf\xe9,auroc,false,0.5,0.6", "{path}: not UTF-8 text")
+_scoreboard_latin1 = _csv_case("scoreboard", _SCORES, b"caf\xe9,auroc,false,0.5,0.6", "{path}: not UTF-8 text")
+_pairs_not_a_number = _csv_case(
+    "compare", _PAIRS, b"t5,auroc,false,abc,0.6", "{path}: row 6 column 'a' is not a finite number: 'abc'"
+)
+_pairs_nan = _csv_case(
+    "compare", _PAIRS, b"t5,auroc,false,0.5,nan", "{path}: row 6 column 'b' is not a finite number: 'nan'"
+)
+_scoreboard_sota_not_a_number = _csv_case(
+    "scoreboard", _SCORES, b"t5,auroc,false,abc,0.6", "{path}: row 6 column 'sota' is not a finite number: 'abc'"
+)
+_scoreboard_model_inf = _csv_case(
+    "scoreboard", _SCORES, b"t5,auroc,false,0.5,inf", "{path}: row 6 column 'model' is not a finite number: 'inf'"
+)
+
+
 def _result_truncated(tmp_path):
     return _result_dirs(tmp_path, '{"task": "t", "metric": "au'), "t.result.json"
 
@@ -742,6 +854,16 @@ def _compare_missing_results_dir(tmp_path):
     _known_and_unknown_task,
     _evaluate_concurrency_zero,
     _compare_missing_results_dir,
+    _result_nan_value,
+    _result_bool_value,
+    _results_metric_mismatch,
+    _manifest_repeated_key,
+    _pairs_latin1,
+    _scoreboard_latin1,
+    _pairs_not_a_number,
+    _pairs_nan,
+    _scoreboard_sota_not_a_number,
+    _scoreboard_model_inf,
 ])
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     argv, expected = case(tmp_path)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txf.corpus import (
     CorpusError,
@@ -319,6 +321,55 @@ def test_manifest_file_round_trip(tmp_path):
     write_manifest(manifest, path)
     back = read_manifest(path)
     assert back == manifest
+
+
+# Manifest values: backslashes, "n", newlines, ": " and other whitespace in
+# any mix, with no surrounding whitespace and no "\r", since the reader strips
+# the one and reads the other as a line end.
+_values = st.text("\\n\n: #x\té\x85\u2028", max_size=12).map(str.strip)
+_optional = st.none() | _values.filter(bool)
+_names = st.sampled_from(["drug", "target", "x", "_a1", "Protein2"])
+_roles = st.lists(
+    st.builds(RoleSpec, _names, _values, _values, _values), unique_by=lambda r: r.name, max_size=3
+).map(tuple)
+_numbers = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None)
+@given(
+    manifest=st.builds(
+        TaskManifest,
+        task_id=_values,
+        task_kind=_values,
+        roles=_roles,
+        instruction=_values,
+        context=_values,
+        question=_values,
+        label_column=_values,
+        metric=_values,
+        split_method=_values,
+        lower_is_better=st.booleans(),
+        label_range=st.none() | st.tuples(_numbers, _numbers),
+        cold_start_role=_optional,
+        combination_roles=st.none() | st.tuples(_names, _names),
+        timestamp_column=_optional,
+        subtask_column=_optional,
+    )
+)
+def test_every_manifest_value_reads_back_equal(tmp_path_factory, manifest):
+    path = tmp_path_factory.mktemp("manifest") / "m.manifest"
+    write_manifest(manifest, path)
+    assert read_manifest(path) == manifest
+
+
+def test_read_manifest_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "toy.manifest"
+    write_manifest(_binary_manifest(), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("# a comment\nsplit_method: scaffold\n")
+    lines = path.read_text(encoding="utf-8").count("\n")
+    with pytest.raises(CorpusError, match=f"toy.manifest:{lines}: repeated key 'split_method'"):
+        read_manifest(path)
 
 
 def test_fit_label_range_train_only():
