@@ -452,6 +452,16 @@ def _number(path, n: int, row: dict, column: str) -> float:
     return value
 
 
+def _direction(path, n: int, row: dict) -> bool:
+    """The lower_is_better cell, ``true`` or ``false`` in any case; raises
+    ValueError naming file, row and column for anything else."""
+    text = row["lower_is_better"]
+    word = text.strip().lower()
+    if word not in ("true", "false"):
+        raise ValueError(f"{path}: row {n} column 'lower_is_better' is not true or false: {text!r}")
+    return word == "true"
+
+
 def load_score_rows(path, model_col: str = "model") -> list[ScoreRow]:
     """Rows of task,feature_type,metric,lower_is_better,sota,<model_col>."""
     rows = []
@@ -461,7 +471,7 @@ def load_score_rows(path, model_col: str = "model") -> list[ScoreRow]:
                 task=rec["task"],
                 feature_type=rec.get("feature_type", ""),
                 metric=rec["metric"],
-                lower_is_better=rec["lower_is_better"].strip().lower() == "true",
+                lower_is_better=_direction(path, n, rec),
                 sota=_number(path, n, rec, "sota") if (rec.get("sota") or "").strip() else None,
                 model=_number(path, n, rec, model_col),
             )
@@ -478,7 +488,7 @@ def load_pair_rows(path, a_col: str, b_col: str) -> list[PairRow]:
             PairRow(
                 task=rec["task"],
                 metric=rec["metric"],
-                lower_is_better=rec["lower_is_better"].strip().lower() == "true",
+                lower_is_better=_direction(path, n, rec),
                 a=_number(path, n, rec, a_col),
                 b=_number(path, n, rec, b_col),
                 tie_winner=tie,

@@ -2,13 +2,17 @@
 
 Every atom environment up to radius 2 is hashed with a fixed 64-bit mixing
 function (splitmix64 finalizer constants) into 2048 bits, so fingerprints
-are stable across platforms and builds.
+are stable across platforms and builds. The finalizer is written inline in
+``_hash_ints``'s loop, and each atom type's radius-0 hash is computed once
+per process; the hash and the bit positions are those of the plain form,
+pinned by ``tests/fixtures/fingerprint_golden.json``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Sequence
 
 from .smiles import Molecule
@@ -26,21 +30,17 @@ _RADIUS = 2
 _NBITS = 2048
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer; the only hash used for fingerprint bits."""
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
-
-
 def _hash_ints(values: Iterable[int]) -> int:
+    # Folds each value in, then applies the splitmix64 finalizer, written
+    # inline: a call per value cost more than the arithmetic.
     h = _GOLDEN
     for v in values:
-        h = mix64(h ^ ((v + _GOLDEN) & _MASK64))
+        h ^= (v + _GOLDEN) & _MASK64
+        h ^= h >> 30
+        h = (h * 0xBF58476D1CE4E5B9) & _MASK64
+        h ^= h >> 27
+        h = (h * 0x94D049BB133111EB) & _MASK64
+        h ^= h >> 31
     return h
 
 
@@ -57,11 +57,10 @@ class Fingerprint:
         object.__setattr__(self, "popcount", self.bits.bit_count())
 
 
-def _atom_invariant(atom, degree: int, hcount: int) -> int:
-    symbol_code = int.from_bytes(atom.symbol.encode("ascii"), "little")
-    return _hash_ints(
-        (symbol_code, atom.charge + 512, degree, hcount, 1 if atom.aromatic else 0)
-    )
+@cache
+def _atom_invariant(symbol: str, charge: int, degree: int, hcount: int, aromatic: bool) -> int:
+    symbol_code = int.from_bytes(symbol.encode("ascii"), "little")
+    return _hash_ints((symbol_code, charge + 512, degree, hcount, 1 if aromatic else 0))
 
 
 def morgan_fingerprint(mol: Molecule) -> Fingerprint:
@@ -74,7 +73,7 @@ def morgan_fingerprint(mol: Molecule) -> Fingerprint:
     """
     adj = mol.neighbors()
     inv = [
-        _atom_invariant(atom, len(adj[i]), atom.hcount)
+        _atom_invariant(atom.symbol, atom.charge, len(adj[i]), atom.hcount, atom.aromatic)
         for i, atom in enumerate(mol.atoms)
     ]
     bits = 0

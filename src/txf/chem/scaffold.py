@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .smiles import Molecule, _refill_hydrogens, write_canonical
+from .smiles import Bond, Molecule, _refill_hydrogens, write_canonical
 
 __all__ = ["murcko_scaffold", "scaffold_key"]
 
@@ -39,7 +37,7 @@ def murcko_scaffold(mol: Molecule) -> Molecule | None:
     keep = sorted(alive)
     remap = {old: new for new, old in enumerate(keep)}
     bonds = tuple(
-        replace(b, a=remap[b.a], b=remap[b.b])
+        Bond(remap[b.a], remap[b.b], b.order, b.direction)
         for b in mol.bonds
         if b.a in alive and b.b in alive
     )

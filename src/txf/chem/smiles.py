@@ -10,7 +10,7 @@ no perception or kekulization is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "Atom",
@@ -458,7 +458,10 @@ def strip_atom_maps(mol: Molecule) -> Molecule:
     if all(a.map_num is None for a in mol.atoms):
         return mol
     return Molecule(
-        atoms=tuple(replace(a, map_num=None) for a in mol.atoms),
+        atoms=tuple(
+            Atom(a.symbol, a.aromatic, a.charge, a.isotope, a.hcount, None, a.chirality, a.bracket)
+            for a in mol.atoms
+        ),
         bonds=mol.bonds,
         written_order=mol.written_order,
     )

@@ -221,7 +221,7 @@ def _report(payload: dict, out: str | None) -> None:
 
 
 def _scored_by(result: dict) -> str:
-    better = "lower" if result.get("lower_is_better") else "higher"
+    better = "lower" if result["lower_is_better"] else "higher"
     return f"{result['metric']} ({better} is better)"
 
 
@@ -250,7 +250,7 @@ def _result_pairs(dir_a: Path, dir_b: Path) -> list:
             analysis.PairRow(
                 task=ra["task"],
                 metric=ra["metric"],
-                lower_is_better=bool(ra.get("lower_is_better")),
+                lower_is_better=ra["lower_is_better"],
                 a=float(ra["value"]),
                 b=float(rb["value"]),
             )

@@ -112,16 +112,18 @@ class FeatureTable:
     One table serves one task for one command: the scaffold split, every
     shot pool's ``NeighborIndex`` and the knn stub read from it, so each
     distinct SMILES is parsed, scaffold-keyed and fingerprinted once, each
-    distinct sequence becomes a ``BioSequence`` once, and each distinct
-    sequence pair is scored once per pair function. Entries are made on
-    first use. A string that does not convert maps to None, and its scaffold
-    key is "". The knn stub queries from worker threads, so an entry is made
-    under a lock, after a second look.
+    distinct scaffold graph is written canonically once (the members of a
+    series share one), each distinct sequence becomes a ``BioSequence``
+    once, and each distinct sequence pair is scored once per pair function.
+    Entries are made on first use. A string that does not convert maps to
+    None, and its scaffold key is "". The knn stub queries from worker
+    threads, so an entry is made under a lock, after a second look.
     """
 
     def __init__(self):
         self._molecules: dict[str, object] = {}
         self._scaffolds: dict[str, str] = {}
+        self._scaffold_strings: dict[object, str] = {}
         self._fingerprints: dict[str, object] = {}
         self._sequences: dict[tuple[str, str], object] = {}
         self._pairs: dict[tuple, float] = {}
@@ -163,10 +165,13 @@ class FeatureTable:
         return self._entry(self._pairs, (score, a.residues, b.residues), lambda _: score(a, b))
 
     def _scaffold_of(self, text: str) -> str:
-        from .chem import scaffold_key
+        from .chem import murcko_scaffold, write_canonical
 
         mol = self.molecule(text)
-        return "" if mol is None else scaffold_key(mol)
+        scaffold = None if mol is None else murcko_scaffold(mol)
+        if scaffold is None:
+            return ""
+        return self._entry(self._scaffold_strings, scaffold, write_canonical)
 
     def _fingerprint_of(self, text: str):
         from .chem import morgan_fingerprint

@@ -700,7 +700,9 @@ def write_result_json(result: EvalResult, path) -> None:
 def read_result_json(path) -> dict:
     """The payload of a result file. Raises ValueError naming the file when it
     is not JSON, or not an object with task, metric and a finite numeric or
-    null value (JSON ``NaN`` and ``true`` are neither)."""
+    null value (JSON ``NaN`` and ``true`` are neither), or when its
+    lower_is_better is not a JSON boolean. A file without lower_is_better
+    reads as higher-is-better."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -712,6 +714,9 @@ def read_result_json(path) -> dict:
     # abs() compares an int exactly, so an int too large for a float fails too.
     if value is not None and not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
         raise ValueError(f"{path}: not a result file: value {value!r} is not a finite number or null")
+    lower = payload.setdefault("lower_is_better", False)
+    if not isinstance(lower, bool):
+        raise ValueError(f"{path}: not a result file: lower_is_better {lower!r} is not true or false")
     return payload
 
 

@@ -460,6 +460,17 @@ def test_compare_pairs_ignores_a_leading_byte_order_mark(tmp_path, capsys):
     assert payloads[1] == payloads[0]
 
 
+@pytest.mark.parametrize("word", ["true", "TRUE", " True "])
+def test_compare_pairs_reads_the_direction_in_any_case(tmp_path, capsys, word):
+    # Six mae rows where b is lower, so b wins every row.
+    path = tmp_path / "pairs.csv"
+    rows = [f"t{i},mae,{word},0.9,0.{i + 1}" for i in range(6)]
+    path.write_text("\n".join(["task,metric,lower_is_better,a,b"] + rows) + "\n")
+    assert main(["compare", "--pairs", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["wins_a"], payload["wins_b"]) == (0, 6)
+
+
 def _write_toy_binary(manifests, data, task_id, n=100):
     (manifests / f"{task_id}.manifest").write_text(
         f"task_id: {task_id}\n"
@@ -715,6 +726,26 @@ _scoreboard_model_inf = _csv_case(
     "scoreboard", _SCORES, b"t5,auroc,false,0.5,inf", "{path}: row 6 column 'model' is not a finite number: 'inf'"
 )
 
+# The direction cell is true or false in any case; nothing else reads as false.
+_pairs_direction_yes = _csv_case(
+    "compare", _PAIRS, b"t5,mae,yes,0.5,0.6", "{path}: row 6 column 'lower_is_better' is not true or false: 'yes'"
+)
+_scoreboard_direction_one = _csv_case(
+    "scoreboard", _SCORES, b"t5,auroc,1,0.5,0.6", "{path}: row 6 column 'lower_is_better' is not true or false: '1'"
+)
+
+
+def _result_direction_string(tmp_path):
+    text = '{"task": "t", "metric": "auroc", "lower_is_better": "false", "value": 0.5}'
+    return _result_dirs(tmp_path, text), (
+        "t.result.json: not a result file: lower_is_better 'false' is not true or false"
+    )
+
+
+def _result_direction_number(tmp_path):
+    text = '{"task": "t", "metric": "auroc", "lower_is_better": 0, "value": 0.5}'
+    return _result_dirs(tmp_path, text), "t.result.json: not a result file: lower_is_better 0 is not true or false"
+
 
 def _result_truncated(tmp_path):
     return _result_dirs(tmp_path, '{"task": "t", "metric": "au'), "t.result.json"
@@ -864,6 +895,10 @@ def _compare_missing_results_dir(tmp_path):
     _pairs_nan,
     _scoreboard_sota_not_a_number,
     _scoreboard_model_inf,
+    _pairs_direction_yes,
+    _scoreboard_direction_one,
+    _result_direction_string,
+    _result_direction_number,
 ])
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     argv, expected = case(tmp_path)

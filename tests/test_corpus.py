@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import MOLECULE_CORPUS, permute_molecule
 from txf.corpus import (
     CorpusError,
     DataRecord,
@@ -207,6 +208,68 @@ def test_feature_table_converts_each_string_once_under_threads(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(text for what, text in calls if what == "parse") == sorted(strings)
     assert len(calls) == len(strings) + 3 and max(calls.values()) == 1
+
+
+def test_scaffold_split_writes_each_distinct_scaffold_once(monkeypatch):
+    from txf import chem
+    from txf.chem import scaffold
+
+    written = []
+    write = chem.write_canonical
+
+    def counting_write(mol):
+        written.append(mol)
+        return write(mol)
+
+    for module in (chem, scaffold):
+        monkeypatch.setattr(module, "write_canonical", counting_write)
+    # Three decorated members of each of two series, each series sharing one
+    # scaffold Molecule, plus an acyclic and an unparseable feature.
+    series = ["c1ccc2ccccc2c1", "O=C1CN=C(c2ccccc2)c2cc(Cl)ccc2N1"]
+    smiles = [head + core for core in series for head in ("C", "CC", "OCC")] + ["CCO", "C1CC("]
+    records = [DataRecord(str(i), {"drug": s}, True) for i, s in enumerate(smiles * 2)]
+    table = FeatureTable()
+    assign_splits(records, _binary_manifest(split_method="scaffold"), seed=1, table=table)
+    assert len(written) == 2 and written[0] != written[1]
+    keys = [table.scaffold_key(text) for text in smiles]
+    assert len(written) == 2
+    assert keys == [write(scaffold.murcko_scaffold(chem.parse_smiles(text))) for text in smiles[:6]] + ["", ""]
+
+
+def _respell(mol):
+    """A SMILES of ``mol`` written in its own atom order."""
+    from txf.chem.smiles import _direction_clusters, _emit
+
+    adj = mol.neighbors()
+    return ".".join(
+        _emit(mol, adj, comp, {a: a for a in comp}, _direction_clusters(mol, comp))[0]
+        for comp in mol.components()
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(MOLECULE_CORPUS),
+            st.sampled_from(["", "C", "CC", "OCC", "NC(=O)", "FC(F)(F)"]),
+            st.randoms(use_true_random=False) | st.none(),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_feature_table_scaffold_key_equals_chem_scaffold_key(spellings):
+    from txf.chem import SmilesParseError, parse_smiles, scaffold_key
+
+    table = FeatureTable()  # one table across the list, as one task shares it
+    for smiles, head, rng in spellings:
+        try:
+            mol = parse_smiles(head + smiles)
+        except SmilesParseError:
+            continue
+        text = head + smiles if rng is None else _respell(permute_molecule(mol, rng))
+        assert table.scaffold_key(text) == scaffold_key(parse_smiles(text))
 
 
 def test_cold_start_split_keys_disjoint():

@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from conftest import MOLECULE_CORPUS, permute_molecule
+from conftest import FIXTURES, MOLECULE_CORPUS, permute_molecule
 from txf.chem import (
     Fingerprint,
     morgan_fingerprint,
@@ -10,6 +11,15 @@ from txf.chem import (
     tanimoto,
     top_k_tanimoto,
 )
+
+# Written by tests/make_fingerprint_golden.py.
+GOLDEN = json.loads((FIXTURES / "fingerprint_golden.json").read_text(encoding="utf-8"))
+
+
+def test_fingerprint_bits_match_the_golden_fixture():
+    for smiles, positions in GOLDEN["bits"]:
+        expected = sum(1 << i for i in positions)
+        assert morgan_fingerprint(parse_smiles(smiles)).bits == expected, smiles
 
 
 def _environment_count(mol, radius):
