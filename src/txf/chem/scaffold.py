@@ -37,7 +37,7 @@ def murcko_scaffold(mol: Molecule) -> Molecule | None:
     keep = sorted(alive)
     remap = {old: new for new, old in enumerate(keep)}
     bonds = tuple(
-        Bond(remap[b.a], remap[b.b], b.order, b.direction)
+        Bond(a=remap[b.a], b=remap[b.b], order=b.order, direction=b.direction)
         for b in mol.bonds
         if b.a in alive and b.b in alive
     )

@@ -10,7 +10,7 @@ no perception or kekulization is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "Atom",
@@ -458,10 +458,7 @@ def strip_atom_maps(mol: Molecule) -> Molecule:
     if all(a.map_num is None for a in mol.atoms):
         return mol
     return Molecule(
-        atoms=tuple(
-            Atom(a.symbol, a.aromatic, a.charge, a.isotope, a.hcount, None, a.chirality, a.bracket)
-            for a in mol.atoms
-        ),
+        atoms=tuple(replace(a, map_num=None) for a in mol.atoms),
         bonds=mol.bonds,
         written_order=mol.written_order,
     )

@@ -112,9 +112,12 @@ class FeatureTable:
     One table serves one task for one command: the scaffold split, every
     shot pool's ``NeighborIndex`` and the knn stub read from it, so each
     distinct SMILES is parsed, scaffold-keyed and fingerprinted once, each
-    distinct scaffold graph is written canonically once (the members of a
-    series share one), each distinct sequence becomes a ``BioSequence``
-    once, and each distinct sequence pair is scored once per pair function.
+    distinct scaffold ``Molecule`` is written canonically once, each
+    distinct sequence becomes a ``BioSequence`` once, and each distinct
+    sequence pair is scored once per pair function. Two scaffold
+    ``Molecule``s are equal when their cores are spelled in the same atom
+    order, so members of a series share one write only then; a core
+    respelled in another order is written again, to the same string.
     Entries are made on first use. A string that does not convert maps to
     None, and its scaffold key is "". The knn stub queries from worker
     threads, so an entry is made under a lock, after a second look.
