@@ -32,7 +32,6 @@ manifest = TaskManifest(
     ),
     label_column="Y",
     metric="mae",
-    lower_is_better=True,
     split_method="random",
     label_range=(0.0, 20.0),
 )

@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .ranks import average_ranks
+from .ranks import average_ranks, lower_is_better_for, parse_direction
 
 # evalharness (and chem, corpus and promptgen with it) is imported only by
 # the functions that need it, so scoreboard, contamination and
@@ -412,7 +412,7 @@ def filtered_eval(result: EvalResult, flags: dict[str, bool]) -> EvalResult:
     from .evalharness import EvalResult
 
     kept = [r for r in result.rows if not flags.get(r.record_id, False)]
-    filtered = EvalResult.from_rows(result.task_id, result.metric, result.lower_is_better, kept)
+    filtered = EvalResult.from_rows(result.task_id, result.metric, kept)
     return filtered if kept else replace(filtered, undefined_reason="all rows flagged")
 
 
@@ -453,13 +453,13 @@ def _number(path, n: int, row: dict, column: str) -> float:
 
 
 def _direction(path, n: int, row: dict) -> bool:
-    """The lower_is_better cell, ``true`` or ``false`` in any case; raises
-    ValueError naming file, row and column for anything else."""
-    text = row["lower_is_better"]
-    word = text.strip().lower()
-    if word not in ("true", "false"):
-        raise ValueError(f"{path}: row {n} column 'lower_is_better' is not true or false: {text!r}")
-    return word == "true"
+    """The lower_is_better cell, ``true`` or ``false`` in any case and in
+    agreement with a known metric; raises ValueError naming file, row and
+    column for anything else."""
+    try:
+        return lower_is_better_for(row["metric"], parse_direction(row["lower_is_better"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: row {n} column 'lower_is_better' {exc}") from None
 
 
 def load_score_rows(path, model_col: str = "model") -> list[ScoreRow]:

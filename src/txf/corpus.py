@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .atomic import write_atomically
+from .ranks import METRICS, lower_is_better_for, parse_direction
 
 # txf.chem and txf.bioseq are imported by the FeatureTable helpers that
 # convert, so a command that converts no SMILES never loads the
@@ -41,8 +42,6 @@ __all__ = [
 TASK_KINDS = ("binary", "regression", "generation")
 ROLE_KINDS = ("smiles", "amino_acid", "nucleotide", "text")
 SPLIT_METHODS = ("random", "scaffold", "cold_start", "combination", "temporal")
-METRICS = ("auroc", "auprc", "accuracy", "spearman", "pearson", "mae", "mse", "set_accuracy")
-LOWER_IS_BETTER_METRICS = {"mae", "mse"}
 # Target train/valid/test shares of the records for every split method.
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
@@ -72,12 +71,16 @@ class TaskManifest:
     label_column: str
     metric: str
     split_method: str
-    lower_is_better: bool = False
     label_range: tuple[float, float] | None = None
     cold_start_role: str | None = None
     combination_roles: tuple[str, str] | None = None
     timestamp_column: str | None = None
     subtask_column: str | None = None
+
+    @property
+    def lower_is_better(self) -> bool:
+        """The metric's direction; a manifest file may only restate it."""
+        return lower_is_better_for(self.metric)
 
     def similarity_roles(self) -> tuple[str, list[RoleSpec]]:
         """Kind of the first similarity-capable role and all roles of that kind."""
@@ -273,6 +276,11 @@ def read_manifest(path) -> TaskManifest:
             raise CorpusError(f"{path}: combination_roles needs exactly two names")
         combo = (parts[0], parts[1])
     metric = need("metric")
+    if "lower_is_better" in data:
+        try:
+            lower_is_better_for(metric, parse_direction(data["lower_is_better"]))
+        except ValueError as exc:
+            raise CorpusError(f"{path}: lower_is_better {exc}") from None
     return TaskManifest(
         task_id=need("task_id"),
         task_kind=need("task_kind"),
@@ -283,10 +291,6 @@ def read_manifest(path) -> TaskManifest:
         label_column=need("label_column"),
         metric=metric,
         split_method=need("split_method"),
-        lower_is_better=data.get(
-            "lower_is_better", "true" if metric in LOWER_IS_BETTER_METRICS else "false"
-        ).lower()
-        == "true",
         label_range=label_range,
         cold_start_role=data.get("cold_start_role"),
         combination_roles=combo,
@@ -346,10 +350,6 @@ def validate_manifest(manifest: TaskManifest) -> list[str]:
             problems.append(f"role {r.name!r} has unknown kind {r.kind!r}")
         if not r.label:
             problems.append(f"role {r.name!r} has an empty label")
-    if manifest.metric in LOWER_IS_BETTER_METRICS and not manifest.lower_is_better:
-        problems.append(f"metric {manifest.metric} must be lower_is_better")
-    if manifest.metric not in LOWER_IS_BETTER_METRICS and manifest.lower_is_better:
-        problems.append(f"metric {manifest.metric} must not be lower_is_better")
     if manifest.task_kind == "regression":
         if manifest.label_range is None:
             problems.append("regression manifest needs a label range")

@@ -36,7 +36,7 @@ from .promptgen import (
     render_target,
     unbin_label,
 )
-from .ranks import _floats, average_ranks
+from .ranks import _floats, average_ranks, lower_is_better_for
 
 if TYPE_CHECKING:  # txf.chem loads only for generation tasks
     from .chem import Reactants
@@ -507,16 +507,14 @@ class EvalResult:
     subtask_values: dict[str, float | None] | None = None
     undefined_reason: str | None = None
     failures: list[str] = field(default_factory=list)
-    lower_is_better: bool = False
+
+    @property
+    def lower_is_better(self) -> bool:
+        return lower_is_better_for(self.metric)
 
     @classmethod
     def from_rows(
-        cls,
-        task_id: str,
-        metric: str,
-        lower_is_better: bool,
-        rows: list[EvalRow],
-        failures: Sequence[str] = (),
+        cls, task_id: str, metric: str, rows: list[EvalRow], failures: Sequence[str] = ()
     ) -> "EvalResult":
         """The metric, per-subtask values, n and invalid rate over rows."""
         value, per_subtask, reason = score_rows(metric, rows)
@@ -531,7 +529,6 @@ class EvalResult:
             subtask_values=per_subtask,
             undefined_reason=reason,
             failures=list(failures),
-            lower_is_better=lower_is_better,
         )
 
 
@@ -671,9 +668,7 @@ def evaluate_task(
         for prompt, (_, failure) in zip(prompts, outcomes)
         if failure
     ]
-    return EvalResult.from_rows(
-        manifest.task_id, manifest.metric, manifest.lower_is_better, rows, failures
-    )
+    return EvalResult.from_rows(manifest.task_id, manifest.metric, rows, failures)
 
 
 def write_result_json(result: EvalResult, path) -> None:
@@ -699,10 +694,10 @@ def write_result_json(result: EvalResult, path) -> None:
 
 def read_result_json(path) -> dict:
     """The payload of a result file. Raises ValueError naming the file when it
-    is not JSON, or not an object with task, metric and a finite numeric or
-    null value (JSON ``NaN`` and ``true`` are neither), or when its
-    lower_is_better is not a JSON boolean. A file without lower_is_better
-    reads as higher-is-better."""
+    is not JSON, or not an object with string task and metric and a finite
+    numeric or null value (JSON ``NaN`` and ``true`` are neither), or when its
+    lower_is_better is not a JSON boolean or contradicts a known metric. A
+    file without lower_is_better takes its metric's direction."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -710,13 +705,19 @@ def read_result_json(path) -> dict:
             raise ValueError(f"{path}: not a result file: {exc}") from None
     if not (isinstance(payload, dict) and {"task", "metric", "value"} <= payload.keys()):
         raise ValueError(f"{path}: not a result file: needs task, metric and value")
+    if not (isinstance(payload["task"], str) and isinstance(payload["metric"], str)):
+        raise ValueError(f"{path}: not a result file: task and metric must be strings")
     value = payload["value"]
     # abs() compares an int exactly, so an int too large for a float fails too.
     if value is not None and not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
         raise ValueError(f"{path}: not a result file: value {value!r} is not a finite number or null")
-    lower = payload.setdefault("lower_is_better", False)
-    if not isinstance(lower, bool):
-        raise ValueError(f"{path}: not a result file: lower_is_better {lower!r} is not true or false")
+    stated = payload.get("lower_is_better")
+    if "lower_is_better" in payload and not isinstance(stated, bool):
+        raise ValueError(f"{path}: not a result file: lower_is_better {stated!r} is not true or false")
+    try:
+        payload["lower_is_better"] = lower_is_better_for(payload["metric"], stated)
+    except ValueError as exc:
+        raise ValueError(f"{path}: lower_is_better {exc}") from None
     return payload
 
 

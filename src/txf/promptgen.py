@@ -233,15 +233,6 @@ def select_shots_random(
     return [pool[i + (i >= skip)] for i in rng.sample(range(size), n)]
 
 
-def _tanimoto_bound(a, b) -> float:
-    """min(|A|, |B|) / max(|A|, |B|) >= Tanimoto (Swamidass & Baldi 2007);
-    1.0 when both are empty, as ``tanimoto`` is."""
-    low, high = a.popcount, b.popcount
-    if low > high:
-        low, high = high, low
-    return low / high if high else 1.0
-
-
 class NeighborIndex:
     """Nearest pool records by feature similarity, built once per shot pool.
 
@@ -254,11 +245,13 @@ class NeighborIndex:
     Converted features and sequence-pair scores come from ``table``, the
     task's feature table, shared by every index of the task. Pool positions
     are grouped by distinct converted features, so a query scores each
-    group once. The search is exact: it visits groups by descending upper
-    bound on similarity, min(|A|, |B|) / max(|A|, |B|) for fingerprints and
-    ``bioseq.identity_bound`` for sequences, and stops once k records are
-    held and the next bound is strictly below the k-th best similarity (an
-    equal bound may still tie and win on a lower pool position).
+    group once. The search is exact: it visits groups by descending ceiling
+    on similarity and stops once k records are held and the next ceiling is
+    strictly below the k-th best similarity (an equal ceiling may still tie
+    and win on a lower pool position). A sequence's ceiling is
+    ``bioseq.identity_bound``, which skips most alignments; a fingerprint's
+    is its Tanimoto itself: a popcount bound costs about as much and skips
+    almost no group.
     """
 
     def __init__(
@@ -275,7 +268,7 @@ class NeighborIndex:
             from .chem import tanimoto
 
             roles = roles[:1]
-            self._score, self._bound = tanimoto, _tanimoto_bound
+            self._score = self._bound = tanimoto
         else:
             from .bioseq import identity_bound, percent_identity
 

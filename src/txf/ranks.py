@@ -1,10 +1,40 @@
-"""Average ranks, shared by the evaluation metrics and the signed-rank test.
+"""Metric names and directions, shared by every reader of a manifest, result
+file or results CSV, and average ranks, shared by the evaluation metrics and
+the signed-rank test.
 
 Stdlib only, so ``txf compare --pairs`` ranks without loading the layers
 that evaluation needs.
 """
 
 from __future__ import annotations
+
+METRICS = ("auroc", "auprc", "accuracy", "spearman", "pearson", "mae", "mse", "set_accuracy")
+LOWER_IS_BETTER_METRICS = {"mae", "mse"}
+
+
+def parse_direction(text: str) -> bool:
+    """A ``lower_is_better`` text, ``true`` or ``false`` in any case around
+    whitespace. Raises ValueError, worded to follow the field's name, for
+    anything else."""
+    word = text.strip().lower()
+    if word not in ("true", "false"):
+        raise ValueError(f"is not true or false: {text!r}")
+    return word == "true"
+
+
+def lower_is_better_for(metric: str, stated: bool | None = None) -> bool:
+    """Whether lower values of ``metric`` are better. A metric txf knows has
+    its own direction, and ``stated``, an input's direction or None when it
+    gives none, must agree with it; an unknown metric keeps ``stated``, False
+    when None. Raises ValueError, worded to follow the name of the input's
+    direction field, on a contradiction."""
+    if metric not in METRICS:
+        return bool(stated)
+    lower = metric in LOWER_IS_BETTER_METRICS
+    if stated is not None and stated != lower:
+        word = "true" if stated else "false"
+        raise ValueError(f"is {word}, but {'lower' if lower else 'higher'} is better for metric {metric!r}")
+    return lower
 
 
 def _floats(values) -> list[float]:

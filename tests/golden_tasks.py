@@ -180,7 +180,6 @@ CACO2_MANIFEST = TaskManifest(
     ),
     label_column="Y",
     metric="mae",
-    lower_is_better=True,
     split_method="scaffold",
     label_range=(0.0, 1000.0),
 )

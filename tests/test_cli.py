@@ -534,6 +534,18 @@ def test_compare_result_directories(tmp_path, capsys):
     assert payload["wins_b"] == 5  # echo is perfect, majority is 0.5
 
 
+def test_compare_result_files_without_a_direction_take_the_metrics(tmp_path, capsys):
+    # Six mae results, each lower (better) in A; the files give no direction.
+    dirs = tmp_path / "a", tmp_path / "b"
+    for d, offset in zip(dirs, (0.1, 0.2)):
+        d.mkdir()
+        for i in range(6):
+            (d / f"t{i}.result.json").write_text(json.dumps({"task": f"t{i}", "metric": "mae", "value": i + offset}))
+    assert main(["compare", "--results-a", str(dirs[0]), "--results-b", str(dirs[1])]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["wins_a"], payload["wins_b"]) == (6, 0)
+
+
 def test_build_shot_split_discipline(tmp_path):
     manifests = tmp_path / "manifests"
     data = tmp_path / "data"
@@ -685,6 +697,26 @@ def _manifest_repeated_key(tmp_path):
     ], f"bbb_martins.manifest:{len(lines) + 1}: repeated key 'metric'"
 
 
+def _build_with_direction(tmp_path, word):
+    """build argv for the CLI fixture, whose auroc manifest's lower_is_better
+    line reads ``word``."""
+    manifests, data = _copy_cli_task(tmp_path)
+    path = manifests / "bbb_martins.manifest"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("lower_is_better: false\n", f"lower_is_better: {word}\n"), encoding="utf-8")
+    return ["build", "--manifests", str(manifests), "--data", str(data), "--out", str(tmp_path / "out")]
+
+
+def _manifest_direction_yes(tmp_path):
+    return _build_with_direction(tmp_path, "yes"), "bbb_martins.manifest: lower_is_better is not true or false: 'yes'"
+
+
+def _manifest_direction_contradicts_the_metric(tmp_path):
+    return _build_with_direction(tmp_path, "TRUE"), (
+        "bbb_martins.manifest: lower_is_better is true, but higher is better for metric 'auroc'"
+    )
+
+
 def _csv_case(command, header, row, expected):
     """A CSV of five good rows then ``row``, given to compare --pairs or
     scoreboard --fixture. The good rows spell the direction in mixed case."""
@@ -723,6 +755,32 @@ _pairs_direction_yes = _csv_case(
 _scoreboard_direction_one = _csv_case(
     "scoreboard", _SCORES, b"t5,auroc,1,0.5,0.6", "{path}: row 6 column 'lower_is_better' is not true or false: '1'"
 )
+
+
+# A direction that contradicts a metric txf knows is rejected, not obeyed.
+_pairs_direction_contradicts_the_metric = _csv_case(
+    "compare", _PAIRS, b"t5,mae,false,0.5,0.6",
+    "{path}: row 6 column 'lower_is_better' is false, but lower is better for metric 'mae'",
+)
+_scoreboard_direction_contradicts_the_metric = _csv_case(
+    "scoreboard", _SCORES, b"t5,auroc,True,0.5,0.6",
+    "{path}: row 6 column 'lower_is_better' is true, but higher is better for metric 'auroc'",
+)
+
+
+def _result_direction_contradicts_the_metric(tmp_path):
+    text = '{"task": "t", "metric": "mae", "lower_is_better": false, "value": 0.5}'
+    return _result_dirs(tmp_path, text), "t.result.json: lower_is_better is false, but lower is better for metric 'mae'"
+
+
+def _result_task_not_a_string(tmp_path):
+    text = '{"task": ["t"], "metric": "auroc", "value": 0.5}'
+    return _result_dirs(tmp_path, text), "t.result.json: not a result file: task and metric must be strings"
+
+
+def _result_metric_not_a_string(tmp_path):
+    text = '{"task": "t", "metric": ["mae"], "value": 0.5}'
+    return _result_dirs(tmp_path, text), "t.result.json: not a result file: task and metric must be strings"
 
 
 def _result_direction_string(tmp_path):
@@ -889,6 +947,13 @@ def _compare_missing_results_dir(tmp_path):
     _scoreboard_direction_one,
     _result_direction_string,
     _result_direction_number,
+    _manifest_direction_yes,
+    _manifest_direction_contradicts_the_metric,
+    _pairs_direction_contradicts_the_metric,
+    _scoreboard_direction_contradicts_the_metric,
+    _result_direction_contradicts_the_metric,
+    _result_task_not_a_string,
+    _result_metric_not_a_string,
 ])
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     argv, expected = case(tmp_path)

@@ -17,6 +17,7 @@ from txf.corpus import (
     write_manifest,
     write_split_audit,
 )
+from txf.ranks import METRICS
 
 
 def _binary_manifest(**overrides):
@@ -347,15 +348,14 @@ def test_validate_manifest_ok():
 
 
 def test_validate_regression_needs_range():
-    manifest = _binary_manifest(task_kind="regression", metric="mae", lower_is_better=True)
+    manifest = _binary_manifest(task_kind="regression", metric="mae")
     problems = validate_manifest(manifest)
     assert any("label range" in p for p in problems)
 
 
 @pytest.mark.parametrize("label_range", [(float("-inf"), 1.0), (0.0, float("inf")), (float("nan"), 1.0)])
 def test_validate_rejects_a_non_finite_label_range(label_range):
-    manifest = _binary_manifest(task_kind="regression", metric="mae", lower_is_better=True,
-                                label_range=label_range)
+    manifest = _binary_manifest(task_kind="regression", metric="mae", label_range=label_range)
     assert validate_manifest(manifest) == ["label range must be finite"]
 
 
@@ -365,18 +365,46 @@ def test_validate_placeholder_roles():
     assert any("undeclared role" in p for p in problems)
 
 
-def test_validate_metric_direction():
-    manifest = _binary_manifest(metric="mae", lower_is_better=False,
-                                task_kind="regression", label_range=(0.0, 1.0))
-    problems = validate_manifest(manifest)
-    assert any("lower_is_better" in p for p in problems)
+def _manifest_file(tmp_path, metric, direction):
+    """A manifest file for ``metric`` whose lower_is_better line reads
+    ``direction``, or has no such line when it is None."""
+    path = tmp_path / "toy.manifest"
+    write_manifest(_binary_manifest(metric=metric), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    [n] = [i for i, line in enumerate(lines) if line.startswith("lower_is_better:")]
+    lines[n : n + 1] = [] if direction is None else [f"lower_is_better: {direction}\n"]
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "metric, direction, lower",
+    [("mae", "true", True), ("mse", " TRUE", True), ("auroc", "False", False), ("spearman", "fAlSe", False),
+     ("mae", None, True), ("auroc", None, False)],
+)
+def test_manifest_direction_is_the_metrics(tmp_path, metric, direction, lower):
+    assert read_manifest(_manifest_file(tmp_path, metric, direction)).lower_is_better is lower
+
+
+@pytest.mark.parametrize(
+    "metric, direction, message",
+    [
+        ("mae", "false", "lower_is_better is false, but lower is better for metric 'mae'"),
+        ("auroc", "True", "lower_is_better is true, but higher is better for metric 'auroc'"),
+        ("auroc", "yes", "lower_is_better is not true or false: 'yes'"),
+        ("mae", "1", "lower_is_better is not true or false: '1'"),
+    ],
+    ids=["mae-false", "auroc-True", "auroc-yes", "mae-1"],
+)
+def test_read_manifest_rejects_a_direction_the_metric_does_not_have(tmp_path, metric, direction, message):
+    with pytest.raises(CorpusError, match=f"toy.manifest: {message}"):
+        read_manifest(_manifest_file(tmp_path, metric, direction))
 
 
 def test_manifest_file_round_trip(tmp_path):
     manifest = _binary_manifest(
         task_kind="regression",
         metric="mae",
-        lower_is_better=True,
         label_range=(-3.5, 12.25),
         question="Predict the value from 000 to 1000.\n\nSecond line.",
     )
@@ -409,9 +437,8 @@ _numbers = st.floats(allow_nan=False, allow_infinity=False)
         context=_values,
         question=_values,
         label_column=_values,
-        metric=_values,
+        metric=_values | st.sampled_from(METRICS),
         split_method=_values,
-        lower_is_better=st.booleans(),
         label_range=st.none() | st.tuples(_numbers, _numbers),
         cold_start_role=_optional,
         combination_roles=st.none() | st.tuples(_names, _names),
@@ -436,7 +463,7 @@ def test_read_manifest_rejects_a_repeated_key(tmp_path):
 
 
 def test_fit_label_range_train_only():
-    manifest = _binary_manifest(task_kind="regression", metric="mae", lower_is_better=True)
+    manifest = _binary_manifest(task_kind="regression", metric="mae")
     records = [
         DataRecord("0", {"drug": "C"}, 5.0, split="train"),
         DataRecord("1", {"drug": "CC"}, 1.0, split="train"),

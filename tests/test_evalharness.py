@@ -22,6 +22,7 @@ from txf.cli import main
 from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest, write_manifest, write_split_audit
 from txf.evalharness import (
     EchoClient,
+    EvalResult,
     GenerationResponse,
     HttpModelClient,
     MajorityClient,
@@ -804,6 +805,29 @@ def test_result_files(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 7
     assert lines[0].startswith("record_id,")
+
+
+@pytest.mark.parametrize("metric, lower", [("mae", True), ("mse", True), ("auroc", False), ("pearson", False)])
+def test_result_direction_is_the_metrics(tmp_path, metric, lower):
+    result = EvalResult(task_id="t", metric=metric, value=None, n=0, invalid_rate=0.0)
+    assert result.lower_is_better is lower
+    write_result_json(result, tmp_path / "r.json")
+    assert json.loads((tmp_path / "r.json").read_text())["lower_is_better"] is lower
+
+
+# A known metric decides the direction; an unknown one keeps the file's,
+# false when the file gives none.
+@pytest.mark.parametrize(
+    "metric, stated, lower",
+    [("mae", None, True), ("mse", None, True), ("auroc", None, False), ("rmse", True, True), ("rmse", None, False)],
+)
+def test_read_result_json_takes_the_metrics_direction(tmp_path, metric, stated, lower):
+    payload = {"task": "t", "metric": metric, "value": 0.5}
+    if stated is not None:
+        payload["lower_is_better"] = stated
+    path = tmp_path / "t.result.json"
+    path.write_text(json.dumps(payload))
+    assert read_result_json(path)["lower_is_better"] is lower
 
 
 class _DiskFull:
