@@ -192,9 +192,7 @@ def _signed_rank_p_exact(ranks: list[float], w_min: float, n: int) -> float:
 
 def _signed_rank_p_normal(w_min: float, n: int) -> float:
     mu = n * (n + 1) / 4
-    sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24)
-    if sigma == 0:
-        return 1.0
+    sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24)  # n > EXACT_LIMIT, so sigma > 0
     # Continuity-corrected two-sided tail from the smaller statistic.
     z = (mu - w_min - 0.5) / (sigma * math.sqrt(2))
     return min(1.0, math.erfc(z))

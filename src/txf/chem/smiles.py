@@ -298,16 +298,9 @@ class _Parser:
             self.order[idx].append("H")
         self.prev = idx
 
-    def _add_bond(self, a: int, b: int, order: int | None, direction: str | None,
-                  ring: int | None = None, offset: int | None = None):
-        """Add the bond a-b, written from a; ``order`` None takes the default.
-        A duplicate names ``ring``, the number of the ring closure at ``offset``."""
-        key = (a, b) if a < b else (b, a)
-        if key in self.bond_keys:
-            if ring is None:
-                self.error(f"duplicate bond between atoms {a} and {b}")
-            self.error(f"duplicate ring bond {ring}", offset)
-        self.bond_keys.add(key)
+    def _add_bond(self, a: int, b: int, order: int | None, direction: str | None):
+        """Add the bond a-b, written from a; ``order`` None takes the default."""
+        self.bond_keys.add((a, b) if a < b else (b, a))
         if order is None:
             order = AROMATIC if self.atoms[a].aromatic and self.atoms[b].aromatic else SINGLE
         self.bonds.append(Bond(a, b, order, direction))
@@ -341,7 +334,10 @@ class _Parser:
         if open_dir is None and direction is not None:
             open_dir = "\\" if direction == "/" else "/"
         final = order if order is not None else open_order
-        self._add_bond(open_atom, self.prev, final, open_dir, num, start)
+        # Only a ring closure can repeat a bond: a chain bond goes to a new atom.
+        if (min(open_atom, self.prev), max(open_atom, self.prev)) in self.bond_keys:
+            self.error(f"duplicate ring bond {num}", start)
+        self._add_bond(open_atom, self.prev, final, open_dir)
         self.order[open_atom][slot] = self.prev
         self.order[self.prev].append(open_atom)
 

@@ -32,7 +32,6 @@ __all__ = [
     "CorpusError",
     "read_manifest",
     "write_manifest",
-    "validate_manifest",
     "load_table",
     "assign_splits",
     "fit_label_range",
@@ -76,6 +75,59 @@ class TaskManifest:
     combination_roles: tuple[str, str] | None = None
     timestamp_column: str | None = None
     subtask_column: str | None = None
+
+    def __post_init__(self):
+        """Raise one ``CorpusError``, a ``<task_id>: <problem>`` line per
+        broken invariant. A regression manifest may lack its label range:
+        ``fit_label_range`` can fill it in after the split."""
+        problems = []
+        if self.task_kind not in TASK_KINDS:
+            problems.append(f"unknown task_kind {self.task_kind!r}")
+        if self.metric not in METRICS:
+            problems.append(f"unknown metric {self.metric!r}")
+        if self.split_method not in SPLIT_METHODS:
+            problems.append(f"unknown split_method {self.split_method!r}")
+        if not self.roles:
+            problems.append("no roles declared")
+        names = [r.name for r in self.roles]
+        if len(set(names)) != len(names):
+            problems.append("duplicate role names")
+        for r in self.roles:
+            if r.kind not in ROLE_KINDS:
+                problems.append(f"role {r.name!r} has unknown kind {r.kind!r}")
+            if not r.label:
+                problems.append(f"role {r.name!r} has an empty label")
+        if self.task_kind == "regression" and self.label_range is not None:
+            lo, hi = self.label_range
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                problems.append("label range must be finite")
+            elif not (lo < hi):
+                problems.append("label range must satisfy min < max")
+        if self.split_method == "scaffold" and not any(r.kind == "smiles" for r in self.roles):
+            problems.append("scaffold split needs a smiles role")
+        if self.split_method == "cold_start":
+            if not self.cold_start_role:
+                problems.append("cold_start split needs cold_start_role")
+            elif self.cold_start_role not in names:
+                problems.append(f"cold_start_role {self.cold_start_role!r} is not a role")
+        if self.split_method == "combination":
+            combo = self._combination_pair()
+            if len(combo) != 2 or any(c not in names for c in combo):
+                problems.append("combination split needs two declared roles")
+        if self.split_method == "temporal" and not self.timestamp_column:
+            problems.append("temporal split needs timestamp_column")
+        allowed = set(names) | {"subtask"}
+        for field_name in ("instruction", "context", "question"):
+            for ref in _PLACEHOLDER.findall(getattr(self, field_name) or ""):
+                if ref not in allowed:
+                    problems.append(f"{field_name} references undeclared role {ref!r}")
+        if problems:
+            raise CorpusError("\n".join(f"{self.task_id}: {p}" for p in problems))
+
+    def _combination_pair(self) -> tuple[str, ...]:
+        """The roles a combination split pairs: the declared ones, or else
+        the first two roles."""
+        return self.combination_roles or tuple(r.name for r in self.roles[:2])
 
     @property
     def lower_is_better(self) -> bool:
@@ -331,61 +383,6 @@ def write_manifest(manifest: TaskManifest, path) -> None:
     write_atomically(path, lambda fh: fh.write(text))
 
 
-def validate_manifest(manifest: TaskManifest) -> list[str]:
-    """All invariant violations, as data; an empty list means valid."""
-    problems = []
-    if manifest.task_kind not in TASK_KINDS:
-        problems.append(f"unknown task_kind {manifest.task_kind!r}")
-    if manifest.metric not in METRICS:
-        problems.append(f"unknown metric {manifest.metric!r}")
-    if manifest.split_method not in SPLIT_METHODS:
-        problems.append(f"unknown split_method {manifest.split_method!r}")
-    if not manifest.roles:
-        problems.append("no roles declared")
-    names = [r.name for r in manifest.roles]
-    if len(set(names)) != len(names):
-        problems.append("duplicate role names")
-    for r in manifest.roles:
-        if r.kind not in ROLE_KINDS:
-            problems.append(f"role {r.name!r} has unknown kind {r.kind!r}")
-        if not r.label:
-            problems.append(f"role {r.name!r} has an empty label")
-    if manifest.task_kind == "regression":
-        if manifest.label_range is None:
-            problems.append("regression manifest needs a label range")
-        else:
-            lo, hi = manifest.label_range
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                problems.append("label range must be finite")
-            elif not (lo < hi):
-                problems.append("label range must satisfy min < max")
-    if manifest.split_method == "scaffold" and not any(
-        r.kind == "smiles" for r in manifest.roles
-    ):
-        problems.append("scaffold split needs a smiles role")
-    if manifest.split_method == "cold_start":
-        if not manifest.cold_start_role:
-            problems.append("cold_start split needs cold_start_role")
-        elif manifest.cold_start_role not in names:
-            problems.append(f"cold_start_role {manifest.cold_start_role!r} is not a role")
-    if manifest.split_method == "combination":
-        combo = manifest.combination_roles or tuple(names[:2])
-        if len(combo) != 2 or any(c not in names for c in combo):
-            problems.append("combination split needs two declared roles")
-    if manifest.split_method == "temporal" and not manifest.timestamp_column:
-        problems.append("temporal split needs timestamp_column")
-    allowed = set(names) | {"subtask"}
-    for field_name, text in (
-        ("instruction", manifest.instruction),
-        ("context", manifest.context),
-        ("question", manifest.question),
-    ):
-        for ref in _PLACEHOLDER.findall(text or ""):
-            if ref not in allowed:
-                problems.append(f"{field_name} references undeclared role {ref!r}")
-    return problems
-
-
 # ---------------------------------------------------------------------------
 # Table ingestion
 # ---------------------------------------------------------------------------
@@ -487,13 +484,6 @@ def _cut_points(n: int) -> tuple[int, int]:
     return round(train * n), round((train + valid) * n)
 
 
-def _first_smiles_role(manifest: TaskManifest) -> str:
-    for r in manifest.roles:
-        if r.kind == "smiles":
-            return r.name
-    raise CorpusError("no smiles role for scaffold split")
-
-
 def _timestamp_sort_key(value: str):
     """Numbers first, in order; then, by their text, the timestamps that are
     not numbers, "nan" among them, since NaN compares false both ways."""
@@ -541,7 +531,7 @@ def assign_splits(
     assignment = ["test"] * n
 
     if method == "scaffold":
-        role = _first_smiles_role(manifest)
+        role = next(r.name for r in manifest.roles if r.kind == "smiles")
         groups = _group_records(records, lambda record: table.scaffold_key(record.features[role]))
         ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
         counts = {"train": 0, "valid": 0}
@@ -568,25 +558,17 @@ def assign_splits(
                 raise CorpusError("temporal split needs timestamps on every record")
         order = sorted(range(n), key=lambda i: (_timestamp_sort_key(records[i].timestamp), i))
         ordered = [[idx] for idx in order]
-    elif method in ("cold_start", "combination"):
+    else:
         if method == "cold_start":
             role = manifest.cold_start_role
-            if not role:
-                raise CorpusError("cold_start split needs cold_start_role")
             key_fn = lambda record: record.features[role]
         else:
-            combo = manifest.combination_roles or tuple(r.name for r in manifest.roles[:2])
-            if len(combo) != 2:
-                raise CorpusError("combination split needs two roles")
-            key_fn = lambda record: tuple(
-                sorted((record.features[combo[0]], record.features[combo[1]]))
-            )
+            a, b = manifest._combination_pair()
+            key_fn = lambda record: tuple(sorted((record.features[a], record.features[b])))
         groups = _group_records(records, key_fn)
         keys = sorted(groups, key=str)
         random.Random(seed).shuffle(keys)
         ordered = [groups[key] for key in keys]
-    else:
-        raise CorpusError(f"unsupported split method {method!r}")
 
     assigned = 0
     for members in ordered:

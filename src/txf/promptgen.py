@@ -117,18 +117,17 @@ def render_target(record: DataRecord, manifest: TaskManifest) -> str:
     return str(record.label)
 
 
-def _fill(template: str, record: DataRecord, manifest: TaskManifest) -> tuple[str, set[str]]:
-    """Substitute {role} and {subtask} placeholders; returns used role names."""
+def _fill(template: str, record: DataRecord) -> tuple[str, set[str]]:
+    """Substitute {role} and {subtask} placeholders, which a ``TaskManifest``
+    only holds for its declared roles; returns used role names."""
     used: set[str] = set()
 
     def sub(match):
         name = match.group(1)
         if name == "subtask":
             return record.subtask or ""
-        if any(r.name == name for r in manifest.roles):
-            used.add(name)
-            return record.features[name]
-        raise KeyError(f"template references undeclared role {name!r}")
+        used.add(name)
+        return record.features[name]
 
     return _PLACEHOLDER.sub(sub, template), used
 
@@ -157,9 +156,9 @@ def render_prompt(
     estimate fits; a zero-shot prompt that still exceeds it is kept and
     flagged ``over_budget``.
     """
-    instruction, _ = _fill(manifest.instruction, record, manifest)
-    context, _ = _fill(manifest.context, record, manifest)
-    question, used = _fill(manifest.question, record, manifest)
+    instruction, _ = _fill(manifest.instruction, record)
+    context, _ = _fill(manifest.context, record)
+    question, used = _fill(manifest.question, record)
 
     blocks = [
         f"Instructions: {instruction}",

@@ -23,14 +23,16 @@ def parse_direction(text: str) -> bool:
 
 
 def lower_is_better_for(metric: str, stated: bool | None = None) -> bool:
-    """Whether lower values of ``metric`` are better. A metric txf knows has
-    its own direction, and ``stated``, an input's direction or None when it
-    gives none, must agree with it; an unknown metric keeps ``stated``, False
-    when None. Raises ValueError, worded to follow the name of the input's
-    direction field, on a contradiction."""
-    if metric not in METRICS:
+    """Whether lower values of ``metric`` are better. A metric txf knows, in
+    any case around whitespace, has its own direction, and ``stated``, an
+    input's direction or None when it gives none, must agree with it; an
+    unknown metric keeps ``stated``, False when None. Raises ValueError,
+    worded to follow the name of the input's direction field, on a
+    contradiction."""
+    name = metric.strip().lower()
+    if name not in METRICS:
         return bool(stated)
-    lower = metric in LOWER_IS_BETTER_METRICS
+    lower = name in LOWER_IS_BETTER_METRICS
     if stated is not None and stated != lower:
         word = "true" if stated else "false"
         raise ValueError(f"is {word}, but {'lower' if lower else 'higher'} is better for metric {metric!r}")

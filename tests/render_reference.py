@@ -28,9 +28,9 @@ def render_prompt(
     blank line apart; then for each shot its role lines and a completed
     "Answer: <target>"; then the query's role lines and a trailing "Answer:".
     """
-    instruction, _ = _fill(manifest.instruction, record, manifest)
-    context, _ = _fill(manifest.context, record, manifest)
-    question, used = _fill(manifest.question, record, manifest)
+    instruction, _ = _fill(manifest.instruction, record)
+    context, _ = _fill(manifest.context, record)
+    question, used = _fill(manifest.question, record)
 
     blocks = [
         f"Instructions: {instruction}",

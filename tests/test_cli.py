@@ -340,6 +340,83 @@ def test_build_rejects_a_non_finite_label_range(tmp_path, capsys):
     assert capsys.readouterr().err == "error: perm: label range must be finite\n"
 
 
+def test_build_fit_ranges_rejects_a_degenerate_train_range(tmp_path, capsys):
+    manifests, data, labels = _regression_task_without_range(tmp_path)
+    rows = ["Drug\tY"] + [f"{'C' * (i % 7 + 1)}O\t-2.5" for i in range(len(labels))]
+    (data / "perm.tsv").write_text("\n".join(rows) + "\n")
+    argv = ["build", "--manifests", str(manifests), "--data", str(data), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--fit-ranges"]) == 1
+    assert capsys.readouterr().err == "error: perm: degenerate label range [-2.5, -2.5]\n"
+
+
+def test_build_fit_ranges_rejects_a_split_with_no_train_records(tmp_path, capsys):
+    # Every acyclic molecule has the empty scaffold, so the one scaffold
+    # group is larger than the train and valid shares, and goes to test.
+    manifests, data, _ = _regression_task_without_range(tmp_path)
+    path = manifests / "perm.manifest"
+    path.write_text(path.read_text().replace("split_method: random", "split_method: scaffold"))
+    argv = ["build", "--manifests", str(manifests), "--data", str(data), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--fit-ranges"]) == 1
+    assert capsys.readouterr().err == "error: perm: no train records to fit a label range\n"
+
+
+def test_build_prints_one_error_line_per_broken_manifest_invariant(tmp_path, capsys):
+    manifests, data = _copy_cli_task(tmp_path)
+    path = manifests / "bbb_martins.manifest"
+    text = path.read_text()
+    for old, new in (
+        ("split_method: scaffold", "split_method: cold_start"),
+        ("role.drug.kind: smiles", "role.drug.kind: peptide"),
+        ("instruction: Answer", "instruction: For {target}, answer"),
+    ):
+        text = text.replace(old, new)
+    path.write_text(text)
+    argv = ["build", "--manifests", str(manifests), "--data", str(data), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bbb_martins: role 'drug' has unknown kind 'peptide'",
+        "error: bbb_martins: cold_start split needs cold_start_role",
+        "error: bbb_martins: instruction references undeclared role 'target'",
+    ]
+
+
+def test_build_reports_a_missing_label_range_only_on_an_otherwise_valid_manifest(tmp_path, capsys):
+    # The manifest is checked when it is read, and the label range after
+    # that, since --fit-ranges may fit it; so a broken manifest lists only
+    # its own problems.
+    manifests, data, _ = _regression_task_without_range(tmp_path)
+    path = manifests / "perm.manifest"
+    path.write_text(path.read_text().replace("split_method: random", "split_method: sideways"))
+    argv = ["build", "--manifests", str(manifests), "--data", str(data), "--out", str(tmp_path / "out")]
+    for extra in ([], ["--fit-ranges"]):
+        assert main(argv + extra) == 1
+        assert capsys.readouterr().err == "error: perm: unknown split_method 'sideways'\n"
+
+
+def test_build_mixture_equals_build_mixture_over_the_train_records(tmp_path):
+    from txf.corpus import FeatureTable, assign_splits, load_table, read_manifest
+    from txf.promptgen import build_mixture, write_prompt_jsonl
+
+    manifests, data = tmp_path / "manifests", tmp_path / "data"
+    manifests.mkdir()
+    data.mkdir()
+    for task_id in ("toya", "toyb"):
+        _write_toy_binary(manifests, data, task_id, n=30 if task_id == "toya" else 60)
+    out = tmp_path / "out"
+    assert main([
+        "build", "--manifests", str(manifests), "--data", str(data), "--out", str(out),
+        "--seed", "3", "--mixture", "200",
+    ]) == 0
+    tasks = {}
+    for task_id in ("toya", "toyb"):
+        manifest = read_manifest(manifests / f"{task_id}.manifest")
+        records = assign_splits(load_table(data / f"{task_id}.tsv", manifest).records, manifest, 3, FeatureTable())
+        tasks[task_id] = manifest, [r for r in records if r.split == "train"]
+    write_prompt_jsonl(build_mixture(tasks, 200, seed=3), tmp_path / "expected.jsonl")
+    assert (out / "mixture.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+    assert len((out / "mixture.jsonl").read_text(encoding="utf-8").splitlines()) == 200
+
+
 def test_evaluate_requires_model(tmp_path):
     manifests, data = _copy_cli_task(tmp_path)
     code = main([
@@ -544,6 +621,22 @@ def test_compare_result_files_without_a_direction_take_the_metrics(tmp_path, cap
     assert main(["compare", "--results-a", str(dirs[0]), "--results-b", str(dirs[1])]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["wins_a"], payload["wins_b"]) == (6, 0)
+
+
+def test_compare_results_skips_a_task_missing_from_b_or_without_a_value(tmp_path, capsys):
+    dirs = tmp_path / "a", tmp_path / "b"
+    for d in dirs:
+        d.mkdir()
+    for i in range(8):
+        (dirs[0] / f"t{i}.result.json").write_text(json.dumps({"task": f"t{i}", "metric": "mae", "value": i + 0.1}))
+        value = None if i == 6 else i + 0.2
+        if i != 7:
+            (dirs[1] / f"t{i}.result.json").write_text(json.dumps({"task": f"t{i}", "metric": "mae", "value": value}))
+    (dirs[0] / "t5.result.json").write_text(json.dumps({"task": "t5", "metric": "mae", "value": None}))
+    assert main(["compare", "--results-a", str(dirs[0]), "--results-b", str(dirs[1])]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # t5 has no value in A, t6 none in B, and t7 has no B file.
+    assert (payload["n"], payload["wins_a"], payload["wins_b"]) == (5, 5, 0)
 
 
 def test_build_shot_split_discipline(tmp_path):
@@ -768,6 +861,16 @@ _scoreboard_direction_contradicts_the_metric = _csv_case(
 )
 
 
+def _pairs_metric_in_upper_case(tmp_path):
+    # A known metric in another case keeps its own direction: MAE is mae.
+    path = tmp_path / "in.csv"
+    rows = [_PAIRS] + [f"t{i},MAE,false,0.{i},0.{i}5" for i in range(6)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return ["compare", "--pairs", str(path)], (
+        f"{path}: row 1 column 'lower_is_better' is false, but lower is better for metric 'MAE'"
+    )
+
+
 def _result_direction_contradicts_the_metric(tmp_path):
     text = '{"task": "t", "metric": "mae", "lower_is_better": false, "value": 0.5}'
     return _result_dirs(tmp_path, text), "t.result.json: lower_is_better is false, but lower is better for metric 'mae'"
@@ -950,6 +1053,7 @@ def _compare_missing_results_dir(tmp_path):
     _manifest_direction_yes,
     _manifest_direction_contradicts_the_metric,
     _pairs_direction_contradicts_the_metric,
+    _pairs_metric_in_upper_case,
     _scoreboard_direction_contradicts_the_metric,
     _result_direction_contradicts_the_metric,
     _result_task_not_a_string,

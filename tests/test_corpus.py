@@ -4,6 +4,9 @@ from hypothesis import strategies as st
 
 from conftest import MOLECULE_CORPUS, permute_molecule
 from txf.corpus import (
+    ROLE_KINDS,
+    SPLIT_METHODS,
+    TASK_KINDS,
     CorpusError,
     DataRecord,
     FeatureTable,
@@ -13,10 +16,10 @@ from txf.corpus import (
     fit_label_range,
     load_table,
     read_manifest,
-    validate_manifest,
     write_manifest,
     write_split_audit,
 )
+from txf.promptgen import BinningSpec
 from txf.ranks import METRICS
 
 
@@ -343,26 +346,102 @@ def test_temporal_split_sorts_nan_after_every_number():
     assert {stamp for stamp, split in splits[0].items() if split == "test"} == {"20", "nan"}
 
 
-def test_validate_manifest_ok():
-    assert validate_manifest(_binary_manifest()) == []
+def test_temporal_split_sorts_text_timestamps_after_numbers_by_their_text():
+    manifest = _binary_manifest(split_method="temporal", timestamp_column="Date")
+    stamps = ["2021-03", "7", "2020-11", "2020-02", "3", "late"] + [str(t) for t in range(10, 24)]
+    records = [DataRecord(stamp, {"drug": "CCO"}, True, timestamp=stamp) for stamp in stamps]
+    out = assign_splits(records, manifest, seed=1, table=FeatureTable())
+    # Of 20 records, the 16 numbers fill train; the text follows in its order.
+    assert {r.timestamp for r in out if r.split == "train"} == {"3", "7", *stamps[6:]}
+    assert {r.timestamp for r in out if r.split == "valid"} == {"2020-02", "2020-11"}
+    assert {r.timestamp for r in out if r.split == "test"} == {"2021-03", "late"}
 
 
-def test_validate_regression_needs_range():
+def test_a_valid_manifest_builds():
+    assert _binary_manifest().task_id == "toy"
+
+
+def test_a_regression_manifest_builds_without_a_label_range():
+    # The one invariant left open: fit_label_range fills the range in after
+    # the split, and binning refuses until then.
     manifest = _binary_manifest(task_kind="regression", metric="mae")
-    problems = validate_manifest(manifest)
-    assert any("label range" in p for p in problems)
+    assert manifest.label_range is None
+    with pytest.raises(ValueError, match="toy: no label range to bin with"):
+        BinningSpec.from_manifest(manifest)
 
 
 @pytest.mark.parametrize("label_range", [(float("-inf"), 1.0), (0.0, float("inf")), (float("nan"), 1.0)])
-def test_validate_rejects_a_non_finite_label_range(label_range):
-    manifest = _binary_manifest(task_kind="regression", metric="mae", label_range=label_range)
-    assert validate_manifest(manifest) == ["label range must be finite"]
+def test_manifest_rejects_a_non_finite_label_range(label_range):
+    with pytest.raises(CorpusError) as caught:
+        _binary_manifest(task_kind="regression", metric="mae", label_range=label_range)
+    assert str(caught.value) == "toy: label range must be finite"
 
 
-def test_validate_placeholder_roles():
-    manifest = _binary_manifest(question="How about {nosuch}?")
-    problems = validate_manifest(manifest)
-    assert any("undeclared role" in p for p in problems)
+def test_manifest_rejects_an_undeclared_placeholder():
+    with pytest.raises(CorpusError) as caught:
+        _binary_manifest(question="How about {nosuch}?")
+    assert str(caught.value) == "toy: question references undeclared role 'nosuch'"
+
+
+def test_manifest_lists_every_problem_in_one_error():
+    with pytest.raises(CorpusError) as caught:
+        _binary_manifest(task_kind="ternary", split_method="temporal", context="{a} and {b}")
+    assert str(caught.value).splitlines() == [
+        "toy: unknown task_kind 'ternary'",
+        "toy: temporal split needs timestamp_column",
+        "toy: context references undeclared role 'a'",
+        "toy: context references undeclared role 'b'",
+    ]
+
+
+def _edited_manifest_file(tmp_path, edits, **overrides):
+    """A manifest file of ``_binary_manifest(**overrides)`` with each
+    ``key: value`` of ``edits`` set, added or, for a None value, removed."""
+    path = tmp_path / "toy.manifest"
+    write_manifest(_binary_manifest(**overrides), path)
+    values = dict(line.split(": ", 1) for line in path.read_text(encoding="utf-8").splitlines())
+    values.update(edits)
+    path.write_text("".join(f"{k}: {v}\n" for k, v in values.items() if v is not None), encoding="utf-8")
+    return path
+
+
+_REGRESSION = dict(task_kind="regression", metric="mae", label_range=(0.0, 1.0))
+_TWO_ROLES = dict(roles=(RoleSpec("a", "smiles", "A", "Drug A"), RoleSpec("b", "smiles", "B", "Drug B")))
+
+
+@pytest.mark.parametrize(
+    "edits, overrides, problem",
+    [
+        ({"task_kind": "ternary"}, {}, "unknown task_kind 'ternary'"),
+        ({"metric": "f1"}, {}, "unknown metric 'f1'"),
+        ({"split_method": "sideways"}, {}, "unknown split_method 'sideways'"),
+        ({"roles": ""}, {}, "no roles declared"),
+        ({"roles": "drug drug"}, {}, "duplicate role names"),
+        ({"role.drug.kind": "peptide"}, {}, "role 'drug' has unknown kind 'peptide'"),
+        ({"role.drug.label": ""}, {}, "role 'drug' has an empty label"),
+        ({"label_max": "0.0"}, _REGRESSION, "label range must satisfy min < max"),
+        ({"label_min": "2.5"}, _REGRESSION, "label range must satisfy min < max"),
+        ({"split_method": "scaffold", "role.drug.kind": "text"}, {}, "scaffold split needs a smiles role"),
+        ({"split_method": "cold_start"}, {}, "cold_start split needs cold_start_role"),
+        ({"split_method": "cold_start", "cold_start_role": "target"}, {}, "cold_start_role 'target' is not a role"),
+        ({"split_method": "combination"}, {}, "combination split needs two declared roles"),
+        ({"split_method": "combination", "combination_roles": "a c"}, _TWO_ROLES,
+         "combination split needs two declared roles"),
+        ({"split_method": "temporal"}, {}, "temporal split needs timestamp_column"),
+        ({"instruction": "Compare {drug} with {target}."}, {}, "instruction references undeclared role 'target'"),
+    ],
+    ids=[
+        "task_kind", "metric", "split_method", "no-roles", "duplicate-roles", "role-kind", "empty-label",
+        "min-equals-max", "min-above-max", "scaffold-without-smiles", "cold-start-without-role",
+        "cold-start-undeclared-role", "combination-one-role", "combination-undeclared-role",
+        "temporal-without-timestamp", "undeclared-placeholder",
+    ],
+)
+def test_read_manifest_rejects_a_broken_invariant(tmp_path, edits, overrides, problem):
+    path = _edited_manifest_file(tmp_path, edits, **overrides)
+    with pytest.raises(CorpusError) as caught:
+        read_manifest(path)
+    assert str(caught.value) == f"toy: {problem}"
 
 
 def _manifest_file(tmp_path, metric, direction):
@@ -416,36 +495,51 @@ def test_manifest_file_round_trip(tmp_path):
 
 # Manifest values: backslashes, "n", newlines, ": " and other whitespace in
 # any mix, with no surrounding whitespace and no "\r", since the reader strips
-# the one and reads the other as a line end.
+# the one and reads the other as a line end. Kinds, the metric and the split
+# method come from their valid sets, and the fields a split method needs agree
+# with the roles, since no other manifest can be built.
 _values = st.text("\\n\n: #x\té\x85\u2028", max_size=12).map(str.strip)
 _optional = st.none() | _values.filter(bool)
 _names = st.sampled_from(["drug", "target", "x", "_a1", "Protein2"])
 _roles = st.lists(
-    st.builds(RoleSpec, _names, _values, _values, _values), unique_by=lambda r: r.name, max_size=3
+    st.builds(RoleSpec, _names, st.sampled_from(ROLE_KINDS), _values, _values.filter(bool)),
+    unique_by=lambda r: r.name,
+    min_size=1,
+    max_size=3,
 ).map(tuple)
 _numbers = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(deadline=None)
-@given(
-    manifest=st.builds(
-        TaskManifest,
-        task_id=_values,
-        task_kind=_values,
-        roles=_roles,
-        instruction=_values,
-        context=_values,
-        question=_values,
-        label_column=_values,
-        metric=_values | st.sampled_from(METRICS),
-        split_method=_values,
-        label_range=st.none() | st.tuples(_numbers, _numbers),
-        cold_start_role=_optional,
-        combination_roles=st.none() | st.tuples(_names, _names),
-        timestamp_column=_optional,
-        subtask_column=_optional,
+@st.composite
+def _manifests(draw):
+    roles = draw(_roles)
+    names = st.sampled_from([r.name for r in roles])
+    split_method = draw(st.sampled_from(SPLIT_METHODS))
+    if split_method == "scaffold" and not any(r.kind == "smiles" for r in roles):
+        roles = (RoleSpec("smiles_role", "smiles", draw(_values), draw(_values.filter(bool))), *roles)
+    combination = st.none() | st.tuples(_names, _names)
+    if split_method == "combination":
+        combination = st.tuples(names, names) | (st.none() if len(roles) > 1 else st.nothing())
+    return TaskManifest(
+        task_id=draw(_values),
+        task_kind=draw(st.sampled_from(TASK_KINDS)),
+        roles=roles,
+        instruction=draw(_values),
+        context=draw(_values),
+        question=draw(_values),
+        label_column=draw(_values),
+        metric=draw(st.sampled_from(METRICS)),
+        split_method=split_method,
+        label_range=draw(st.none() | st.tuples(_numbers, _numbers).filter(lambda r: r[0] < r[1])),
+        cold_start_role=draw(names if split_method == "cold_start" else _optional),
+        combination_roles=draw(combination),
+        timestamp_column=draw(_values.filter(bool) if split_method == "temporal" else _optional),
+        subtask_column=draw(_optional),
     )
-)
+
+
+@settings(deadline=None)
+@given(manifest=_manifests())
 def test_every_manifest_value_reads_back_equal(tmp_path_factory, manifest):
     path = tmp_path_factory.mktemp("manifest") / "m.manifest"
     write_manifest(manifest, path)

@@ -417,6 +417,21 @@ def test_knn_stub_answers_a_question_that_templates_an_uncompared_role():
     assert answer == render_target(train[best], manifest)
 
 
+def test_knn_stub_gives_the_empty_answer_when_it_has_nothing_to_compare():
+    manifest, query = golden_tasks.BBB_MANIFEST, golden_tasks.BBB_QUERY
+    prompt = render_prompt(query, manifest).prompt
+    pool = list(golden_tasks.BBB_SHOTS)
+    notes = replace(manifest, roles=(RoleSpec("drug", "text", "Drug", "Drug SMILES"),), split_method="random")
+    answers = {
+        "empty pool": NearestNeighborClient(NeighborIndex(manifest, [], FeatureTable())).generate(prompt),
+        "no similarity role": NearestNeighborClient(NeighborIndex(notes, pool, FeatureTable())).generate(prompt),
+        "no role line": NearestNeighborClient(NeighborIndex(manifest, pool, FeatureTable())).generate(
+            prompt.replace("Drug SMILES: ", "Drug: ")
+        ),
+    }
+    assert {case: answer.text for case, answer in answers.items()} == dict.fromkeys(answers, "")
+
+
 def test_knn_stub_shared_index_under_threads():
     # The index's caches are shared by evaluate_task's worker threads; a
     # short switch interval interleaves their reads and writes.

@@ -18,7 +18,7 @@ import render_reference
 import sampling_reference
 import txf
 from knn_reference import naive_nearest
-from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest, assign_splits
+from txf.corpus import CorpusError, DataRecord, FeatureTable, RoleSpec, TaskManifest, assign_splits
 from txf.promptgen import (
     BIN_LEVELS,
     BinningSpec,
@@ -128,21 +128,20 @@ def test_subtask_placeholder():
     assert rendered.subtask == "A-123"
 
 
-def test_undeclared_placeholder_raises():
-    manifest = TaskManifest(
-        task_id="broken",
-        task_kind="binary",
-        roles=(RoleSpec("drug", "smiles", "Drug", "Drug SMILES"),),
-        instruction="Answer.",
-        context="None.",
-        question="What about {mystery}?\n\n(A) no (B) yes",
-        label_column="Y",
-        metric="auroc",
-        split_method="random",
-    )
-    record = DataRecord("r0", {"drug": "CCO"}, True, split="test")
-    with pytest.raises(KeyError):
-        render_prompt(record, manifest)
+def test_undeclared_placeholder_is_rejected_when_the_manifest_is_built():
+    # So render_prompt only ever fills declared roles.
+    with pytest.raises(CorpusError, match="^broken: question references undeclared role 'mystery'$"):
+        TaskManifest(
+            task_id="broken",
+            task_kind="binary",
+            roles=(RoleSpec("drug", "smiles", "Drug", "Drug SMILES"),),
+            instruction="Answer.",
+            context="None.",
+            question="What about {mystery}?\n\n(A) no (B) yes",
+            label_column="Y",
+            metric="auroc",
+            split_method="random",
+        )
 
 
 def test_inline_role_placeholder_consumes_role_line():
@@ -739,3 +738,14 @@ def test_jsonl_round_trip(tmp_path):
     ]
     assert back == rendered
     assert set(objs[0]) >= {"task", "split", "prompt", "target", "shots", "estimated_length", "over_budget"}
+
+
+def test_jsonl_writes_a_subtask_key_only_for_a_record_with_a_subtask(tmp_path):
+    manifest = replace(golden_tasks.BBB_MANIFEST, subtask_column="Assay")
+    query = golden_tasks.BBB_QUERY
+    rendered = [render_prompt(replace(query, subtask="A-1"), manifest), render_prompt(query, manifest)]
+    path = tmp_path / "prompts.jsonl"
+    write_prompt_jsonl(rendered, path)
+    with_subtask, without = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert with_subtask["subtask"] == "A-1"
+    assert "subtask" not in without

@@ -18,7 +18,7 @@ REMOVED = {
         "Bond.other",
         "canonical_reactant_set",
     ],
-    "corpus": ["replace_split", "TaskManifest.role", "SplitSpec", "TaskManifest.feature_type"],
+    "corpus": ["replace_split", "TaskManifest.role", "SplitSpec", "TaskManifest.feature_type", "validate_manifest"],
     "promptgen": [
         "MixtureSpec",
         "select_shots_knn",

@@ -98,7 +98,15 @@ def _dot_joins(count, seed):
     return [".".join(rng.choices(MOLECULE_CORPUS, k=rng.randint(1, 4))) for _ in range(count)]
 
 
-@pytest.mark.parametrize("text", _dot_joins(40, seed=5) + ["[Na+].[Na+]", "C.C", "CC.[CH3:1][OH:2]"])
+# Beyond the corpus: the two-letter aromatic bracket atoms, the wildcard in
+# and out of brackets, and an aromatic bond between non-aromatic atoms, which
+# the writer spells ":".
+_RARE_SPELLINGS = ["c1cc[se]c1", "c1cc[te]c1", "c1cc[as]cc1", "[*]CC", "*CC(*)O", "C:C", "C1:C:C:C1.CC"]
+
+
+@pytest.mark.parametrize(
+    "text", _dot_joins(40, seed=5) + ["[Na+].[Na+]", "C.C", "CC.[CH3:1][OH:2]"] + _RARE_SPELLINGS
+)
 def test_reactant_set_equals_the_per_component_sets_on_molecules(text):
     expected = reaction_reference.canonical_reactant_set(text)
     assert expected is not None
