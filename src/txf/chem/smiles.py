@@ -200,7 +200,6 @@ class _Parser:
         self.branch_stack: list[int | None] = []
         # ring number -> (atom, bond order, direction, atom's reserved order slot)
         self.rings: dict[int, tuple[int, int | None, str | None, int]] = {}
-        self.bond_keys: set[tuple[int, int]] = set()
 
     def error(self, message: str, offset: int | None = None):
         raise SmilesParseError(message, self.pos if offset is None else offset)
@@ -300,7 +299,6 @@ class _Parser:
 
     def _add_bond(self, a: int, b: int, order: int | None, direction: str | None):
         """Add the bond a-b, written from a; ``order`` None takes the default."""
-        self.bond_keys.add((a, b) if a < b else (b, a))
         if order is None:
             order = AROMATIC if self.atoms[a].aromatic and self.atoms[b].aromatic else SINGLE
         self.bonds.append(Bond(a, b, order, direction))
@@ -335,7 +333,7 @@ class _Parser:
             open_dir = "\\" if direction == "/" else "/"
         final = order if order is not None else open_order
         # Only a ring closure can repeat a bond: a chain bond goes to a new atom.
-        if (min(open_atom, self.prev), max(open_atom, self.prev)) in self.bond_keys:
+        if open_atom in self.order[self.prev]:
             self.error(f"duplicate ring bond {num}", start)
         self._add_bond(open_atom, self.prev, final, open_dir)
         self.order[open_atom][slot] = self.prev

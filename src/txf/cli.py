@@ -65,6 +65,9 @@ def _tasks(args):
 
     for path in paths:
         manifest = corpus.read_manifest(path)
+        # The task id names the table read and every file written.
+        if manifest.task_id != path.stem:
+            raise ValueError(f"{path}: task_id {manifest.task_id!r} is not the file's name {path.stem!r}")
         # The one invariant a manifest may leave open: --fit-ranges fits it.
         unranged = manifest.task_kind == "regression" and manifest.label_range is None
         if unranged and not args.fit_ranges:

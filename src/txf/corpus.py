@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .atomic import write_atomically
-from .ranks import METRICS, lower_is_better_for, parse_direction
+from .ranks import KIND_METRICS, METRICS, lower_is_better_for, parse_direction
 
 # txf.chem and txf.bioseq are imported by the FeatureTable helpers that
 # convert, so a command that converts no SMILES never loads the
@@ -38,7 +38,7 @@ __all__ = [
     "write_split_audit",
 ]
 
-TASK_KINDS = ("binary", "regression", "generation")
+TASK_KINDS = tuple(KIND_METRICS)
 ROLE_KINDS = ("smiles", "amino_acid", "nucleotide", "text")
 SPLIT_METHODS = ("random", "scaffold", "cold_start", "combination", "temporal")
 # Target train/valid/test shares of the records for every split method.
@@ -85,6 +85,8 @@ class TaskManifest:
             problems.append(f"unknown task_kind {self.task_kind!r}")
         if self.metric not in METRICS:
             problems.append(f"unknown metric {self.metric!r}")
+        elif self.task_kind in TASK_KINDS and self.metric not in KIND_METRICS[self.task_kind]:
+            problems.append(f"metric {self.metric!r} cannot score a {self.task_kind} task")
         if self.split_method not in SPLIT_METHODS:
             problems.append(f"unknown split_method {self.split_method!r}")
         if not self.roles:
@@ -273,8 +275,33 @@ def _unescape(value: str) -> str:
     return _ESCAPED.sub(lambda m: "\n" if m[1] == "n" else "\\", value)
 
 
+# Manifest keys in file order: the key, whether it may be absent, and whether
+# its value is the TaskManifest text field of that name as written. "role"
+# stands for role.<name>.kind, .column and .label of each declared role.
+_KEYS = (
+    ("task_id", False, True), ("task_kind", False, True), ("metric", False, True),
+    ("lower_is_better", True, False), ("split_method", False, True), ("label_column", False, True),
+    ("roles", False, False), ("role", False, False),
+    ("label_min", True, False), ("label_max", True, False),
+    ("cold_start_role", True, True), ("combination_roles", True, False),
+    ("timestamp_column", True, True), ("subtask_column", True, True),
+    ("instruction", False, True), ("context", False, True), ("question", False, True),
+)
+_ROLE_FIELDS = ("kind", "column", "label")  # RoleSpec's fields after its name
+
+
+def _keys(role_names):
+    """``_KEYS`` with "role" spelled out for these roles, in role order."""
+    for key, optional, verbatim in _KEYS:
+        if key == "role":
+            yield from ((f"role.{n}.{f}", False, False) for n in role_names for f in _ROLE_FIELDS)
+        else:
+            yield key, optional, verbatim
+
+
 def read_manifest(path) -> TaskManifest:
     data: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     try:
         # utf-8-sig: a leading byte-order mark, as spreadsheet exports
         # write, is not part of the first key.
@@ -293,23 +320,16 @@ def read_manifest(path) -> TaskManifest:
         if key in data:
             raise CorpusError(f"{path}:{lineno}: repeated key {key!r}")
         data[key] = _unescape(value.strip())
+        line_of[key] = lineno
 
     def need(key: str) -> str:
         if key not in data:
             raise CorpusError(f"{path}: missing required key {key!r}")
         return data[key]
 
-    role_names = need("roles").split()
-    roles = []
-    for name in role_names:
-        roles.append(
-            RoleSpec(
-                name=name,
-                kind=need(f"role.{name}.kind"),
-                column=need(f"role.{name}.column"),
-                label=need(f"role.{name}.label"),
-            )
-        )
+    names = need("roles").split()
+    keys = list(_keys(names))
+    values = {key: data.get(key) if optional else need(key) for key, optional, _ in keys}
 
     def number(key: str) -> float:
         text = need(key)
@@ -321,66 +341,42 @@ def read_manifest(path) -> TaskManifest:
     label_range = None
     if "label_min" in data or "label_max" in data:
         label_range = (number("label_min"), number("label_max"))
-    combo = None
-    if "combination_roles" in data:
-        parts = data["combination_roles"].split()
-        if len(parts) != 2:
-            raise CorpusError(f"{path}: combination_roles needs exactly two names")
-        combo = (parts[0], parts[1])
-    metric = need("metric")
+    combo = values["combination_roles"] and tuple(values["combination_roles"].split())
+    if combo is not None and len(combo) != 2:
+        raise CorpusError(f"{path}: combination_roles needs exactly two names")
     if "lower_is_better" in data:
         try:
-            lower_is_better_for(metric, parse_direction(data["lower_is_better"]))
+            lower_is_better_for(values["metric"], parse_direction(data["lower_is_better"]))
         except ValueError as exc:
             raise CorpusError(f"{path}: lower_is_better {exc}") from None
-    return TaskManifest(
-        task_id=need("task_id"),
-        task_kind=need("task_kind"),
-        roles=tuple(roles),
-        instruction=need("instruction"),
-        context=need("context"),
-        question=need("question"),
-        label_column=need("label_column"),
-        metric=metric,
-        split_method=need("split_method"),
+    manifest = TaskManifest(
+        roles=tuple(RoleSpec(n, *(values[f"role.{n}.{f}"] for f in _ROLE_FIELDS)) for n in names),
         label_range=label_range,
-        cold_start_role=data.get("cold_start_role"),
         combination_roles=combo,
-        timestamp_column=data.get("timestamp_column"),
-        subtask_column=data.get("subtask_column"),
+        **{key: values[key] for key, _, verbatim in keys if verbatim},
     )
+    unknown = [key for key in data if key not in values]
+    if unknown:
+        raise CorpusError(f"{path}:{line_of[unknown[0]]}: unknown key {unknown[0]!r}")
+    return manifest
 
 
 def write_manifest(manifest: TaskManifest, path) -> None:
     """Write every value escaped, so ``read_manifest`` reads it back equal."""
-    pairs = [
-        ("task_id", manifest.task_id),
-        ("task_kind", manifest.task_kind),
-        ("metric", manifest.metric),
-        ("lower_is_better", "true" if manifest.lower_is_better else "false"),
-        ("split_method", manifest.split_method),
-        ("label_column", manifest.label_column),
-        ("roles", " ".join(r.name for r in manifest.roles)),
-    ]
-    for r in manifest.roles:
-        pairs += [(f"role.{r.name}.{field}", getattr(r, field)) for field in ("kind", "column", "label")]
+    values = {
+        "lower_is_better": "true" if manifest.lower_is_better else "false",
+        "roles": " ".join(r.name for r in manifest.roles),
+        "combination_roles": " ".join(manifest.combination_roles or ()),
+        **{f"role.{r.name}.{f}": getattr(r, f) for r in manifest.roles for f in _ROLE_FIELDS},
+    }
     if manifest.label_range is not None:
-        lo, hi = manifest.label_range
-        pairs += [("label_min", repr(lo)), ("label_max", repr(hi))]
-    optional = [
-        ("cold_start_role", manifest.cold_start_role),
-        ("combination_roles", " ".join(manifest.combination_roles or ())),
-        ("timestamp_column", manifest.timestamp_column),
-        ("subtask_column", manifest.subtask_column),
-    ]
-    pairs += [(key, value) for key, value in optional if value]
-    pairs += [
-        ("instruction", manifest.instruction),
-        ("context", manifest.context),
-        ("question", manifest.question),
-    ]
-    text = "".join(f"{key}: {_escape(value)}\n" for key, value in pairs)
-    write_atomically(path, lambda fh: fh.write(text))
+        values["label_min"], values["label_max"] = map(repr, manifest.label_range)
+    lines = []
+    for key, optional, verbatim in _keys([r.name for r in manifest.roles]):
+        value = getattr(manifest, key) if verbatim else values.get(key)
+        if value or not optional:
+            lines.append(f"{key}: {_escape(value)}\n")
+    write_atomically(path, lambda fh: fh.write("".join(lines)))
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,6 @@ class HttpModelClient:
         ):
             raise ValueError(f"bad model URL {url!r}: expected http(s)://host[:port]/path")
         self.url = url
-        self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff = backoff
         self._target = parts.path or "/"

@@ -8,7 +8,13 @@ that evaluation needs.
 
 from __future__ import annotations
 
-METRICS = ("auroc", "auprc", "accuracy", "spearman", "pearson", "mae", "mse", "set_accuracy")
+# The metrics that can score each task kind.
+KIND_METRICS = {
+    "binary": ("auroc", "auprc", "accuracy"),
+    "regression": ("spearman", "pearson", "mae", "mse"),
+    "generation": ("set_accuracy",),
+}
+METRICS = tuple(metric for metrics in KIND_METRICS.values() for metric in metrics)
 LOWER_IS_BETTER_METRICS = {"mae", "mse"}
 
 

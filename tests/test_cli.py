@@ -1013,6 +1013,103 @@ def _compare_missing_results_dir(tmp_path):
     ], f"results directory {missing} does not exist"
 
 
+def _build_argv(tmp_path, manifests, data):
+    return ["build", "--manifests", str(manifests), "--data", str(data), "--out", str(tmp_path / "out")]
+
+
+def _edited_cli_task(tmp_path, old, new):
+    """build argv for a copy of the CLI fixture with ``old`` in its manifest
+    replaced by ``new``."""
+    manifests, data = _copy_cli_task(tmp_path)
+    path = manifests / "bbb_martins.manifest"
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return _build_argv(tmp_path, manifests, data)
+
+
+def _manifest_unknown_key(tmp_path):
+    # A misspelled optional key would otherwise be dropped without a word.
+    argv = _edited_cli_task(tmp_path, "BBB\n", "BBB\nsubtask_colum: Assay\n")
+    return argv, "bbb_martins.manifest:15: unknown key 'subtask_colum'"
+
+
+def _manifest_role_key_of_an_undeclared_role(tmp_path):
+    argv = _edited_cli_task(tmp_path, "role.drug.kind", "role.target.kind: amino_acid\nrole.drug.kind")
+    return argv, "bbb_martins.manifest:9: unknown key 'role.target.kind'"
+
+
+def _manifest_metric_of_another_kind(tmp_path):
+    argv = _edited_cli_task(tmp_path, "metric: auroc\nlower_is_better: false", "metric: mae")
+    argv[0] = "evaluate"
+    return argv + ["--stub", "knn"], "bbb_martins: metric 'mae' cannot score a binary task"
+
+
+def _manifest_task_id_not_the_file_name(tmp_path):
+    argv = _edited_cli_task(tmp_path, "task_id: bbb_martins", "task_id: ../escaped")
+    return argv, "bbb_martins.manifest: task_id '../escaped' is not the file's name 'bbb_martins'"
+
+
+def _manifest_combination_roles_one_name(tmp_path):
+    argv = _edited_cli_task(tmp_path, "roles: drug", "roles: drug\ncombination_roles: drug")
+    return argv, "bbb_martins.manifest: combination_roles needs exactly two names"
+
+
+def _missing_directory(what):
+    def case(tmp_path):
+        dirs = dict(zip(("manifest", "data"), _copy_cli_task(tmp_path)))
+        missing = dirs[what] = tmp_path / "nosuch"
+        return _build_argv(tmp_path, dirs["manifest"], dirs["data"]), f"{what} directory {missing} does not exist"
+
+    return case
+
+
+_manifest_directory_missing = _missing_directory("manifest")
+_data_directory_missing = _missing_directory("data")
+
+
+def _no_manifest_files(tmp_path):
+    manifests, data = _copy_cli_task(tmp_path)
+    (manifests / "bbb_martins.manifest").unlink()
+    return _build_argv(tmp_path, manifests, data), f"no *.manifest files under {manifests}"
+
+
+def _no_table(tmp_path):
+    manifests, data = _copy_cli_task(tmp_path)
+    (data / "bbb_martins.tsv").unlink()
+    return _build_argv(tmp_path, manifests, data), f"bbb_martins: no table under {data}"
+
+
+def _empty_table(tmp_path):
+    manifests, data = _copy_cli_task(tmp_path)
+    (data / "bbb_martins.tsv").write_text("")
+    return _build_argv(tmp_path, manifests, data), "bbb_martins.tsv: empty file"
+
+
+def _contamination_features_only_comments(tmp_path):
+    (tmp_path / "features.tsv").write_text("# id\tfeature\n\n# nothing else\n")
+    (tmp_path / "corpus.txt").write_text("hay")
+    return [
+        "contamination", "--features", str(tmp_path / "features.tsv"),
+        "--corpus", str(tmp_path / "corpus.txt"),
+    ], "features file is empty"
+
+
+def _results_no_overlap(tmp_path):
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    for d, task in ((dir_a, "t"), (dir_b, "u")):
+        d.mkdir()
+        (d / f"{task}.result.json").write_text(f'{{"task": "{task}", "metric": "auroc", "value": 0.5}}')
+    return ["compare", "--results-a", str(dir_a), "--results-b", str(dir_b)], (
+        "no overlapping task results to compare"
+    )
+
+
+def _compare_one_results_dir(tmp_path):
+    (tmp_path / "a").mkdir()
+    return ["compare", "--results-a", str(tmp_path / "a")], "need --pairs or both --results-a and --results-b"
+
+
 @pytest.mark.parametrize("case", [
     _build_unwritable_out,
     _evaluate_unwritable_out,
@@ -1058,6 +1155,19 @@ def _compare_missing_results_dir(tmp_path):
     _result_direction_contradicts_the_metric,
     _result_task_not_a_string,
     _result_metric_not_a_string,
+    _manifest_unknown_key,
+    _manifest_role_key_of_an_undeclared_role,
+    _manifest_metric_of_another_kind,
+    _manifest_task_id_not_the_file_name,
+    _manifest_combination_roles_one_name,
+    _manifest_directory_missing,
+    _data_directory_missing,
+    _no_manifest_files,
+    _no_table,
+    _empty_table,
+    _contamination_features_only_comments,
+    _results_no_overlap,
+    _compare_one_results_dir,
 ])
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     argv, expected = case(tmp_path)
@@ -1075,9 +1185,33 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
         _only_unknown_task,
         _known_and_unknown_task,
         _evaluate_concurrency_zero,
+        _manifest_directory_missing,
+        _data_directory_missing,
+        _no_manifest_files,
     ):
         # The option is rejected before anything is written.
         assert not (tmp_path / "out").exists()
+
+
+def test_a_task_id_other_than_the_file_name_reads_and_writes_nothing(tmp_path, capsys):
+    # A task id names the table read and the files written, so "../escaped"
+    # would read and write beside --data and --out.
+    argv, _ = _manifest_task_id_not_the_file_name(tmp_path)
+    shutil.copy(tmp_path / "data" / "bbb_martins.tsv", tmp_path / "escaped.tsv")
+    before = sorted(tmp_path.rglob("*"))
+    opened = []
+    real_open = open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("builtins.open", recording_open)
+        assert main(argv) == 1
+    assert "is not the file's name" in capsys.readouterr().err
+    assert opened == ["bbb_martins.manifest"]
+    assert sorted(tmp_path.rglob("*")) == sorted([*before, tmp_path / "out"])
 
 
 def test_build_knn_shares_one_index_per_shot_pool(tmp_path, monkeypatch):

@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MOLECULE_CORPUS, permute_molecule
+from txf import corpus
 from txf.corpus import (
     ROLE_KINDS,
     SPLIT_METHODS,
@@ -20,7 +24,7 @@ from txf.corpus import (
     write_split_audit,
 )
 from txf.promptgen import BinningSpec
-from txf.ranks import METRICS
+from txf.ranks import KIND_METRICS
 
 
 def _binary_manifest(**overrides):
@@ -89,7 +93,7 @@ def test_load_table_csv_delimiter(tmp_path):
 def test_load_table_drops_non_finite_numeric_labels(tmp_path, kind):
     path = tmp_path / "toy.tsv"
     path.write_text("Drug\tY\nCCO\t1\nCC\tnan\nCCC\tinf\nCCCC\t-Infinity\nCCN\t0\n")
-    manifest = _binary_manifest(task_kind=kind, label_range=(0.0, 1.0))
+    manifest = _binary_manifest(task_kind=kind, metric=KIND_METRICS[kind][0], label_range=(0.0, 1.0))
     loaded = load_table(path, manifest)
     assert [r.features["drug"] for r in loaded.records] == ["CCO", "CCN"]
     assert loaded.dropped == 3
@@ -429,12 +433,17 @@ _TWO_ROLES = dict(roles=(RoleSpec("a", "smiles", "A", "Drug A"), RoleSpec("b", "
          "combination split needs two declared roles"),
         ({"split_method": "temporal"}, {}, "temporal split needs timestamp_column"),
         ({"instruction": "Compare {drug} with {target}."}, {}, "instruction references undeclared role 'target'"),
+        ({"metric": "spearman"}, {}, "metric 'spearman' cannot score a binary task"),
+        ({"metric": "set_accuracy"}, {}, "metric 'set_accuracy' cannot score a binary task"),
+        ({"metric": "accuracy", "lower_is_better": None}, _REGRESSION,
+         "metric 'accuracy' cannot score a regression task"),
     ],
     ids=[
         "task_kind", "metric", "split_method", "no-roles", "duplicate-roles", "role-kind", "empty-label",
         "min-equals-max", "min-above-max", "scaffold-without-smiles", "cold-start-without-role",
         "cold-start-undeclared-role", "combination-one-role", "combination-undeclared-role",
-        "temporal-without-timestamp", "undeclared-placeholder",
+        "temporal-without-timestamp", "undeclared-placeholder", "binary-spearman", "binary-set-accuracy",
+        "regression-accuracy",
     ],
 )
 def test_read_manifest_rejects_a_broken_invariant(tmp_path, edits, overrides, problem):
@@ -445,10 +454,12 @@ def test_read_manifest_rejects_a_broken_invariant(tmp_path, edits, overrides, pr
 
 
 def _manifest_file(tmp_path, metric, direction):
-    """A manifest file for ``metric`` whose lower_is_better line reads
-    ``direction``, or has no such line when it is None."""
+    """A manifest file for ``metric``, of a task kind it scores, whose
+    lower_is_better line reads ``direction``, or has no such line when it is
+    None."""
     path = tmp_path / "toy.manifest"
-    write_manifest(_binary_manifest(metric=metric), path)
+    kind = next(kind for kind, metrics in KIND_METRICS.items() if metric in metrics)
+    write_manifest(_binary_manifest(task_kind=kind, metric=metric), path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     [n] = [i for i, line in enumerate(lines) if line.startswith("lower_is_better:")]
     lines[n : n + 1] = [] if direction is None else [f"lower_is_better: {direction}\n"]
@@ -495,9 +506,10 @@ def test_manifest_file_round_trip(tmp_path):
 
 # Manifest values: backslashes, "n", newlines, ": " and other whitespace in
 # any mix, with no surrounding whitespace and no "\r", since the reader strips
-# the one and reads the other as a line end. Kinds, the metric and the split
-# method come from their valid sets, and the fields a split method needs agree
-# with the roles, since no other manifest can be built.
+# the one and reads the other as a line end. Kinds and the split method come
+# from their valid sets, the metric from those of the task kind, and the fields
+# a split method needs agree with the roles, since no other manifest can be
+# built.
 _values = st.text("\\n\n: #x\té\x85\u2028", max_size=12).map(str.strip)
 _optional = st.none() | _values.filter(bool)
 _names = st.sampled_from(["drug", "target", "x", "_a1", "Protein2"])
@@ -517,18 +529,19 @@ def _manifests(draw):
     split_method = draw(st.sampled_from(SPLIT_METHODS))
     if split_method == "scaffold" and not any(r.kind == "smiles" for r in roles):
         roles = (RoleSpec("smiles_role", "smiles", draw(_values), draw(_values.filter(bool))), *roles)
+    task_kind = draw(st.sampled_from(TASK_KINDS))
     combination = st.none() | st.tuples(_names, _names)
     if split_method == "combination":
         combination = st.tuples(names, names) | (st.none() if len(roles) > 1 else st.nothing())
     return TaskManifest(
         task_id=draw(_values),
-        task_kind=draw(st.sampled_from(TASK_KINDS)),
+        task_kind=task_kind,
         roles=roles,
         instruction=draw(_values),
         context=draw(_values),
         question=draw(_values),
         label_column=draw(_values),
-        metric=draw(st.sampled_from(METRICS)),
+        metric=draw(st.sampled_from(KIND_METRICS[task_kind])),
         split_method=split_method,
         label_range=draw(st.none() | st.tuples(_numbers, _numbers).filter(lambda r: r[0] < r[1])),
         cold_start_role=draw(names if split_method == "cold_start" else _optional),
@@ -554,6 +567,39 @@ def test_read_manifest_rejects_a_repeated_key(tmp_path):
     lines = path.read_text(encoding="utf-8").count("\n")
     with pytest.raises(CorpusError, match=f"toy.manifest:{lines}: repeated key 'split_method'"):
         read_manifest(path)
+
+
+@pytest.mark.parametrize("key", ["subtask_colum", "Task_id", "label_range", "role.target.kind", "role.drug.name"])
+def test_read_manifest_rejects_an_unknown_key(tmp_path, key):
+    # A role key counts as known only for a declared role and a RoleSpec field.
+    path = tmp_path / "toy.manifest"
+    write_manifest(_binary_manifest(), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"# a comment\n{key}: Assay\n\n")
+    lineno = path.read_text(encoding="utf-8").count("\n") - 1
+    with pytest.raises(CorpusError) as caught:
+        read_manifest(path)
+    assert str(caught.value) == f"{path}:{lineno}: unknown key {key!r}"
+
+
+def test_read_manifest_reports_a_broken_invariant_before_an_unknown_key(tmp_path):
+    path = _edited_manifest_file(tmp_path, {"task_kind": "ternary", "subtask_colum": "Assay"})
+    with pytest.raises(CorpusError, match="^toy: unknown task_kind 'ternary'$"):
+        read_manifest(path)
+
+
+def _doc_table_keys(doc: str, heading: str) -> set[str]:
+    """The backquoted keys in the first column of the table under ``heading``."""
+    section = doc.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    return {key for cell in rows for key in re.findall(r"`([^`]+)`", cell)}
+
+
+def test_the_format_doc_lists_exactly_the_manifest_keys():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "manifest_format.md").read_text(encoding="utf-8")
+    keys = list(corpus._keys(["<name>"]))
+    assert _doc_table_keys(doc, "Required keys") == {key for key, optional, _ in keys if not optional}
+    assert _doc_table_keys(doc, "Optional keys") == {key for key, optional, _ in keys if optional}
 
 
 def test_fit_label_range_train_only():
