@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .ranks import average_ranks, lower_is_better_for, parse_direction
@@ -294,10 +294,21 @@ _DEPTH = 32
 
 @dataclass
 class ContaminationReport:
+    """Whether each record occurs in the corpus; the counts are read from the flags."""
+
     flags: dict[str, bool]
-    n_records: int
-    n_flagged: int
-    percent_overlap: float
+
+    @property
+    def n_records(self) -> int:
+        return len(self.flags)
+
+    @property
+    def n_flagged(self) -> int:
+        return sum(self.flags.values())
+
+    @property
+    def percent_overlap(self) -> float:
+        return 100.0 * self.n_flagged / self.n_records if self.flags else 0.0
 
 
 def _longest_key_regex(keys: Iterable[str]) -> re.Pattern:
@@ -394,15 +405,7 @@ def contamination_scan(
         carry = text[max(0, len(text) - longest + 1) :]
 
     flagged = {record_id for pattern in found for record_id in records[pattern]}
-    flags = {record_id: record_id in flagged for record_id, _ in features}
-    n = len(flags)
-    n_flagged = sum(flags.values())
-    return ContaminationReport(
-        flags=flags,
-        n_records=n,
-        n_flagged=n_flagged,
-        percent_overlap=100.0 * n_flagged / n if n else 0.0,
-    )
+    return ContaminationReport({record_id: record_id in flagged for record_id, _ in features})
 
 
 def filtered_eval(result: EvalResult, flags: dict[str, bool]) -> EvalResult:
@@ -410,8 +413,10 @@ def filtered_eval(result: EvalResult, flags: dict[str, bool]) -> EvalResult:
     from .evalharness import EvalResult
 
     kept = [r for r in result.rows if not flags.get(r.record_id, False)]
-    filtered = EvalResult.from_rows(result.task_id, result.metric, kept)
-    return filtered if kept else replace(filtered, undefined_reason="all rows flagged")
+    filtered = EvalResult(result.task_id, result.metric, kept)
+    if not kept:
+        filtered.undefined_reason = "all rows flagged"
+    return filtered
 
 
 # ---------------------------------------------------------------------------

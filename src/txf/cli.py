@@ -318,7 +318,7 @@ def cmd_contamination(args) -> int:
     except UnicodeDecodeError:
         raise ValueError(f"{args.features}: not UTF-8 text") from None
     if not features:
-        raise ValueError("features file is empty")
+        raise ValueError(f"{args.features}: features file is empty")
 
     def chunks():
         with open(args.corpus, encoding="utf-8", errors="replace") as fh:

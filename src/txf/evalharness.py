@@ -418,6 +418,8 @@ def auroc(scores, labels) -> float | None:
 
 def auprc(scores, labels) -> float | None:
     """Average precision; score ties keep stable record order."""
+    if len(scores) != len(labels):
+        raise ValueError("length mismatch")
     scores = _floats(scores)
     labels = [bool(v) for v in labels]
     pos = sum(labels)
@@ -492,43 +494,40 @@ class EvalRow:
     truth: object
     score: float
     valid: bool
-    failed: bool = False
+    failure: str | None = None  # the transport error's text
 
 
 @dataclass
 class EvalResult:
+    """A task's metric over its rows: value, subtask_values and undefined_reason
+    are scored when the result is made; n, invalid_rate and failures are read
+    from the rows on each access."""
+
     task_id: str
     metric: str
-    value: float | None
-    n: int
-    invalid_rate: float
-    rows: list[EvalRow] = field(default_factory=list)
-    subtask_values: dict[str, float | None] | None = None
-    undefined_reason: str | None = None
-    failures: list[str] = field(default_factory=list)
+    rows: list[EvalRow]
+    value: float | None = field(init=False)
+    subtask_values: dict[str, float | None] | None = field(init=False)
+    undefined_reason: str | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.value, self.subtask_values, self.undefined_reason = score_rows(self.metric, self.rows)
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    @property
+    def invalid_rate(self) -> float:
+        return sum(not r.valid for r in self.rows) / len(self.rows) if self.rows else 0.0
+
+    @property
+    def failures(self) -> list[str]:
+        return [f"{r.record_id}: {r.failure}" for r in self.rows if r.failure is not None]
 
     @property
     def lower_is_better(self) -> bool:
         return lower_is_better_for(self.metric)
-
-    @classmethod
-    def from_rows(
-        cls, task_id: str, metric: str, rows: list[EvalRow], failures: Sequence[str] = ()
-    ) -> "EvalResult":
-        """The metric, per-subtask values, n and invalid rate over rows."""
-        value, per_subtask, reason = score_rows(metric, rows)
-        invalid = sum(1 for r in rows if not r.valid)
-        return cls(
-            task_id=task_id,
-            metric=metric,
-            value=value,
-            n=len(rows),
-            invalid_rate=invalid / len(rows) if rows else 0.0,
-            rows=rows,
-            subtask_values=per_subtask,
-            undefined_reason=reason,
-            failures=list(failures),
-        )
 
 
 def _metric_over_rows(metric: str, rows: list[EvalRow]) -> float | None:
@@ -612,7 +611,7 @@ def _row_for_prompt(
         truth=truth,
         score=score,
         valid=valid,
-        failed=failure is not None,
+        failure=failure,
     )
 
 
@@ -662,12 +661,7 @@ def evaluate_task(
         _row_for_prompt(prompt, manifest, response, failure, truths.get(prompt.target))
         for prompt, (response, failure) in zip(prompts, outcomes)
     ]
-    failures = [
-        f"{prompt.record_id}: {failure}"
-        for prompt, (_, failure) in zip(prompts, outcomes)
-        if failure
-    ]
-    return EvalResult.from_rows(manifest.task_id, manifest.metric, rows, failures)
+    return EvalResult(manifest.task_id, manifest.metric, rows)
 
 
 def write_result_json(result: EvalResult, path) -> None:
@@ -737,7 +731,7 @@ def write_rows_csv(result: EvalResult, path) -> None:
                     r.truth,
                     r.score,
                     int(r.valid),
-                    int(r.failed),
+                    int(r.failure is not None),
                 ]
             )
 

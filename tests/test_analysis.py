@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -377,10 +378,7 @@ def test_contamination_fixture_consistency():
 
 
 def _result_with_rows(metric, rows):
-    return EvalResult(
-        task_id="toy", metric=metric, value=None, n=len(rows),
-        invalid_rate=0.0, rows=rows,
-    )
+    return EvalResult(task_id="toy", metric=metric, rows=rows)
 
 
 def _row(record_id, truth, score, prediction=None, target=""):
@@ -426,9 +424,21 @@ def test_filtered_eval_improves_when_flagged_rows_were_errors():
     assert unfiltered.value < filtered.value == 1.0
 
 
+def test_filtered_eval_keeps_the_failures_of_the_rows_it_keeps():
+    rows = [_row(str(i), i % 2 == 0, 0.5) for i in range(6)]
+    rows[1] = replace(rows[1], valid=False, failure="boom")
+    rows[4] = replace(rows[4], valid=False, failure="timed out")
+    result = _result_with_rows("auroc", rows)
+    assert result.failures == ["1: boom", "4: timed out"]
+    filtered = filtered_eval(result, {"4": True})
+    assert filtered.failures == ["1: boom"]
+    assert (filtered.n, filtered.invalid_rate) == (5, 0.2)
+
+
 def test_filtered_eval_all_flagged():
     rows = [_row("0", True, 1.0)]
     result = _result_with_rows("auroc", rows)
     filtered = filtered_eval(result, {"0": True})
     assert filtered.value is None
     assert filtered.n == 0
+    assert filtered.undefined_reason == "all rows flagged"

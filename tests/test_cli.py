@@ -180,6 +180,25 @@ def test_scoreboard_command(tmp_path, capsys):
     assert medians["SMILES + Text"] == pytest.approx(0.048, abs=0.005)
 
 
+def test_scoreboard_no_sota_separate_buckets_the_rows_without_a_reference(capsys):
+    assert main([
+        "scoreboard", "--fixture", str(FIXTURES / "benchmark_results.csv"), "--no-sota-separate",
+    ]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    counts = {k: payload[k] for k in ("exceed", "near", "below", "no_sota", "near_or_above", "total")}
+    assert counts == {"exceed": 19, "near": 21, "below": 23, "no_sota": 3, "near_or_above": 40, "total": 66}
+
+
+def test_scoreboard_model_col_reads_the_named_column(tmp_path, capsys):
+    text = (FIXTURES / "benchmark_results.csv").read_text()
+    renamed = text.replace(",sota,model\n", ",sota,tx_llm\n", 1)
+    assert renamed != text
+    (tmp_path / "results.csv").write_text(renamed)
+    assert main(["scoreboard", "--fixture", str(tmp_path / "results.csv"), "--model-col", "tx_llm"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["exceed"], payload["near"], payload["near_or_above"]) == (22, 21, 43)
+
+
 def test_compare_command_identical_inputs(tmp_path, capsys):
     pairs = tmp_path / "pairs.csv"
     rows = ["task,metric,lower_is_better,a,b"]
@@ -556,6 +575,23 @@ def _write_toy_binary(manifests, data, task_id, n=100):
     for i in range(n):
         lines.append(f"{'C' * (1 + i % 9)}N{task_id[-1] * (i % 3)}\t{i % 2}")
     (data / f"{task_id}.tsv").write_text("\n".join(lines) + "\n")
+
+
+def test_evaluate_valid_split_scores_the_audits_valid_records(tmp_path):
+    manifests = tmp_path / "manifests"
+    data = tmp_path / "data"
+    manifests.mkdir()
+    data.mkdir()
+    _write_toy_binary(manifests, data, "toyv")
+    common = ["--manifests", str(manifests), "--data", str(data), "--out", str(tmp_path / "out")]
+    assert main(["build", *common]) == 0
+    assert main(["evaluate", *common, "--stub", "majority", "--split", "valid"]) == 0
+    audit = (tmp_path / "out" / "toyv.splits.tsv").read_text().splitlines()
+    valid = [line for line in audit if line.endswith("\tvalid")]
+    payload = json.loads((tmp_path / "out" / "toyv.result.json").read_text())
+    rows = (tmp_path / "out" / "toyv.rows.csv").read_text().splitlines()[1:]
+    assert 0 < payload["n"] == len(valid) == len(rows) < 100
+    assert {row.split(",")[0] for row in rows} == {line.split("\t")[0] for line in valid}
 
 
 def test_evaluate_transport_failure_exit_code(tmp_path, monkeypatch):
@@ -1092,7 +1128,7 @@ def _contamination_features_only_comments(tmp_path):
     return [
         "contamination", "--features", str(tmp_path / "features.tsv"),
         "--corpus", str(tmp_path / "corpus.txt"),
-    ], "features file is empty"
+    ], "features.tsv: features file is empty"
 
 
 def _results_no_overlap(tmp_path):

@@ -170,7 +170,7 @@ def test_row_for_prompt_never_raises(task, completion, scores, data):
         reactants = Reactants.parse(truth)
     prompt = render_prompt(query, manifest)
     row = evalharness._row_for_prompt(prompt, manifest, GenerationResponse(completion, scores), None, reactants)
-    assert row.completion == completion and not row.failed
+    assert row.completion == completion and row.failure is None
     if respelled is not None:
         assert (row.score, row.valid) == (1.0, True)
 
@@ -222,6 +222,9 @@ def test_auprc_trivials_and_oracle():
     assert auprc([0.9, 0.8, 0.2], [1, 1, 0]) == 1.0
     assert auprc([0.9, 0.8, 0.1], [0, 0, 1]) == pytest.approx(1 / 3)
     assert auprc([0.5], [0]) is None
+    for scores, labels in (([0.1], [1, 0]), ([0.1, 0.2], [1])):
+        with pytest.raises(ValueError, match="length mismatch"):
+            auprc(scores, labels)
     rng = random.Random(67)
     for _ in range(30):
         n = rng.randint(3, 20)
@@ -545,9 +548,19 @@ def test_transport_failures_kept_as_invalid_rows():
     failing = records[3].features["drug"]
     result = evaluate_task(manifest, prompts, _FlakyClient([f"Drug SMILES: {failing}\n"]), concurrency=2)
     assert result.n == 10
-    assert result.failures
-    failed_rows = [r for r in result.rows if r.failed]
-    assert failed_rows and all(not r.valid for r in failed_rows)
+    assert result.failures == [f"{records[3].record_id}: boom"]
+    failed_rows = [r for r in result.rows if r.failure is not None]
+    assert [r.record_id for r in failed_rows] == [records[3].record_id]
+    assert all(not r.valid and r.failure == "boom" for r in failed_rows)
+
+
+def test_a_transport_error_without_a_message_is_a_failure():
+    manifest, records, prompts = _binary_task(4)
+    client = _ScriptedClient({p.prompt: "(B)" for p in prompts})
+    client.answers[prompts[2].prompt] = TransportError("")
+    result = evaluate_task(manifest, prompts, client, concurrency=2)
+    assert result.failures == [f"{records[2].record_id}: "]
+    assert [r.failure for r in result.rows] == [None, None, "", None]
 
 
 @pytest.mark.parametrize("manifest, query", [
@@ -562,8 +575,8 @@ def test_failed_record_scores_as_the_empty_completion(manifest, query):
     [failed] = evaluate_task(manifest, prompts, _FlakyClient([prompts[0].prompt])).rows
     # The echo stub answers "" to a prompt it was not given.
     [empty] = evaluate_task(manifest, prompts, EchoClient([])).rows
-    assert failed.failed and not failed.valid
-    assert replace(failed, failed=False) == empty
+    assert failed.failure == "boom" and not failed.valid
+    assert replace(failed, failure=None) == empty
 
 
 class _CountingClient:
@@ -592,11 +605,17 @@ def test_unparseable_generation_truth_fails_before_any_model_call():
 
 
 class _ScriptedClient:
+    """Answers each prompt with its scripted text or response, or raises its
+    scripted TransportError."""
+
     def __init__(self, answers):
         self.answers = answers
 
     def generate(self, prompt):
-        return GenerationResponse(self.answers[prompt])
+        answer = self.answers[prompt]
+        if isinstance(answer, TransportError):
+            raise answer
+        return answer if isinstance(answer, GenerationResponse) else GenerationResponse(answer)
 
 
 def test_evaluate_parses_each_truth_once_and_writes_canonical_only_for_possible_matches(monkeypatch):
@@ -822,9 +841,67 @@ def test_result_files(tmp_path):
     assert lines[0].startswith("record_id,")
 
 
+# Both result files, byte for byte, for _pinned_result(): two subtasks, one
+# invalid parse and one transport failure. A change to either must be meant.
+PINNED_RESULT_JSON = """\
+{
+  "task": "toybin",
+  "metric": "auroc",
+  "lower_is_better": false,
+  "value": 0.75,
+  "n": 6,
+  "invalid_rate": 0.3333333333333333,
+  "undefined_reason": null,
+  "failures": [
+    "r3: boom: d\u00e9lai d\u00e9pass\u00e9"
+  ],
+  "subtask_values": {
+    "X": 1.0,
+    "Y": 0.5
+  }
+}
+"""
+PINNED_ROWS_CSV = (
+    "record_id,subtask,target,completion,prediction,truth,score,valid,failed\r\n"
+    "r0,X,(B),(B) yes,(B),True,1.0,1,0\r\n"
+    "r1,X,(A),(A),(A),False,0.25,1,0\r\n"
+    'r2,X,(B),"maybe, ""neither""\nsecond line",,True,0.5,0,0\r\n'
+    "r3,Y,(B),,,True,0.5,0,1\r\n"
+    "r4,Y,(A),The answer is (B),(B),False,0.625,1,0\r\n"
+    "r5,Y,(B),(A) no,(A),True,0.7,1,0\r\n"
+)
+
+
+def _pinned_result():
+    manifest = _binary_task(1)[0]
+    answers = {
+        "C": GenerationResponse("(B) yes"),
+        "CC": GenerationResponse("(A)", {"(A)": 0.75, "(B)": 0.25}),
+        "CCC": GenerationResponse('maybe, "neither"\nsecond line'),
+        "CCCC": TransportError("boom: d\u00e9lai d\u00e9pass\u00e9"),
+        "CCCCC": GenerationResponse("The answer is (B)", {"(B)": 0.625}),
+        "CCCCCC": GenerationResponse("(A) no", {"(B)": 0.7}),
+    }
+    records = [
+        DataRecord(f"r{i}", {"drug": drug}, i % 3 != 1, subtask="X" if i < 3 else "Y", split="test")
+        for i, drug in enumerate(answers)
+    ]
+    prompts = [render_prompt(r, manifest) for r in records]
+    client = _ScriptedClient({p.prompt: answer for p, answer in zip(prompts, answers.values())})
+    return evaluate_task(manifest, prompts, client, concurrency=2)
+
+
+def test_result_files_keep_their_bytes(tmp_path):
+    result = _pinned_result()
+    write_result_json(result, tmp_path / "r.json")
+    write_rows_csv(result, tmp_path / "rows.csv")
+    assert (tmp_path / "r.json").read_bytes().decode("utf-8") == PINNED_RESULT_JSON
+    assert (tmp_path / "rows.csv").read_bytes().decode("utf-8") == PINNED_ROWS_CSV
+
+
 @pytest.mark.parametrize("metric, lower", [("mae", True), ("mse", True), ("auroc", False), ("pearson", False)])
 def test_result_direction_is_the_metrics(tmp_path, metric, lower):
-    result = EvalResult(task_id="t", metric=metric, value=None, n=0, invalid_rate=0.0)
+    result = EvalResult(task_id="t", metric=metric, rows=[])
     assert result.lower_is_better is lower
     write_result_json(result, tmp_path / "r.json")
     assert json.loads((tmp_path / "r.json").read_text())["lower_is_better"] is lower

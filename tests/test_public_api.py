@@ -34,6 +34,8 @@ REMOVED = {
         "GenerationRequest.stop",
         "GenerationResponse.logprob",
         "make_stub_client",
+        "EvalResult.from_rows",
+        "EvalRow.failed",
     ],
     "analysis": ["AhoCorasick.reset", "AhoCorasick"],
 }
