@@ -19,11 +19,13 @@ FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
 print("=== Scoreboard against state of the art ===")
 rows = load_score_rows(FIXTURES / "benchmark_results.csv")
-counts = scoreboard(rows)
-print(f"tasks: {counts.total}")
-print(f"exceeding: {counts.exceed}   near (within 10%): {counts.near}   "
-      f"near-or-above: {counts.near_or_above}   below: {counts.below}")
-print("exceeding tasks:", ", ".join(counts.exceed_tasks[:8]), "...")
+verdicts = scoreboard(rows)
+exceed, near = verdicts.count("exceed"), verdicts.count("near")
+print(f"tasks: {len(verdicts)}")
+print(f"exceeding: {exceed}   near (within 10%): {near}   "
+      f"near-or-above: {exceed + near}   below: {verdicts.count('below')}")
+exceeding = [row.task for row, verdict in zip(rows, verdicts) if verdict == "exceed"]
+print("exceeding tasks:", ", ".join(exceeding[:8]), "...")
 
 print("\n=== Median relative difference by feature type ===")
 for feature_type, value in sorted(

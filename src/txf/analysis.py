@@ -1,5 +1,6 @@
-"""Cross-model statistics: scoreboards against state of the art, paired
-signed-rank comparisons, and the pretraining-corpus contamination scan."""
+"""Cross-model statistics: a scoreboard verdict per task against state of
+the art, paired signed-rank comparisons, and the pretraining-corpus
+contamination scan."""
 
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ __all__ = [
     "ScoreRow",
     "PairRow",
     "ComparisonResult",
-    "ScoreboardCounts",
     "relative_difference",
+    "VERDICTS",
     "scoreboard",
     "median_relative_difference_by_feature_type",
     "wilcoxon_signed_rank",
@@ -34,6 +35,8 @@ __all__ = [
     "load_pair_rows",
 ]
 
+# The verdicts scoreboard gives a row against its reference value.
+VERDICTS = ("exceed", "near", "below", "no_sota")
 # A row below its reference is "near" within 10 % (see _is_near).
 NEAR_THRESHOLD = 0.1
 # The signed-rank null is enumerated exactly up to this many nonzero pairs
@@ -71,89 +74,51 @@ def relative_difference(row: ScoreRow) -> float:
     return -d if row.lower_is_better else d
 
 
-def _is_near(row: ScoreRow, threshold: float) -> bool:
-    """Within-threshold check for rows that do not exceed the reference.
+def _is_near(row: ScoreRow) -> bool:
+    """Whether a row that does not exceed its reference is within
+    NEAR_THRESHOLD of it.
 
     Higher-is-better metrics compare relative difference directly. Error
     magnitudes (MAE/MSE) depend on the label units, so they are compared on
-    a log10 scale: near means |log10(model / sota)| <= threshold. Both
+    a log10 scale: near means |log10(model / sota)| <= NEAR_THRESHOLD. Both
     boundaries are inclusive.
     """
     if row.lower_is_better and row.model > 0 and row.sota > 0:
-        return abs(math.log10(row.model / row.sota)) <= threshold
-    return abs(relative_difference(row)) <= threshold
+        return abs(math.log10(row.model / row.sota)) <= NEAR_THRESHOLD
+    return abs(relative_difference(row)) <= NEAR_THRESHOLD
 
 
-@dataclass
-class ScoreboardCounts:
-    exceed_tasks: list[str] = field(default_factory=list)
-    near_tasks: list[str] = field(default_factory=list)
-    below_tasks: list[str] = field(default_factory=list)
-    no_sota_tasks: list[str] = field(default_factory=list)
-
-    @property
-    def exceed(self) -> int:
-        return len(self.exceed_tasks)
-
-    @property
-    def near(self) -> int:
-        return len(self.near_tasks)
-
-    @property
-    def below(self) -> int:
-        return len(self.below_tasks)
-
-    @property
-    def no_sota(self) -> int:
-        return len(self.no_sota_tasks)
-
-    @property
-    def near_or_above(self) -> int:
-        return self.exceed + self.near
-
-    @property
-    def total(self) -> int:
-        return self.exceed + self.near + self.below + self.no_sota
-
-
-def scoreboard(
-    rows: Sequence[ScoreRow], na_as_exceed: bool = True
-) -> ScoreboardCounts:
-    """Bucket each row as exceeding, near, or below the reference value.
+def scoreboard(rows: Sequence[ScoreRow], na_as_exceed: bool = True) -> list[str]:
+    """One verdict from VERDICTS per row, in row order: the row exceeds, is
+    near, or is below its reference value.
 
     Rows with no reference count as exceeding by default (they represent
-    best-in-class results); pass na_as_exceed=False to bucket them apart.
+    best-in-class results); pass na_as_exceed=False to give them "no_sota".
     """
-    counts = ScoreboardCounts()
+    verdicts = []
     for row in rows:
         if row.sota is None:
-            bucket = counts.exceed_tasks if na_as_exceed else counts.no_sota_tasks
+            verdicts.append("exceed" if na_as_exceed else "no_sota")
         elif relative_difference(row) > 0:
-            bucket = counts.exceed_tasks
-        elif _is_near(row, NEAR_THRESHOLD):
-            bucket = counts.near_tasks
+            verdicts.append("exceed")
         else:
-            bucket = counts.below_tasks
-        bucket.append(row.task)
-    return counts
+            verdicts.append("near" if _is_near(row) else "below")
+    return verdicts
 
 
 def median_relative_difference_by_feature_type(
     rows: Sequence[ScoreRow],
 ) -> dict[str, float]:
     """Median relative difference per feature type, over rows with a reference."""
+    # Imported here: statistics loads fractions and decimal, which the
+    # contamination command does not need.
+    import statistics
+
     groups: dict[str, list[float]] = {}
     for row in rows:
-        if row.sota is None:
-            continue
-        groups.setdefault(row.feature_type, []).append(relative_difference(row))
-    out = {}
-    for feature_type, values in groups.items():
-        values.sort()
-        n = len(values)
-        mid = n // 2
-        out[feature_type] = values[mid] if n % 2 else (values[mid - 1] + values[mid]) / 2
-    return out
+        if row.sota is not None:
+            groups.setdefault(row.feature_type, []).append(relative_difference(row))
+    return {feature_type: statistics.median(values) for feature_type, values in groups.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +448,13 @@ def load_score_rows(path, model_col: str = "model") -> list[ScoreRow]:
 
 
 def load_pair_rows(path, a_col: str, b_col: str) -> list[PairRow]:
-    """Paired per-task values; a tie_winner column is honored when present."""
+    """Paired per-task values. A tie_winner column is honored when present:
+    each cell is empty, or ``a`` or ``b`` in any case around whitespace."""
     pairs = []
     for n, rec in _read_csv(path, ("task", "metric", "lower_is_better", a_col, b_col)):
-        tie = (rec.get("tie_winner") or "").strip() or None
+        tie = (rec.get("tie_winner") or "").strip().lower() or None
+        if tie not in (None, "a", "b"):
+            raise ValueError(f"{path}: row {n} column 'tie_winner' is not a or b: {rec['tie_winner']!r}")
         pairs.append(
             PairRow(
                 task=rec["task"],

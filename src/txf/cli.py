@@ -259,6 +259,8 @@ def cmd_compare(args) -> int:
     from . import analysis
 
     if args.pairs:
+        if args.results_a or args.results_b:
+            raise ValueError("--pairs cannot be given with --results-a or --results-b")
         pairs = analysis.load_pair_rows(args.pairs, args.a_col, args.b_col)
     elif args.results_a and args.results_b:
         pairs = _result_pairs(Path(args.results_a), Path(args.results_b))
@@ -284,16 +286,14 @@ def cmd_scoreboard(args) -> int:
     from . import analysis
 
     rows = analysis.load_score_rows(args.fixture, model_col=args.model_col)
-    counts = analysis.scoreboard(rows, na_as_exceed=not args.no_sota_separate)
+    verdicts = analysis.scoreboard(rows, na_as_exceed=not args.no_sota_separate)
+    counts = {v: verdicts.count(v) for v in analysis.VERDICTS}
     medians = analysis.median_relative_difference_by_feature_type(rows)
     _report(
         {
-            "exceed": counts.exceed,
-            "near": counts.near,
-            "below": counts.below,
-            "no_sota": counts.no_sota,
-            "near_or_above": counts.near_or_above,
-            "total": counts.total,
+            **counts,
+            "near_or_above": counts["exceed"] + counts["near"],
+            "total": len(verdicts),
             "median_relative_difference_by_feature_type": {
                 k: round(v, 6) for k, v in sorted(medians.items())
             },
@@ -377,8 +377,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="drive a model over rendered prompts")
     _add_common(p_eval)
-    p_eval.add_argument("--model-url", dest="model_url", default=None)
-    p_eval.add_argument("--stub", choices=("echo", "majority", "knn"), default=None)
+    source = p_eval.add_mutually_exclusive_group()
+    source.add_argument("--model-url", dest="model_url", default=None)
+    source.add_argument("--stub", choices=("echo", "majority", "knn"), default=None)
     p_eval.add_argument("--concurrency", type=int, default=4)
     p_eval.add_argument("--split", default="test", choices=SPLITS)
     p_eval.set_defaults(run=cmd_evaluate, fit_ranges=False)

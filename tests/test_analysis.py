@@ -7,6 +7,7 @@ import pytest
 
 from conftest import FIXTURES
 from txf.analysis import (
+    VERDICTS,
     ScoreRow,
     compare_pairs,
     contamination_scan,
@@ -54,30 +55,30 @@ def _fixture_rows():
 
 
 def test_scoreboard_reproduces_published_counts():
-    counts = scoreboard(_fixture_rows())
-    assert counts.exceed == 22
-    assert counts.near == 21
-    assert counts.near_or_above == 43
-    assert counts.below == 23
-    assert counts.total == 66
+    verdicts = scoreboard(_fixture_rows())
+    assert verdicts.count("exceed") == 22
+    assert verdicts.count("near") == 21
+    assert verdicts.count("exceed") + verdicts.count("near") == 43
+    assert verdicts.count("below") == 23
+    assert len(verdicts) == 66
 
 
 def test_scoreboard_partitions_rows():
-    counts = scoreboard(_fixture_rows(), na_as_exceed=False)
-    assert counts.exceed + counts.near + counts.below + counts.no_sota == 66
-    assert counts.no_sota == 3
-    assert counts.exceed == 19
+    verdicts = scoreboard(_fixture_rows(), na_as_exceed=False)
+    assert sum(verdicts.count(v) for v in VERDICTS) == 66
+    assert verdicts.count("no_sota") == 3
+    assert verdicts.count("exceed") == 19
 
 
 def test_scoreboard_boundary_inclusive():
     row = ScoreRow("edge", "SMILES", "auroc", False, 1.0, 0.9)
-    counts = scoreboard([row])
-    assert counts.near == 1
+    verdicts = scoreboard([row])
+    assert verdicts == ["near"]
 
 
 def test_scoreboard_empty():
-    counts = scoreboard([])
-    assert (counts.exceed, counts.near, counts.below, counts.no_sota) == (0, 0, 0, 0)
+    verdicts = scoreboard([])
+    assert [verdicts.count(v) for v in VERDICTS] == [0, 0, 0, 0]
 
 
 def test_feature_type_medians_match_published():
@@ -235,6 +236,19 @@ def test_context_pairs_fixture():
     assert result.wins_b == 49
     assert result.wins_a + result.wins_b + result.zeros == 66
     assert 4.9e-7 <= result.p_value <= 4.9e-5
+
+
+def test_tie_winner_is_read_in_any_case_around_whitespace(tmp_path):
+    # Six tied rows, each marked b in some spelling: every tie is a win for b.
+    path = tmp_path / "pairs.csv"
+    marks = ["b", "B", " b ", " B", "b ", "\tB"]
+    rows = ["task,metric,lower_is_better,a,b,tie_winner"]
+    rows += [f"t{i},auroc,false,0.5,0.5,{mark}" for i, mark in enumerate(marks)]
+    path.write_text("\n".join(rows) + "\n")
+    pairs = load_pair_rows(path, "a", "b")
+    assert [p.tie_winner for p in pairs] == ["b"] * 6
+    result = compare_pairs(pairs)
+    assert (result.wins_a, result.wins_b, result.zeros) == (0, 6, 0)
 
 
 # --- contamination ------------------------------------------------------

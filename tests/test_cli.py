@@ -189,6 +189,67 @@ def test_scoreboard_no_sota_separate_buckets_the_rows_without_a_reference(capsys
     assert counts == {"exceed": 19, "near": 21, "below": 23, "no_sota": 3, "near_or_above": 40, "total": 66}
 
 
+_MEDIANS = """\
+  "median_relative_difference_by_feature_type": {
+    "Amino acid": -0.080122,
+    "Amino acid + SMILES": -0.481308,
+    "Nucleotide": -0.887838,
+    "Nucleotide + Amino acid": -0.006219,
+    "SMILES": -0.082206,
+    "SMILES + Text": 0.048062
+  }
+}
+"""
+
+
+def _counts(*values):
+    keys = ("exceed", "near", "below", "no_sota", "near_or_above", "total")
+    return "".join(f'  "{key}": {value},\n' for key, value in zip(keys, values))
+
+
+def _comparison(n, n_used, wins_a, wins_b, statistic, p_value):
+    return (
+        f'{{\n  "n": {n},\n  "n_used": {n_used},\n  "wins_a": {wins_a},\n  "wins_b": {wins_b},\n'
+        f'  "zeros": 0,\n  "statistic": {statistic},\n  "p_value": {p_value}\n}}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["scoreboard", "--fixture", "benchmark_results.csv"], "{\n" + _counts(22, 21, 23, 0, 43, 66) + _MEDIANS),
+        (
+            ["scoreboard", "--fixture", "benchmark_results.csv", "--no-sota-separate"],
+            "{\n" + _counts(19, 21, 23, 3, 40, 66) + _MEDIANS,
+        ),
+        (
+            ["compare", "--pairs", "model_size_results.csv", "--a-col", "model_s", "--b-col", "model_m"],
+            _comparison(66, 66, 9, 57, "280.0", "1.36299668838444e-07"),
+        ),
+        (
+            ["compare", "--pairs", "model_size_results.csv", "--a-col", "base_s", "--b-col", "model_s"],
+            _comparison(66, 66, 6, 60, "108.0", "1.9036757832957698e-10"),
+        ),
+        (
+            ["compare", "--pairs", "model_size_results.csv", "--a-col", "base_m", "--b-col", "model_m"],
+            _comparison(66, 66, 3, 63, "42.0", "1.1172205649604589e-11"),
+        ),
+        (
+            ["compare", "--pairs", "context_ablation_results.csv", "--a-col", "no_context", "--b-col", "with_context"],
+            _comparison(66, 61, 17, 49, "315.0", "6.035306357164884e-06"),
+        ),
+    ],
+)
+def test_scoreboard_and_compare_print_the_pinned_bytes(tmp_path, capsys, argv, expected):
+    """The full output of scoreboard in both modes and of compare on every
+    fixture pair, byte for byte, on stdout and in the --out file."""
+    argv = [str(FIXTURES / arg) if arg.endswith(".csv") else arg for arg in argv]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == expected
+    assert out.read_bytes() == expected.encode()
+
+
 def test_scoreboard_model_col_reads_the_named_column(tmp_path, capsys):
     text = (FIXTURES / "benchmark_results.csv").read_text()
     renamed = text.replace(",sota,model\n", ",sota,tx_llm\n", 1)
@@ -726,6 +787,19 @@ def test_env_var_model_url(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_stub_overrides_the_env_var_model_url(tmp_path, monkeypatch, capsys):
+    # TXF_MODEL_URL is a fallback: with --stub it is not read, so its bad
+    # scheme is no error and the stub's empty test split exits 3.
+    manifests, data = _copy_cli_task(tmp_path)
+    monkeypatch.setenv("TXF_MODEL_URL", "ftp://x")
+    code = main([
+        "evaluate", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(tmp_path / "out"), "--stub", "majority",
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == ""
+
+
 def _unwritable(tmp_path):
     """An --out path below a regular file, which no process can create."""
     (tmp_path / "file").write_text("")
@@ -894,6 +968,12 @@ _pairs_direction_contradicts_the_metric = _csv_case(
 _scoreboard_direction_contradicts_the_metric = _csv_case(
     "scoreboard", _SCORES, b"t5,auroc,True,0.5,0.6",
     "{path}: row 6 column 'lower_is_better' is true, but higher is better for metric 'auroc'",
+)
+
+# A tie_winner cell is a or b in any case; anything else is not dropped.
+_pairs_tie_winner_c = _csv_case(
+    "compare", _PAIRS + ",tie_winner", b"t5,auroc,false,0.5,0.5,c",
+    "{path}: row 6 column 'tie_winner' is not a or b: 'c'",
 )
 
 
@@ -1141,6 +1221,21 @@ def _results_no_overlap(tmp_path):
     )
 
 
+def _evaluate_stub_and_model_url(tmp_path):
+    manifests, data = _copy_cli_task(tmp_path)
+    return [
+        "evaluate", "--manifests", str(manifests), "--data", str(data),
+        "--out", str(tmp_path / "out"), "--stub", "majority", "--model-url", "http://127.0.0.1:9/generate",
+    ], "argument --model-url: not allowed with argument --stub"
+
+
+def _compare_pairs_and_results_dirs(tmp_path):
+    return [
+        "compare", "--pairs", str(FIXTURES / "model_size_results.csv"), "--a-col", "model_s", "--b-col", "model_m",
+        "--results-a", str(tmp_path / "a"), "--results-b", str(tmp_path / "b"), "--out", str(tmp_path / "out"),
+    ], "--pairs cannot be given with --results-a or --results-b"
+
+
 def _compare_one_results_dir(tmp_path):
     (tmp_path / "a").mkdir()
     return ["compare", "--results-a", str(tmp_path / "a")], "need --pairs or both --results-a and --results-b"
@@ -1204,6 +1299,9 @@ def _compare_one_results_dir(tmp_path):
     _contamination_features_only_comments,
     _results_no_overlap,
     _compare_one_results_dir,
+    _pairs_tie_winner_c,
+    _evaluate_stub_and_model_url,
+    _compare_pairs_and_results_dirs,
 ])
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     argv, expected = case(tmp_path)
@@ -1224,6 +1322,8 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
         _manifest_directory_missing,
         _data_directory_missing,
         _no_manifest_files,
+        _evaluate_stub_and_model_url,
+        _compare_pairs_and_results_dirs,
     ):
         # The option is rejected before anything is written.
         assert not (tmp_path / "out").exists()

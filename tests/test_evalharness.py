@@ -420,6 +420,19 @@ def test_knn_stub_answers_a_question_that_templates_an_uncompared_role():
     assert answer == render_target(train[best], manifest)
 
 
+def test_knn_stub_answers_empty_when_the_question_templates_its_compared_role():
+    # The question names {drug} inline, so no prompt has the Drug SMILES line
+    # the stub compares, and every answer is empty.
+    manifest = replace(
+        golden_tasks.BBB_MANIFEST, question="Does {drug} cross the blood-brain barrier?\n\n(A) no (B) yes"
+    )
+    train = list(golden_tasks.BBB_SHOTS)
+    knn = NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable()))
+    prompts = [render_prompt(r, manifest).prompt for r in [golden_tasks.BBB_QUERY, *train]]
+    assert not any("Drug SMILES:" in prompt for prompt in prompts)
+    assert [knn.generate(prompt).text for prompt in prompts] == [""] * len(prompts)
+
+
 def test_knn_stub_gives_the_empty_answer_when_it_has_nothing_to_compare():
     manifest, query = golden_tasks.BBB_MANIFEST, golden_tasks.BBB_QUERY
     prompt = render_prompt(query, manifest).prompt

@@ -37,7 +37,7 @@ REMOVED = {
         "EvalResult.from_rows",
         "EvalRow.failed",
     ],
-    "analysis": ["AhoCorasick.reset", "AhoCorasick"],
+    "analysis": ["AhoCorasick.reset", "AhoCorasick", "ScoreboardCounts"],
 }
 
 
