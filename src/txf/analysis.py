@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .ranks import average_ranks, lower_is_better_for, parse_direction
+from .ranks import LOWER_IS_BETTER_METRICS, average_ranks, lower_is_better_for, parse_direction
 
 # evalharness (and chem, corpus and promptgen with it) is imported only by
 # the functions that need it, so scoreboard, contamination and
@@ -65,12 +65,13 @@ class PairRow:
 
 
 def relative_difference(row: ScoreRow) -> float:
-    """(model - sota) / sota, sign reversed for lower-is-better metrics."""
+    """(model - sota) / |sota|, sign reversed for lower-is-better metrics, so
+    a positive difference is always the better model, even below zero."""
     if row.sota is None:
         raise ValueError(f"{row.task}: no reference value")
     if row.sota == 0:
         raise ValueError(f"{row.task}: zero reference value")
-    d = (row.model - row.sota) / row.sota
+    d = (row.model - row.sota) / abs(row.sota)
     return -d if row.lower_is_better else d
 
 
@@ -431,19 +432,26 @@ def _direction(path, n: int, row: dict) -> bool:
 
 
 def load_score_rows(path, model_col: str = "model") -> list[ScoreRow]:
-    """Rows of task,feature_type,metric,lower_is_better,sota,<model_col>."""
+    """Rows of task,feature_type,metric,lower_is_better,sota,<model_col>. A
+    sota of zero, which no relative difference can divide by, and a negative
+    mae or mse are rejected."""
     rows = []
     for n, rec in _read_csv(path, ("task", "metric", "lower_is_better", model_col)):
-        rows.append(
-            ScoreRow(
-                task=rec["task"],
-                feature_type=rec.get("feature_type", ""),
-                metric=rec["metric"],
-                lower_is_better=_direction(path, n, rec),
-                sota=_number(path, n, rec, "sota") if (rec.get("sota") or "").strip() else None,
-                model=_number(path, n, rec, model_col),
-            )
+        row = ScoreRow(
+            task=rec["task"],
+            feature_type=rec.get("feature_type", ""),
+            metric=rec["metric"],
+            lower_is_better=_direction(path, n, rec),
+            sota=_number(path, n, rec, "sota") if (rec.get("sota") or "").strip() else None,
+            model=_number(path, n, rec, model_col),
         )
+        if row.sota == 0:
+            raise ValueError(f"{path}: row {n} column 'sota' is zero, so no relative difference: {rec['sota']!r}")
+        if row.metric.strip().lower() in LOWER_IS_BETTER_METRICS:
+            for column, value in (("sota", row.sota), (model_col, row.model)):
+                if value is not None and value < 0:
+                    raise ValueError(f"{path}: row {n} column {column!r} is a negative {row.metric}: {rec[column]!r}")
+        rows.append(row)
     return rows
 
 

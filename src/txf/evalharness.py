@@ -1,6 +1,6 @@
 """Model clients, answer parsing, and evaluation metrics.
 
-The model boundary is a single generate(prompt) call. Over HTTP it is a JSON
+The model boundary is a single generate(prompt) call. Over HTTP/1.1 it is a JSON
 POST {"prompt", "max_tokens": MAX_TOKENS, "temperature": TEMPERATURE}
 answered by {"text", "option_scores"?}; other response keys are ignored.
 The built-in stubs speak the same interface in process. Metrics are computed
@@ -72,6 +72,12 @@ __all__ = [
 # Every request asks for up to MAX_TOKENS tokens, greedily decoded.
 MAX_TOKENS = 512
 TEMPERATURE = 0.0
+# Caps on one HTTP reply. The body may carry keys the harness ignores beside
+# the completion, so it gets 2 KiB per requested token (1 MiB).
+MAX_REPLY_BYTES = MAX_TOKENS * 2048
+_MAX_LINE = 8192  # a status, header, chunk-size or trailer line
+_MAX_FIELDS = 100  # header lines of one reply, or trailer lines
+_RECV_SIZE = 65536
 
 
 @dataclass(frozen=True)
@@ -90,56 +96,72 @@ class ModelClient(Protocol):
 
 
 class HttpModelClient:
-    """POSTs the generation contract to a single endpoint, with retries.
+    """POSTs the generation contract to a single endpoint over HTTP/1.1,
+    with retries.
+
+    Each attempt is one request, sent with one ``sendall``, and one reply,
+    read from the socket against one deadline: ``timeout`` seconds from the
+    attempt's start bound the connect, the send and every receive together.
+    The reply's body is framed by Content-Length, by chunked encoding or by
+    the server closing the connection; 1xx replies before it are skipped.
+    A reply over a cap (``MAX_REPLY_BYTES`` of body, ``_MAX_LINE`` bytes of
+    one line, ``_MAX_FIELDS`` header lines) fails at once.
 
     Connections are kept alive and reused: ``generate`` takes an idle one
-    (or opens one) and puts it back once the whole response is read, so no
-    more connections are open than the most calls ever in flight at once
-    (``evaluate_task``'s concurrency). Connection failures, timeouts and 5xx
-    responses are retried on a new connection with capped exponential
-    backoff; other non-2xx responses (redirects included) and bodies off the
-    wire contract are an immediate error. Proxy variables are not read; HTTPS
-    verifies against the system trust store. Use as a context manager, or
-    call ``close``.
+    (or opens one) and puts it back once the whole reply is read, when the
+    reply's HTTP version and Connection header allow it, so no more
+    connections are open than the most calls ever in flight at once
+    (``evaluate_task``'s concurrency). A kept-alive connection that the
+    server has closed is retried at once on a new one. Connection failures,
+    timeouts, broken framing and 5xx responses are retried on a new
+    connection with capped exponential backoff; other non-2xx responses
+    (redirects included) and bodies off the wire contract are an immediate
+    error. Proxy variables are not read; HTTPS verifies against the system
+    trust store. Use as a context manager, or call ``close``.
     """
 
     def __init__(self, url: str, timeout: float = 60.0, max_attempts: int = 4, backoff: float = 0.25):
-        # Imported here: http.client, socket and ssl take about 30 ms to
-        # import, which only HTTP evaluation should pay.
-        import http.client
+        # Imported here, so only HTTP evaluation pays for socket, and only
+        # an https:// URL for ssl.
         import socket
-        import ssl
 
         parts = urllib.parse.urlsplit(url)
         try:
             port = parts.port
         except ValueError:  # not a number, or out of range
             port = 0
+        target = parts.path or "/"
+        if parts.query:
+            target += "?" + parts.query
         if (
             parts.scheme not in ("http", "https")
             or not parts.hostname
             or port == 0
             or parts.username is not None  # credentials would be dropped
+            or not _fits_the_request(parts.hostname, parts.netloc + target)
         ):
             raise ValueError(f"bad model URL {url!r}: expected http(s)://host[:port]/path")
         self.url = url
+        self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff = backoff
-        self._target = parts.path or "/"
-        if parts.query:
-            self._target += "?" + parts.query
+        self._address = (parts.hostname, port or (443 if parts.scheme == "https" else 80))
+        self._head = (
+            f"POST {target} HTTP/1.1\r\nHost: {parts.netloc}\r\nAccept-Encoding: identity\r\n"
+            "Content-Type: application/json\r\nContent-Length: "
+        ).encode("ascii")
+        self._tls = None
         if parts.scheme == "https":
-            connection, tls = http.client.HTTPSConnection, {"context": ssl.create_default_context()}
-        else:
-            connection, tls = http.client.HTTPConnection, {}
-        self._new_connection = lambda: connection(parts.hostname, port, timeout=timeout, **tls)
-        self._retry_on = (OSError, http.client.HTTPException)
+            import ssl
+
+            self._tls = ssl.create_default_context()
+        self._create_connection = socket.create_connection
         self._no_delay = (socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._quick_ack = (  # Linux only
             (socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1) if hasattr(socket, "TCP_QUICKACK") else None
         )
         self._lock = threading.Lock()
-        self._idle: list = []
+        self._idle: list[_Connection] = []
 
     def __enter__(self) -> "HttpModelClient":
         return self
@@ -158,13 +180,16 @@ class HttpModelClient:
         body = json.dumps(
             {"prompt": prompt, "max_tokens": MAX_TOKENS, "temperature": TEMPERATURE}
         ).encode("utf-8")
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
         last = None
         for attempt in range(self.max_attempts):
             started = time.monotonic()
             try:
-                status, data = self._post(body, fresh=attempt > 0)
-            except self._retry_on as exc:
+                status, data = self._post(request, fresh=attempt > 0, deadline=started + self.timeout)
+            except OSError as exc:  # timeouts and broken framing too
                 last = str(exc) or type(exc).__name__
+            except TransportError as exc:  # a reply over a cap
+                raise TransportError(f"{self.url}: {exc}") from None
             else:
                 if status >= 500:
                     last = f"HTTP {status}"
@@ -182,58 +207,226 @@ class HttpModelClient:
                 time.sleep(min(self.backoff * (2**attempt), 4.0))
         raise TransportError(f"{self.url}: unreachable after {self.max_attempts} attempts ({last})")
 
-    def _post(self, body: bytes, fresh: bool) -> tuple[int, bytes]:
+    def _post(self, request: bytes, fresh: bool, deadline: float) -> tuple[int, bytes]:
         """Status and body of one POST, on an idle connection unless
-        ``fresh``. The connection goes back to the idle stack when the server
-        keeps it open and answered below 500; otherwise it is closed."""
+        ``fresh``. The connection goes back to the idle stack when the reply
+        lets it carry another request and its status is below 500;
+        otherwise it is closed."""
         with self._lock:
             conn = self._idle.pop() if self._idle and not fresh else None
         if conn is not None:
             try:
-                response = self._send(conn, body)
+                head = self._send(conn, request, deadline)
             except (ConnectionResetError, BrokenPipeError):
-                # RemoteDisconnected is a ConnectionResetError. The server
-                # closed this connection while it sat idle: retry once, at
-                # once, on a new connection, without using up an attempt.
+                # The server closed this connection while it sat idle: retry
+                # once, at once, on a new connection, without using up an
+                # attempt.
                 conn = None
         if conn is None:
-            conn = self._new_connection()
-            response = self._send(conn, body)
+            conn = self._connect(deadline)
+            head = self._send(conn, request, deadline)
         try:
-            data = response.read()
+            data, reusable = conn.read_body(*head)
         except BaseException:
             conn.close()
             raise
-        if response.will_close or response.status >= 500:
-            conn.close()
-        else:
+        status = head[0]
+        if reusable and status < 500:
             with self._lock:
                 self._idle.append(conn)
-        return response.status, data
+        else:
+            conn.close()
+        return status, data
 
-    def _send(self, conn, body: bytes):
-        """Sends the POST and reads the status line and headers; closes the
+    def _connect(self, deadline: float) -> "_Connection":
+        sock = self._create_connection(self._address, timeout=_time_left(deadline))
+        try:
+            # A request longer than one segment leaves in several; under
+            # Nagle's algorithm the last would wait for the server's delayed
+            # ACK of the ones before it.
+            sock.setsockopt(*self._no_delay)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        return _Connection(sock)
+
+    def _send(self, conn: "_Connection", request: bytes, deadline: float):
+        """Sends the request and reads the reply's head; closes the
         connection on any failure."""
         try:
-            if conn.sock is None:
-                conn.connect()
-                # http.client writes the header block and the body with two
-                # send() calls; with Nagle's algorithm the body could wait
-                # for the server's delayed ACK of the headers.
-                conn.sock.setsockopt(*self._no_delay)
-            conn.request(
-                "POST", self._target, body=body, headers={"Content-Type": "application/json"},
-            )
+            conn.deadline = deadline
+            conn.send(request)
             if self._quick_ack:
                 # A server that writes the reply's headers and body apart
                 # with Nagle's algorithm on sends the body only once we ACK
                 # the headers; on a kept-alive connection Linux delays that
                 # ACK by up to 40 ms.
                 conn.sock.setsockopt(*self._quick_ack)
-            return conn.getresponse()
+            return conn.read_head()
         except BaseException:
             conn.close()
             raise
+
+
+def _fits_the_request(host: str, text: str) -> bool:
+    """Whether ``text``, the URL's host and target, can go on the request's
+    lines as it is, and ``host`` can be looked up: IDNA allows a label of
+    at most 63 characters."""
+    if not (text.isascii() and text.isprintable()) or " " in text:
+        return False
+    try:
+        host.encode("idna")
+    except UnicodeError:
+        return False
+    return True
+
+
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+class _Connection:
+    """One HTTP/1.1 connection's socket and the bytes received on it but not
+    yet read. Every send and receive waits at most until ``deadline`` (on
+    the ``time.monotonic`` clock); a wait past it raises TimeoutError.
+
+    Broken framing, or a close before the reply ends, raises ConnectionError
+    (an OSError, so the client retries it); a reply over a cap raises
+    TransportError.
+    """
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.deadline = 0.0
+        self._buf = bytearray()
+        self._recv_view = memoryview(bytearray(_RECV_SIZE))
+
+    def close(self) -> None:
+        self.sock.close()
+
+    def send(self, data: bytes) -> None:
+        self.sock.settimeout(_time_left(self.deadline))
+        self.sock.sendall(data)
+
+    def read_head(self) -> tuple[int, bool, dict[bytes, list[bytes]]]:
+        """Status, whether the version is HTTP/1.0, and header fields by
+        lower-case name, of the first reply that is not 1xx."""
+        if not self._buf and not self._fill():
+            # On a kept-alive connection the server closed it while it sat
+            # idle; HttpModelClient._post retries a ConnectionResetError on
+            # a new connection at once.
+            raise ConnectionResetError("the server closed the connection without replying")
+        while True:
+            line = self._readline("status line")
+            version, _, rest = line.partition(b" ")
+            code = rest[:3]
+            if not (
+                version in (b"HTTP/1.0", b"HTTP/1.1") and len(code) == 3 and code.isdigit() and rest[3:4] in (b"", b" ")
+            ):
+                raise ConnectionError(f"bad status line {line[:80]!r}")
+            fields = self._read_fields()
+            if code[0] != ord("1"):
+                return int(code), version == b"HTTP/1.0", fields
+
+    def read_body(self, status: int, http10: bool, fields: dict[bytes, list[bytes]]) -> tuple[bytes, bool]:
+        """The body (RFC 9112 section 6.3), and whether the connection can
+        carry another request."""
+        tokens = {t.strip() for value in fields.get(b"connection", ()) for t in value.lower().split(b",")}
+        reusable = b"keep-alive" in tokens if http10 else b"close" not in tokens
+        codings = [t.strip() for value in fields.get(b"transfer-encoding", ()) for t in value.lower().split(b",")]
+        lengths = set(fields.get(b"content-length", ()))
+        if status in (204, 304):
+            body = b""
+        elif codings and codings[-1] == b"chunked":
+            body = self._read_chunked()
+            # Content-Length beside chunked is a sign of a broken relay.
+            reusable = reusable and not lengths
+        elif codings or not lengths:
+            return self._read_to_close(), False
+        else:
+            length = lengths.pop() if len(lengths) == 1 else b""
+            if not length.isdigit():
+                raise ConnectionError(f"bad Content-Length {b', '.join(fields[b'content-length'])[:80]!r}")
+            if len(length) > len(str(MAX_REPLY_BYTES)) or int(length) > MAX_REPLY_BYTES:
+                raise TransportError(f"reply declares a body over the {MAX_REPLY_BYTES}-byte cap")
+            body = self._read(int(length))
+        # Bytes past the body would be read as the next reply.
+        return body, reusable and not self._buf
+
+    def _fill(self) -> bool:
+        """Receives more bytes into the buffer; False once the server has
+        closed the connection."""
+        self.sock.settimeout(_time_left(self.deadline))
+        n = self.sock.recv_into(self._recv_view)
+        self._buf += self._recv_view[:n]
+        return n > 0
+
+    def _readline(self, what: str) -> bytes:
+        """The next line, without its CRLF or bare LF."""
+        start = 0
+        while (end := self._buf.find(b"\n", start)) < 0:
+            if len(self._buf) > _MAX_LINE:
+                raise TransportError(f"reply has a {what} over the {_MAX_LINE}-byte cap")
+            start = len(self._buf)
+            if not self._fill():
+                raise ConnectionError(f"the server closed the connection inside a {what}")
+        if end > _MAX_LINE:
+            raise TransportError(f"reply has a {what} over the {_MAX_LINE}-byte cap")
+        line = bytes(self._buf[:end])
+        del self._buf[: end + 1]
+        return line[:-1] if line.endswith(b"\r") else line
+
+    def _read_fields(self) -> dict[bytes, list[bytes]]:
+        """Header (or trailer) fields up to the empty line, by lower-case
+        name; a line without a colon is ignored."""
+        fields: dict[bytes, list[bytes]] = {}
+        for _ in range(_MAX_FIELDS + 1):
+            line = self._readline("header line")
+            if not line:
+                return fields
+            name, colon, value = line.partition(b":")
+            if colon:
+                fields.setdefault(name.strip().lower(), []).append(value.strip())
+        raise TransportError(f"reply has over {_MAX_FIELDS} header lines")
+
+    def _read(self, n: int) -> bytes:
+        while len(self._buf) < n:
+            if not self._fill():
+                raise ConnectionError(f"the server closed the connection {n - len(self._buf)} bytes before the body's end")
+        data = bytes(self._buf[:n])
+        del self._buf[:n]
+        return data
+
+    def _read_chunked(self) -> bytes:
+        body = bytearray()
+        while True:
+            # A chunk extension may follow the size, after a semicolon.
+            digits = self._readline("chunk-size line").partition(b";")[0].strip()
+            if not digits or digits.strip(b"0123456789abcdefABCDEF"):
+                raise ConnectionError(f"bad chunk size {digits[:80]!r}")
+            size = int(digits, 16)
+            if len(body) + size > MAX_REPLY_BYTES:
+                raise TransportError(f"reply body over the {MAX_REPLY_BYTES}-byte cap")
+            if size == 0:
+                self._read_fields()  # the trailer section, ignored
+                return bytes(body)
+            body += self._read(size)
+            if self._readline("chunk") != b"":
+                raise ConnectionError("chunk data does not end at its size")
+
+    def _read_to_close(self) -> bytes:
+        while len(self._buf) <= MAX_REPLY_BYTES and self._fill():
+            pass
+        if len(self._buf) > MAX_REPLY_BYTES:
+            raise TransportError(f"reply body over the {MAX_REPLY_BYTES}-byte cap")
+        data = bytes(self._buf)
+        self._buf.clear()
+        return data
 
 
 def _wire_response(payload) -> tuple[str, dict[str, float] | None]:

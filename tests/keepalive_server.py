@@ -2,7 +2,9 @@
 
 import contextlib
 import json
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
@@ -52,13 +54,30 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _RawReplyHandler(_KeepAliveHandler):
+    """Writes the server's raw reply pieces in place of a reply of its own."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.prompts.append(body["prompt"])
+        for i, piece in enumerate(self.server.pieces):
+            if i:
+                time.sleep(self.server.pause)
+            try:
+                self.wfile.write(piece)
+            except OSError:  # the client gave up on the reply and closed
+                break
+        self.close_connection = self.server.close_after_reply
+
+
 class CountingServer(ThreadingHTTPServer):
     """Counts the connections it accepts and records each prompt it answers."""
 
     daemon_threads = False  # server_close joins the handler threads
+    handler = _KeepAliveHandler
 
     def __init__(self, close_after_reply=False, nagle=False):
-        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        super().__init__(("127.0.0.1", 0), self.handler)
         self.close_after_reply = close_after_reply
         self.nagle = nagle
         self.connections = 0
@@ -71,3 +90,21 @@ class CountingServer(ThreadingHTTPServer):
     @property
     def url(self):
         return f"http://127.0.0.1:{self.server_port}/generate"
+
+
+class RawReplyServer(CountingServer):
+    """Answers every POST with ``pieces``, raw bytes written in turn with
+    ``pause`` seconds between them, then closes the connection if
+    ``close_after_reply``; otherwise it waits for the next request on it."""
+
+    handler = _RawReplyHandler
+
+    def __init__(self, *pieces, pause=0.0, close_after_reply=False):
+        super().__init__(close_after_reply=close_after_reply)
+        self.pieces = pieces
+        self.pause = pause
+
+    def handle_error(self, request, client_address):
+        # A client that gives up on a reply resets the connection.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)

@@ -41,6 +41,14 @@ def test_relative_difference_requires_sota():
         relative_difference(ScoreRow("x", "SMILES", "auroc", False, 0.0, 0.5))
 
 
+def test_relative_difference_is_positive_for_the_better_model_below_zero():
+    # The model above a negative higher-is-better reference is the better one.
+    row = ScoreRow("t", "SMILES", "spearman", False, -0.2, 0.1)
+    assert relative_difference(row) == pytest.approx(1.5)
+    assert relative_difference(replace(row, model=-0.3)) == pytest.approx(-0.5)
+    assert scoreboard([row]) == ["exceed"]
+
+
 def test_relative_difference_scale_invariant():
     row = ScoreRow("x", "SMILES", "mae", True, 2.0, 3.0)
     scaled = ScoreRow("x", "SMILES", "mae", True, 20.0, 30.0)

@@ -189,6 +189,15 @@ def test_scoreboard_no_sota_separate_buckets_the_rows_without_a_reference(capsys
     assert counts == {"exceed": 19, "near": 21, "below": 23, "no_sota": 3, "near_or_above": 40, "total": 66}
 
 
+def test_scoreboard_a_model_above_a_negative_reference_exceeds_it(tmp_path, capsys):
+    # A Spearman reference can be negative; the model above it is better.
+    path = tmp_path / "scores.csv"
+    path.write_text(_SCORES + "\nt,spearman,false,-0.2,0.1\n", encoding="utf-8")
+    assert main(["scoreboard", "--fixture", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["exceed"], payload["total"]) == (1, 1)
+
+
 _MEDIANS = """\
   "median_relative_difference_by_feature_type": {
     "Amino acid": -0.080122,
@@ -950,6 +959,16 @@ _scoreboard_sota_not_a_number = _csv_case(
 _scoreboard_model_inf = _csv_case(
     "scoreboard", _SCORES, b"t5,auroc,false,0.5,inf", "{path}: row 6 column 'model' is not a finite number: 'inf'"
 )
+# No relative difference divides by a zero reference, and no error is negative.
+_scoreboard_sota_zero = _csv_case(
+    "scoreboard", _SCORES, b"t5,auroc,false,0,0.6", "{path}: row 6 column 'sota' is zero, so no relative difference: '0'"
+)
+_scoreboard_negative_mae = _csv_case(
+    "scoreboard", _SCORES, b"t1,mae,true,-1,0.5", "{path}: row 6 column 'sota' is a negative mae: '-1'"
+)
+_scoreboard_negative_model_mse = _csv_case(
+    "scoreboard", _SCORES, b"t5,MSE,true,1,-0.5", "{path}: row 6 column 'model' is a negative MSE: '-0.5'"
+)
 
 # The direction cell is true or false in any case; nothing else reads as false.
 _pairs_direction_yes = _csv_case(
@@ -1274,6 +1293,9 @@ def _compare_one_results_dir(tmp_path):
     _pairs_nan,
     _scoreboard_sota_not_a_number,
     _scoreboard_model_inf,
+    _scoreboard_sota_zero,
+    _scoreboard_negative_mae,
+    _scoreboard_negative_model_mse,
     _pairs_direction_yes,
     _scoreboard_direction_one,
     _result_direction_string,
@@ -1619,6 +1641,17 @@ def _build_random_split_zero_shot(tmp_path):
     return ["build", *_task_dirs(tmp_path, _write_toy_binary), "--shots", "0"], {"numpy", "txf.chem", "txf.evalharness"}
 
 
+_MODEL_URL = "<model url>"  # the test puts its loopback server's URL here
+
+
+def _evaluate_model_url(tmp_path):
+    # The client speaks HTTP/1.1 on a socket, so an http:// URL loads neither
+    # http.client, with its email header parser, nor ssl.
+    return ["evaluate", *_task_dirs(tmp_path, _write_toy_binary), "--model-url", _MODEL_URL], {
+        "http.client", "email.parser", "ssl", "numpy",
+    }
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -1630,16 +1663,19 @@ def _build_random_split_zero_shot(tmp_path):
         _build_cold_start_amino_acid_knn,
         _evaluate_knn_stub_cold_start,
         _build_random_split_zero_shot,
+        _evaluate_model_url,
     ],
 )
 def test_command_loads_only_the_layers_it_runs(tmp_path, case):
     argv, absent = case(tmp_path)
     # A fresh interpreter, so modules the test session imported do not count.
     src = str(Path(txf.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", _MODULES_AFTER_MAIN, *argv],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
-    )
+    with serving(CountingServer()) as server:
+        done = subprocess.run(
+            [sys.executable, "-c", _MODULES_AFTER_MAIN, *[server.url if a == _MODEL_URL else a for a in argv]],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+    assert bool(server.prompts) == (_MODEL_URL in argv)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["code"] == 0
