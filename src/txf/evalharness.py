@@ -99,32 +99,25 @@ class HttpModelClient:
     """POSTs the generation contract to a single endpoint over HTTP/1.1,
     with retries.
 
-    Each attempt is one request, sent with one ``sendall``, and one reply,
-    read from the socket against one deadline: ``timeout`` seconds from the
-    attempt's start bound the connect, the send and every receive together.
-    The reply's body is framed by Content-Length, by chunked encoding or by
-    the server closing the connection; 1xx replies before it are skipped.
-    A reply over a cap (``MAX_REPLY_BYTES`` of body, ``_MAX_LINE`` bytes of
-    one line, ``_MAX_FIELDS`` header lines) fails at once.
+    This client owns the URL checks, the idle connections and the retry
+    policy; each ``_Connection`` carries the requests sent on it, one whole
+    exchange at a time. ``timeout`` seconds from an attempt's start bound its
+    connect, its send and every receive together.
 
     Connections are kept alive and reused: ``generate`` takes an idle one
     (or opens one) and puts it back once the whole reply is read, when the
-    reply's HTTP version and Connection header allow it, so no more
-    connections are open than the most calls ever in flight at once
-    (``evaluate_task``'s concurrency). A kept-alive connection that the
-    server has closed is retried at once on a new one. Connection failures,
-    timeouts, broken framing and 5xx responses are retried on a new
-    connection with capped exponential backoff; other non-2xx responses
-    (redirects included) and bodies off the wire contract are an immediate
-    error. Proxy variables are not read; HTTPS verifies against the system
-    trust store. Use as a context manager, or call ``close``.
+    reply allows it, so no more connections are open than the most calls
+    ever in flight at once (``evaluate_task``'s concurrency). A kept-alive
+    connection that the server has closed is retried at once on a new one.
+    Connection failures, timeouts, broken framing and 5xx responses are
+    retried on a new connection with capped exponential backoff; a reply over
+    a cap, other non-2xx responses (redirects included) and bodies off the
+    wire contract are an immediate error. Proxy variables are not read; HTTPS
+    verifies against the system trust store. Use as a context manager, or
+    call ``close``.
     """
 
     def __init__(self, url: str, timeout: float = 60.0, max_attempts: int = 4, backoff: float = 0.25):
-        # Imported here, so only HTTP evaluation pays for socket, and only
-        # an https:// URL for ssl.
-        import socket
-
         parts = urllib.parse.urlsplit(url)
         try:
             port = parts.port
@@ -152,14 +145,9 @@ class HttpModelClient:
         ).encode("ascii")
         self._tls = None
         if parts.scheme == "https":
-            import ssl
+            import ssl  # here, so only an https:// URL pays for it
 
             self._tls = ssl.create_default_context()
-        self._create_connection = socket.create_connection
-        self._no_delay = (socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._quick_ack = (  # Linux only
-            (socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1) if hasattr(socket, "TCP_QUICKACK") else None
-        )
         self._lock = threading.Lock()
         self._idle: list[_Connection] = []
 
@@ -174,7 +162,7 @@ class HttpModelClient:
         with self._lock:
             idle, self._idle = self._idle, []
         for conn in idle:
-            conn.close()
+            conn.sock.close()
 
     def generate(self, prompt: str) -> GenerationResponse:
         body = json.dumps(
@@ -209,65 +197,21 @@ class HttpModelClient:
 
     def _post(self, request: bytes, fresh: bool, deadline: float) -> tuple[int, bytes]:
         """Status and body of one POST, on an idle connection unless
-        ``fresh``. The connection goes back to the idle stack when the reply
-        lets it carry another request and its status is below 500;
-        otherwise it is closed."""
+        ``fresh``. An idle connection that the server closed while it sat
+        idle is replaced at once by a new one, without using up an attempt.
+        The connection goes back to the idle stack when the reply lets it
+        carry another request."""
         with self._lock:
             conn = self._idle.pop() if self._idle and not fresh else None
-        if conn is not None:
-            try:
-                head = self._send(conn, request, deadline)
-            except (ConnectionResetError, BrokenPipeError):
-                # The server closed this connection while it sat idle: retry
-                # once, at once, on a new connection, without using up an
-                # attempt.
-                conn = None
-        if conn is None:
-            conn = self._connect(deadline)
-            head = self._send(conn, request, deadline)
-        try:
-            data, reusable = conn.read_body(*head)
-        except BaseException:
-            conn.close()
-            raise
-        status = head[0]
-        if reusable and status < 500:
+        reply = conn.exchange(request, deadline) if conn is not None else None
+        if reply is None:
+            conn = _Connection(self._address, self._tls, deadline)
+            reply = conn.exchange(request, deadline)
+        status, data, reusable = reply
+        if reusable:
             with self._lock:
                 self._idle.append(conn)
-        else:
-            conn.close()
         return status, data
-
-    def _connect(self, deadline: float) -> "_Connection":
-        sock = self._create_connection(self._address, timeout=_time_left(deadline))
-        try:
-            # A request longer than one segment leaves in several; under
-            # Nagle's algorithm the last would wait for the server's delayed
-            # ACK of the ones before it.
-            sock.setsockopt(*self._no_delay)
-            if self._tls is not None:
-                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
-        except BaseException:
-            sock.close()
-            raise
-        return _Connection(sock)
-
-    def _send(self, conn: "_Connection", request: bytes, deadline: float):
-        """Sends the request and reads the reply's head; closes the
-        connection on any failure."""
-        try:
-            conn.deadline = deadline
-            conn.send(request)
-            if self._quick_ack:
-                # A server that writes the reply's headers and body apart
-                # with Nagle's algorithm on sends the body only once we ACK
-                # the headers; on a kept-alive connection Linux delays that
-                # ACK by up to 40 ms.
-                conn.sock.setsockopt(*self._quick_ack)
-            return conn.read_head()
-        except BaseException:
-            conn.close()
-            raise
 
 
 def _fits_the_request(host: str, text: str) -> bool:
@@ -291,77 +235,115 @@ def _time_left(deadline: float) -> float:
 
 
 class _Connection:
-    """One HTTP/1.1 connection's socket and the bytes received on it but not
-    yet read. Every send and receive waits at most until ``deadline`` (on
-    the ``time.monotonic`` clock); a wait past it raises TimeoutError.
+    """One HTTP/1.1 connection: its socket, opened by the constructor (TLS
+    when ``tls`` is an ``ssl.SSLContext``), and the bytes received on it but
+    not yet read. Each ``exchange`` sends one request with one ``sendall``
+    and reads its reply, whose body is framed by Content-Length, by chunked
+    encoding or by the server closing the connection. Every connect, send
+    and receive waits at most until the deadline (on the ``time.monotonic``
+    clock); a wait past it raises TimeoutError.
 
     Broken framing, or a close before the reply ends, raises ConnectionError
-    (an OSError, so the client retries it); a reply over a cap raises
-    TransportError.
+    (an OSError, so the client retries it); a reply over a cap
+    (``MAX_REPLY_BYTES`` of body, ``_MAX_LINE`` bytes of one line,
+    ``_MAX_FIELDS`` header lines) raises TransportError. The socket is
+    closed on every failure.
     """
 
-    def __init__(self, sock):
+    def __init__(self, address: tuple[str, int], tls, deadline: float):
+        import socket  # here, so only HTTP evaluation pays for it
+
+        sock = socket.create_connection(address, timeout=_time_left(deadline))
+        try:
+            # A request longer than one segment leaves in several; under
+            # Nagle's algorithm the last would wait for the server's delayed
+            # ACK of the ones before it.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if tls is not None:
+                sock = tls.wrap_socket(sock, server_hostname=address[0])
+        except BaseException:
+            sock.close()
+            raise
         self.sock = sock
-        self.deadline = 0.0
+        self._reused = False  # True once a reply has left it open for another request
         self._buf = bytearray()
         self._recv_view = memoryview(bytearray(_RECV_SIZE))
 
-    def close(self) -> None:
-        self.sock.close()
+    def exchange(self, request: bytes, deadline: float) -> tuple[int, bytes, bool] | None:
+        """Sends ``request`` and reads the first reply that is not 1xx: its
+        status, its body (RFC 9112 section 6.3), and whether the connection
+        can carry another request; if not, the socket is closed.
 
-    def send(self, data: bytes) -> None:
-        self.sock.settimeout(_time_left(self.deadline))
-        self.sock.sendall(data)
+        None, with the socket closed, when the connection has carried a
+        request before and the server closed or reset it while the request
+        was sent or the reply's head read, as a server does to a connection
+        that sat idle. On a new connection that error is raised as it is."""
+        import socket  # loaded by __init__, so only looked up here
 
-    def read_head(self) -> tuple[int, bool, dict[bytes, list[bytes]]]:
-        """Status, whether the version is HTTP/1.0, and header fields by
-        lower-case name, of the first reply that is not 1xx."""
-        if not self._buf and not self._fill():
-            # On a kept-alive connection the server closed it while it sat
-            # idle; HttpModelClient._post retries a ConnectionResetError on
-            # a new connection at once.
-            raise ConnectionResetError("the server closed the connection without replying")
-        while True:
-            line = self._readline("status line")
-            version, _, rest = line.partition(b" ")
-            code = rest[:3]
-            if not (
-                version in (b"HTTP/1.0", b"HTTP/1.1") and len(code) == 3 and code.isdigit() and rest[3:4] in (b"", b" ")
-            ):
-                raise ConnectionError(f"bad status line {line[:80]!r}")
-            fields = self._read_fields()
-            if code[0] != ord("1"):
-                return int(code), version == b"HTTP/1.0", fields
-
-    def read_body(self, status: int, http10: bool, fields: dict[bytes, list[bytes]]) -> tuple[bytes, bool]:
-        """The body (RFC 9112 section 6.3), and whether the connection can
-        carry another request."""
-        tokens = {t.strip() for value in fields.get(b"connection", ()) for t in value.lower().split(b",")}
-        reusable = b"keep-alive" in tokens if http10 else b"close" not in tokens
-        codings = [t.strip() for value in fields.get(b"transfer-encoding", ()) for t in value.lower().split(b",")]
-        lengths = set(fields.get(b"content-length", ()))
-        if status in (204, 304):
-            body = b""
-        elif codings and codings[-1] == b"chunked":
-            body = self._read_chunked()
-            # Content-Length beside chunked is a sign of a broken relay.
-            reusable = reusable and not lengths
-        elif codings or not lengths:
-            return self._read_to_close(), False
-        else:
-            length = lengths.pop() if len(lengths) == 1 else b""
-            if not length.isdigit():
-                raise ConnectionError(f"bad Content-Length {b', '.join(fields[b'content-length'])[:80]!r}")
-            if len(length) > len(str(MAX_REPLY_BYTES)) or int(length) > MAX_REPLY_BYTES:
-                raise TransportError(f"reply declares a body over the {MAX_REPLY_BYTES}-byte cap")
-            body = self._read(int(length))
-        # Bytes past the body would be read as the next reply.
-        return body, reusable and not self._buf
+        self._deadline = deadline
+        try:
+            try:
+                self.sock.settimeout(_time_left(deadline))
+                self.sock.sendall(request)
+                if hasattr(socket, "TCP_QUICKACK"):  # Linux only
+                    # A server that writes the reply's headers and body apart
+                    # with Nagle's algorithm on sends the body only once we
+                    # ACK the headers; on a kept-alive connection Linux
+                    # delays that ACK by up to 40 ms.
+                    self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+                if not self._buf and not self._fill():
+                    raise ConnectionResetError("the server closed the connection without replying")
+                while True:
+                    line = self._readline("status line")
+                    version, _, rest = line.partition(b" ")
+                    code = rest[:3]
+                    if not (
+                        version in (b"HTTP/1.0", b"HTTP/1.1")
+                        and len(code) == 3 and code.isdigit() and rest[3:4] in (b"", b" ")
+                    ):
+                        raise ConnectionError(f"bad status line {line[:80]!r}")
+                    fields = self._read_fields()
+                    if code[0] != ord("1"):
+                        break
+            except (ConnectionResetError, BrokenPipeError):
+                if not self._reused:
+                    raise
+                self.sock.close()
+                return None
+            status = int(code)
+            tokens = {t.strip() for value in fields.get(b"connection", ()) for t in value.lower().split(b",")}
+            reusable = b"keep-alive" in tokens if version == b"HTTP/1.0" else b"close" not in tokens
+            codings = [t.strip() for value in fields.get(b"transfer-encoding", ()) for t in value.lower().split(b",")]
+            lengths = set(fields.get(b"content-length", ()))
+            if status in (204, 304):
+                body = b""
+            elif codings and codings[-1] == b"chunked":
+                body = self._read_chunked()
+                # Content-Length beside chunked is a sign of a broken relay.
+                reusable = reusable and not lengths
+            elif codings or not lengths:
+                body, reusable = self._read_to_close(), False
+            else:
+                length = lengths.pop() if len(lengths) == 1 else b""
+                if not length.isdigit():
+                    raise ConnectionError(f"bad Content-Length {b', '.join(fields[b'content-length'])[:80]!r}")
+                if len(length) > len(str(MAX_REPLY_BYTES)) or int(length) > MAX_REPLY_BYTES:
+                    raise TransportError(f"reply declares a body over the {MAX_REPLY_BYTES}-byte cap")
+                body = self._read(int(length))
+        except BaseException:
+            self.sock.close()
+            raise
+        # Bytes past the body would be read as the next reply; a 5xx reply's
+        # retry goes to a new connection, and this one is dropped.
+        self._reused = reusable and not self._buf and status < 500
+        if not self._reused:
+            self.sock.close()
+        return status, body, self._reused
 
     def _fill(self) -> bool:
         """Receives more bytes into the buffer; False once the server has
         closed the connection."""
-        self.sock.settimeout(_time_left(self.deadline))
+        self.sock.settimeout(_time_left(self._deadline))
         n = self.sock.recv_into(self._recv_view)
         self._buf += self._recv_view[:n]
         return n > 0

@@ -351,9 +351,17 @@ def test_contamination_overlapping_patterns():
     assert report.flags == {"he": True, "she": True, "his": False, "hers": True}
 
 
+# Each residue is drawn from a freshly seeded generator, so this is 512 "Y"s,
+# a one-letter run that the patterns match at every corpus position.
 _SEQUENCE = "".join(random.Random(5).choice("ACDEFGHIKLMNPQRSTVWY") for _ in range(512))
 _MUTANTS = [
     _SEQUENCE[:i] + ("Y" if _SEQUENCE[i] == "W" else "W") + _SEQUENCE[i + 1 :]
+    for i in range(512)
+]
+_RNG = random.Random(5)
+_PROTEIN = "".join(_RNG.choice("ACDEFGHIKLMNPQRSTVWY") for _ in range(512))
+_PROTEIN_MUTANTS = [
+    _PROTEIN[:i] + ("Y" if _PROTEIN[i] == "W" else "W") + _PROTEIN[i + 1 :]
     for i in range(512)
 ]
 
@@ -366,10 +374,13 @@ _MUTANTS = [
         (["A" * k + "B" for k in range(511)], "A" * 200_000, 0),
         # A 512-deep chain of prefixes.
         (["A" * k for k in range(1, 513)], "A" * 200_000, 512),
-        # Point mutants that share most of their 32-character keys.
+        # Point mutants of a one-letter run.
         ([_SEQUENCE, *_MUTANTS], _SEQUENCE * 1000, 1),
+        # Point mutants of a random protein, which share most of their
+        # 32-character keys.
+        ([_PROTEIN, *_PROTEIN_MUTANTS], _PROTEIN * 1000, 1),
     ],
-    ids=["run-vs-long", "run-vs-511", "prefix-chain", "point-mutants"],
+    ids=["run-vs-long", "run-vs-511", "prefix-chain", "run-point-mutants", "protein-point-mutants"],
 )
 def test_contamination_adversarial_inputs_finish(patterns, corpus, flagged):
     features = [(f"r{i}", [p]) for i, p in enumerate(patterns)]

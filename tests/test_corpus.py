@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MOLECULE_CORPUS, permute_molecule
+from split_reference import grouped_splits
 from txf import corpus
 from txf.corpus import (
     ROLE_KINDS,
@@ -299,6 +300,51 @@ def test_cold_start_split_keys_disjoint():
         seen.setdefault(r.features["target"], set()).add(r.split)
     for splits in seen.values():
         assert len(splits) == 1
+
+
+_COLD_START = _binary_manifest(
+    roles=(
+        RoleSpec("drug", "smiles", "Drug", "Drug SMILES"),
+        RoleSpec("target", "amino_acid", "Target", "Target amino acid sequence"),
+    ),
+    split_method="cold_start",
+    cold_start_role="target",
+)
+_COMBINATION = _binary_manifest(
+    roles=(
+        RoleSpec("a", "smiles", "A", "Drug A SMILES"),
+        RoleSpec("b", "smiles", "B", "Drug B SMILES"),
+    ),
+    split_method="combination",
+    combination_roles=("a", "b"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=60), st.integers(0, 10**6))
+def test_cold_start_split_fills_each_split_by_its_cumulative_target(targets, seed):
+    records = [DataRecord(str(i), {"drug": "CCO", "target": f"SEQ{t}"}, True) for i, t in enumerate(targets)]
+    out = assign_splits(records, _COLD_START, seed=seed, table=FeatureTable())
+    assert [r.split for r in out] == grouped_splits([r.features["target"] for r in records], seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=60), st.integers(0, 10**6))
+def test_combination_split_fills_each_split_by_its_cumulative_target(pairs, seed):
+    records = [DataRecord(str(i), {"a": "C" * (a + 1), "b": "C" * (b + 1)}, True) for i, (a, b) in enumerate(pairs)]
+    out = assign_splits(records, _COMBINATION, seed=seed, table=FeatureTable())
+    keys = [tuple(sorted((r.features["a"], r.features["b"]))) for r in records]
+    assert [r.split for r in out] == grouped_splits(keys, seed)
+
+
+def test_a_train_group_that_overshoots_takes_from_valid_not_test():
+    # Ten records: train's target is 8, valid's cumulative target 9. The
+    # seed puts SEQA (5) and SEQB (4) first, so train ends at 9 and SEQC
+    # goes to test, leaving valid empty.
+    targets = ["SEQA"] * 5 + ["SEQB"] * 4 + ["SEQC"]
+    records = [DataRecord(str(i), {"drug": "CCO", "target": t}, True) for i, t in enumerate(targets)]
+    out = assign_splits(records, _COLD_START, seed=5, table=FeatureTable())
+    assert [r.split for r in out] == ["train"] * 9 + ["test"]
 
 
 def test_combination_split_unordered_pairs():

@@ -729,6 +729,13 @@ def test_http_client_wire_contract(http_server):
     assert headers["Content-Length"] == str(len(json.dumps(body)))
 
 
+def test_http_client_sends_the_query_string(http_server):
+    with HttpModelClient(http_server + "?q=1", backoff=0.01) as client:
+        client.generate("hello")
+    [(request_line, _)] = _Handler.heads
+    assert request_line == "POST /generate?q=1 HTTP/1.1"
+
+
 def test_http_client_retries_5xx(http_server):
     with HttpModelClient(http_server, backoff=0.01) as client:
         response = client.generate("x FAIL_ONCE")
@@ -886,6 +893,16 @@ def test_http_client_reads_each_framing(pieces, reused):
     assert (server.connections, idle) == ((1, 1) if reused else (2, 0))
 
 
+def test_http_client_reads_a_body_to_the_close_over_several_receives():
+    pieces = (b"HTTP/1.1 200 OK\r\n\r\n" + _OK[:5], _OK[5:])
+    with serving(RawReplyServer(*pieces, pause=0.05, close_after_reply=True)) as server:
+        with HttpModelClient(server.url, max_attempts=1) as client:
+            answers = [client.generate(f"p{i}").text for i in range(2)]
+            idle = len(client._idle)
+    assert answers == ["(B)"] * 2
+    assert (server.connections, idle) == (2, 0)
+
+
 def test_http_client_reads_an_http_1_0_body_to_the_close():
     with serving(RawReplyServer(b"HTTP/1.0 200 OK\r\n\r\n" + _OK, close_after_reply=True)) as server:
         with HttpModelClient(server.url, max_attempts=1) as client:
@@ -917,6 +934,14 @@ _ADVERSARIAL = {
     "header-line-over-the-cap": ((_reply(_OK, b"X-Pad: " + b"x" * evalharness._MAX_LINE),), 0, False),
     "too-many-header-lines": ((_reply(_OK, *[b"X-Pad: x"] * 1000),), 0, False),
     "body-not-utf-8": ((_reply(b'{"text": "\xff"}'),), 0, False),
+    "bad-status-line": ((b"HTTP/1.1 OK\r\n\r\n",), 0, False),
+    "bad-content-length": ((b"HTTP/1.1 200 OK\r\nContent-Length: 1x\r\n\r\n" + _OK,), 0, False),
+    "bad-chunk-size": ((b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n" + _OK + b"\r\n0\r\n\r\n",), 0, False),
+    "chunk-data-past-its-size": ((b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n" + _OK + b"\r\n0\r\n\r\n",), 0, False),
+    # The server then waits, so only the cap ends the line.
+    "status-line-over-the-cap-before-its-newline": ((b"HTTP/1.1 200 " + b"x" * evalharness._MAX_LINE,), 0, False),
+    "body-to-the-close-over-the-cap": ((b"HTTP/1.1 200 OK\r\n\r\n" + _OVER_CAP,), 0, False),
+    "no-content-204": ((b"HTTP/1.1 204 No Content\r\n\r\n",), 0, False),
 }
 
 
@@ -937,13 +962,50 @@ def test_an_adversarial_reply_fails_its_record_within_the_deadline(name):
     assert result.failures == [f"{row.record_id}: {row.failure}"]
 
 
-@pytest.mark.parametrize("name", ["declared-body-over-the-cap", "chunked-body-over-the-cap", "header-line-over-the-cap"])
+@pytest.mark.parametrize("name", [
+    "declared-body-over-the-cap",
+    "chunked-body-over-the-cap",
+    "header-line-over-the-cap",
+    "status-line-over-the-cap-before-its-newline",
+    "body-to-the-close-over-the-cap",
+])
 def test_a_reply_over_a_cap_is_not_retried(name):
     pieces, _, _ = _ADVERSARIAL[name]
     with serving(RawReplyServer(*pieces)) as server:
         with HttpModelClient(server.url, max_attempts=3, backoff=0.01) as client:
             with pytest.raises(TransportError, match="cap"):
                 client.generate("x")
+    assert server.prompts == ["x"]
+
+
+@pytest.mark.parametrize("name", [
+    "bad-status-line",
+    "bad-content-length",
+    "bad-chunk-size",
+    "chunk-data-past-its-size",
+    "content-length-past-the-close",
+    "unterminated-chunked-body",
+])
+def test_broken_framing_is_retried_like_a_dropped_connection(name):
+    pieces, _, close = _ADVERSARIAL[name]
+    with serving(RawReplyServer(*pieces, close_after_reply=close)) as server:
+        with HttpModelClient(server.url, timeout=5, max_attempts=2, backoff=0.01) as client:
+            started = time.monotonic()
+            with pytest.raises(TransportError, match="unreachable after 2 attempts"):
+                client.generate("x")
+            assert time.monotonic() - started < 2
+    assert server.prompts == ["x", "x"]
+    assert server.connections == 2
+
+
+def test_a_204_reply_fails_as_a_bad_json_response_without_waiting_for_a_body():
+    pieces, _, _ = _ADVERSARIAL["no-content-204"]
+    with serving(RawReplyServer(*pieces)) as server:
+        with HttpModelClient(server.url, timeout=5, max_attempts=3, backoff=0.01) as client:
+            started = time.monotonic()
+            with pytest.raises(TransportError, match="bad JSON response"):
+                client.generate("x")
+            assert time.monotonic() - started < 2
     assert server.prompts == ["x"]
 
 
