@@ -4,15 +4,16 @@ benchmark scoreboards and paired statistical comparisons.
 
 Subpackages and modules:
 
-- ``txf.chem``        SMILES graphs, canonical forms, fingerprints, scaffolds
-- ``txf.bioseq``      sequence identity for protein / nucleotide features
-- ``txf.corpus``      task manifests, table ingestion, split assignment
-- ``txf.promptgen``   prompt rendering, label binning, shots, mixtures
-- ``txf.evalharness`` model clients, answer parsing, metrics
-- ``txf.analysis``    scoreboards, signed-rank comparisons, contamination scan
-- ``txf.atomic``      atomic output files, shared by every writer
-- ``txf.ranks``       average ranks, shared by the metrics and the signed-rank test
-- ``txf.cli``         the ``txf`` command-line entry point
+- ``txf.chem``          SMILES graphs, canonical forms, fingerprints, scaffolds
+- ``txf.bioseq``        sequence identity for protein / nucleotide features
+- ``txf.corpus``        task manifests, table ingestion, split assignment
+- ``txf.promptgen``     prompt rendering, label binning, shots, mixtures
+- ``txf.evalharness``   model clients, answer parsing, metrics
+- ``txf.analysis``      scoreboards, signed-rank comparisons, filtered re-scoring
+- ``txf.contamination`` the contamination scan, re-exported by ``txf.analysis``
+- ``txf.atomic``        atomic output files, shared by every writer
+- ``txf.ranks``         average ranks, shared by the metrics and the signed-rank test
+- ``txf.cli``           the ``txf`` command-line entry point
 """
 
 __version__ = "0.1.0"

@@ -1,20 +1,24 @@
 """Cross-model statistics: a scoreboard verdict per task against state of
-the art, paired signed-rank comparisons, and the pretraining-corpus
-contamination scan."""
+the art, paired signed-rank comparisons, and evaluation over the records a
+contamination scan left unflagged.
+
+The scan itself lives in ``txf.contamination``, which the contamination
+command loads alone; its public names are re-exported here.
+"""
 
 from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from .contamination import ContaminationReport, contamination_scan
 from .ranks import LOWER_IS_BETTER_METRICS, average_ranks, lower_is_better_for, parse_direction
 
 # evalharness (and chem, corpus and promptgen with it) is imported only by
-# the functions that need it, so scoreboard, contamination and
-# compare --pairs runs never load it.
+# the functions that need it, so scoreboard and compare --pairs runs never
+# load it.
 if TYPE_CHECKING:
     from .evalharness import EvalResult
 
@@ -250,128 +254,8 @@ def compare_pairs(pairs: Sequence[PairRow]) -> ComparisonResult:
 
 
 # ---------------------------------------------------------------------------
-# Contamination scan
+# Contamination-filtered evaluation
 # ---------------------------------------------------------------------------
-
-# The scan's regex spells only each pattern's first _DEPTH characters:
-# re.compile recurses once per nested group and fails at about 500 of them.
-_DEPTH = 32
-
-
-@dataclass
-class ContaminationReport:
-    """Whether each record occurs in the corpus; the counts are read from the flags."""
-
-    flags: dict[str, bool]
-
-    @property
-    def n_records(self) -> int:
-        return len(self.flags)
-
-    @property
-    def n_flagged(self) -> int:
-        return sum(self.flags.values())
-
-    @property
-    def percent_overlap(self) -> float:
-        return 100.0 * self.n_flagged / self.n_records if self.flags else 0.0
-
-
-def _longest_key_regex(keys: Iterable[str]) -> re.Pattern:
-    """A regex matching the longest key that starts at a position: a
-    character trie with a group at each branch and an optional group where
-    a key ends. Every branch opens with a literal, so search skips, in C,
-    the characters that begin no key."""
-    trie: dict = {}
-    for key in keys:
-        node = trie
-        for ch in key:
-            node = node.setdefault(ch, {})
-        node[""] = {}
-
-    def spell(node: dict) -> str:
-        branches = [re.escape(ch) + spell(child) for ch, child in node.items() if ch]
-        if not branches:
-            return ""
-        body = "|".join(branches)
-        if "" in node:
-            return f"(?:{body})?"
-        return body if len(branches) == 1 else f"(?:{body})"
-
-    return re.compile(spell(trie))
-
-
-def contamination_scan(
-    features: Sequence[tuple[str, Sequence[str]]],
-    corpus_chunks: Iterable[str],
-    max_chars: int = 512,
-) -> ContaminationReport:
-    """Flag records whose feature strings occur verbatim in a text corpus.
-
-    Each feature contributes its first max_chars characters as a search
-    pattern; a record is flagged when any of its patterns appears as a
-    contiguous substring anywhere in the corpus. A max_chars below 1 raises
-    ValueError: a negative cap would cut the end off each feature, and a
-    zero cap would flag nothing.
-
-    The corpus is streamed in one pass that stops once every pattern is
-    found. A regex over the patterns' first _DEPTH characters finds the
-    longest such key at each position; the key flags every pattern it
-    begins with, and a longer pattern is compared with the text there. Each
-    chunk is scanned behind the previous text's last characters, so a
-    pattern that spans chunks is found.
-    """
-    if max_chars < 1:
-        raise ValueError(f"max_chars must be at least 1, not {max_chars}")
-    records: dict[str, list[str]] = {}
-    for record_id, values in features:
-        for value in values:
-            target = value[:max_chars]
-            if target:
-                records.setdefault(target, []).append(record_id)
-    # Per key, the patterns it begins with, and the longer patterns that
-    # begin with it and are not found yet.
-    short = {
-        key: [key[:k] for k in range(1, len(key) + 1) if key[:k] in records]
-        for key in {p[:_DEPTH] for p in records}
-    }
-    long: dict[str, list[str]] = {}
-    for pattern in records:
-        if len(pattern) > _DEPTH:
-            long.setdefault(pattern[:_DEPTH], []).append(pattern)
-    longest = max(map(len, records), default=0)
-    search = _longest_key_regex(short).search
-
-    found: set[str] = set()
-    carry = ""
-    for chunk in corpus_chunks:
-        if len(found) == len(records):
-            break
-        text = carry + chunk
-        checked: set[str] = set()  # at most the chunk's length in characters
-        room = len(chunk)
-        pos = 0
-        while len(found) < len(records) and (match := search(text, pos)):
-            key = match[0]
-            start = match.start()
-            # Matches may overlap: the next search starts one character on.
-            pos = start + 1
-            found.update(short.pop(key, ()))
-            pending = long.get(key)
-            if not pending:
-                continue
-            window = text[start : start + longest]
-            if window in checked:
-                continue
-            if room > 0:
-                checked.add(window)
-                room -= len(window)
-            found.update(p for p in pending if window.startswith(p))
-            long[key] = [p for p in pending if p not in found]
-        carry = text[max(0, len(text) - longest + 1) :]
-
-    flagged = {record_id for pattern in found for record_id in records[pattern]}
-    return ContaminationReport({record_id: record_id in flagged for record_id, _ in features})
 
 
 def filtered_eval(result: EvalResult, flags: dict[str, bool]) -> EvalResult:

@@ -20,8 +20,8 @@ from pathlib import Path
 from .atomic import write_atomically
 
 # The layers are imported inside the functions that run them, not here:
-# start-up is most of a short command's time, and contamination and
-# scoreboard need no layer but analysis.
+# start-up is most of a short command's time, contamination needs no layer
+# but txf.contamination, and scoreboard none but txf.analysis.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -304,17 +304,27 @@ def cmd_scoreboard(args) -> int:
 
 
 def cmd_contamination(args) -> int:
-    from . import analysis
+    from . import contamination
 
     features = []
+    first_line: dict[str, int] = {}  # record id -> the line that gave it
     try:
         with open(args.features, encoding="utf-8-sig") as fh:
-            for line in fh:
+            for n, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line or line.startswith("#"):
                     continue
-                parts = line.split("\t")
-                features.append((parts[0], [p for p in parts[1:] if p]))
+                record_id, *values = line.split("\t")
+                # A flag is written per id, so an empty or repeated id
+                # would hide a record or merge two.
+                if not record_id:
+                    raise ValueError(f"{args.features}:{n}: empty record id")
+                if record_id in first_line:
+                    raise ValueError(
+                        f"{args.features}:{n}: record id {record_id!r} repeats line {first_line[record_id]}"
+                    )
+                first_line[record_id] = n
+                features.append((record_id, [v for v in values if v]))
     except UnicodeDecodeError:
         raise ValueError(f"{args.features}: not UTF-8 text") from None
     if not features:
@@ -328,7 +338,7 @@ def cmd_contamination(args) -> int:
                     return
                 yield block
 
-    report = analysis.contamination_scan(features, chunks(), max_chars=args.max_chars)
+    report = contamination.contamination_scan(features, chunks(), max_chars=args.max_chars)
     payload = {
         "n_records": report.n_records,
         "n_flagged": report.n_flagged,

@@ -1230,6 +1230,26 @@ def _contamination_features_only_comments(tmp_path):
     ], "features.tsv: features file is empty"
 
 
+def _contamination_features(lines, expected):
+    def case(tmp_path):
+        (tmp_path / "features.tsv").write_text("".join(f"{line}\n" for line in lines))
+        (tmp_path / "corpus.txt").write_text("xxCCOxx")
+        return [
+            "contamination", "--features", str(tmp_path / "features.tsv"),
+            "--corpus", str(tmp_path / "corpus.txt"), "--out", str(tmp_path / "out"),
+        ], f"features.tsv:{expected}"
+
+    return case
+
+
+# Two tasks' features files concatenated with ids 0, 1, ... would otherwise
+# merge their records into one flag each.
+_contamination_repeated_record_id = _contamination_features(
+    ["# id\tfeature", "r1\tCCO", "r1\tCCN", "r2"], "3: record id 'r1' repeats line 2"
+)
+_contamination_empty_record_id = _contamination_features(["r1\tCCO", "\tCCC", "r2"], "2: empty record id")
+
+
 def _results_no_overlap(tmp_path):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     for d, task in ((dir_a, "t"), (dir_b, "u")):
@@ -1324,6 +1344,8 @@ def _compare_one_results_dir(tmp_path):
     _pairs_tie_winner_c,
     _evaluate_stub_and_model_url,
     _compare_pairs_and_results_dirs,
+    _contamination_repeated_record_id,
+    _contamination_empty_record_id,
 ])
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     argv, expected = case(tmp_path)
@@ -1338,6 +1360,8 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
         _build_negative_mixture,
         _contamination_max_chars_negative,
         _contamination_max_chars_zero,
+        _contamination_repeated_record_id,
+        _contamination_empty_record_id,
         _only_unknown_task,
         _known_and_unknown_task,
         _evaluate_concurrency_zero,
@@ -1558,6 +1582,12 @@ def _build_zero_shot(tmp_path):
     ], {"numpy", "txf.evalharness", "txf.analysis"}
 
 
+# The contamination command runs once per dataset, so it loads the scan alone:
+# not dataclasses with inspect, nor csv and the scoreboard code. typing is not
+# pinned: a site module may load it before txf runs.
+_NOT_FOR_THE_SCAN = {"dataclasses", "inspect", "csv", "txf.ranks", "txf.analysis"}
+
+
 def _contamination_of_the_table(tmp_path):
     table = FIXTURES / "cli_task" / "data" / "bbb_martins.tsv"
     smiles = table.read_text(encoding="utf-8").splitlines()[1].split("\t")[0]
@@ -1565,7 +1595,7 @@ def _contamination_of_the_table(tmp_path):
     return [
         "contamination", "--features", str(tmp_path / "features.tsv"), "--corpus", str(table),
         "--out", str(tmp_path / "flags.tsv"),
-    ], _NEITHER_CHEM_NOR_NUMPY
+    ], _NEITHER_CHEM_NOR_NUMPY | _NOT_FOR_THE_SCAN
 
 
 def _scoreboard(tmp_path):

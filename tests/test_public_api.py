@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from txf import analysis, contamination
 from txf.analysis import wilcoxon_signed_rank
 from txf.bioseq import BioSequence, top_k_identity
 from txf.chem import Atom, Bond, Fingerprint, Molecule, top_k_tanimoto
@@ -10,7 +11,7 @@ from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest, assign_
 from txf.evalharness import MajorityClient, accuracy, evaluate_task
 from txf.promptgen import BinningSpec, NeighborIndex, build_mixture, select_shots_random
 
-LAYERS = ("chem", "bioseq", "corpus", "promptgen", "evalharness", "analysis")
+LAYERS = ("chem", "bioseq", "corpus", "promptgen", "evalharness", "analysis", "contamination")
 
 # Public names deleted as unused or duplicate; each must stay gone.
 REMOVED = {
@@ -72,6 +73,12 @@ def test_removed_names_stay_gone(layer):
     assert not set(removed) & set(module.__all__)
     assert [name for name in removed if _resolves(module, name)] == []
 
+
+@pytest.mark.parametrize("name", ["contamination_scan", "ContaminationReport"])
+def test_analysis_re_exports_the_one_scan(name):
+    # The benchmark's traced run wraps the scan through analysis.__all__.
+    assert name in analysis.__all__
+    assert getattr(analysis, name) is getattr(contamination, name)
 
 
 _TASK = TaskManifest(
