@@ -8,7 +8,8 @@ Subpackages and modules:
 - ``txf.bioseq``        sequence identity for protein / nucleotide features
 - ``txf.corpus``        task manifests, table ingestion, split assignment
 - ``txf.promptgen``     prompt rendering, label binning, shots, mixtures
-- ``txf.evalharness``   model clients, answer parsing, metrics
+- ``txf.evalharness``   model stubs, answer parsing, metrics, task evaluation
+- ``txf.transport``     the HTTP/1.1 model client, loaded only for ``--model-url``
 - ``txf.analysis``      scoreboards, signed-rank comparisons, filtered re-scoring
 - ``txf.contamination`` the contamination scan, re-exported by ``txf.analysis``
 - ``txf.atomic``        atomic output files, shared by every writer

@@ -171,8 +171,12 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"--concurrency must be at least 1, not {args.concurrency}")
     out = Path(args.out)
     worst = EXIT_OK
-    # One HTTP client serves every task, so its connections are reused.
-    http_client = None if args.stub else evalharness.HttpModelClient(model_url)
+    http_client = None
+    if not args.stub:
+        from .transport import HttpModelClient  # only HTTP evaluation loads the transport
+
+        # One HTTP client serves every task, so its connections are reused.
+        http_client = HttpModelClient(model_url)
     with http_client or contextlib.nullcontext():
         for manifest, records, _, table in _tasks(args):
             [(_, pool, index, prompts)] = _render(

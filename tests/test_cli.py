@@ -665,7 +665,7 @@ def test_evaluate_valid_split_scores_the_audits_valid_records(tmp_path):
 
 
 def test_evaluate_transport_failure_exit_code(tmp_path, monkeypatch):
-    from txf import evalharness
+    from txf import transport
 
     manifests = tmp_path / "manifests"
     data = tmp_path / "data"
@@ -673,12 +673,12 @@ def test_evaluate_transport_failure_exit_code(tmp_path, monkeypatch):
     data.mkdir()
     _write_toy_binary(manifests, data, "toyb")
 
-    real = evalharness.HttpModelClient
+    real = transport.HttpModelClient
 
     def fast_client(url):
         return real(url, timeout=0.2, max_attempts=2, backoff=0.01)
 
-    monkeypatch.setattr(evalharness, "HttpModelClient", fast_client)
+    monkeypatch.setattr(transport, "HttpModelClient", fast_client)
     out = tmp_path / "out"
     code = main([
         "evaluate", "--manifests", str(manifests), "--data", str(data),
@@ -1280,6 +1280,12 @@ def _compare_one_results_dir(tmp_path):
     return ["compare", "--results-a", str(tmp_path / "a")], "need --pairs or both --results-a and --results-b"
 
 
+def _bound_name(case):
+    """The name a case is bound to in this module, its test id: a case made
+    by a factory is a closure named ``case``, which names no input."""
+    return next(name for name, value in globals().items() if value is case)
+
+
 @pytest.mark.parametrize("case", [
     _build_unwritable_out,
     _evaluate_unwritable_out,
@@ -1346,7 +1352,7 @@ def _compare_one_results_dir(tmp_path):
     _compare_pairs_and_results_dirs,
     _contamination_repeated_record_id,
     _contamination_empty_record_id,
-])
+], ids=_bound_name)
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, case):
     argv, expected = case(tmp_path)
     assert main(argv) == 1
@@ -1602,6 +1608,12 @@ def _scoreboard(tmp_path):
     return ["scoreboard", "--fixture", str(FIXTURES / "benchmark_results.csv")], _NEITHER_CHEM_NOR_NUMPY
 
 
+# Model calls run on plain threads, so no evaluation loads concurrent.futures
+# with its logging; a stub evaluation does not load the HTTP client either.
+_NO_EXECUTOR = {"concurrent.futures", "logging"}
+_NOT_FOR_A_STUB = _NO_EXECUTOR | {"txf.transport"}
+
+
 def _evaluate_majority(tmp_path):
     # Not the one-row CLI fixture: its test split is empty, so no metric would run.
     (tmp_path / "manifests").mkdir()
@@ -1610,7 +1622,7 @@ def _evaluate_majority(tmp_path):
     return [
         "evaluate", "--manifests", str(tmp_path / "manifests"), "--data", str(tmp_path / "data"),
         "--out", str(tmp_path / "out"), "--stub", "majority",
-    ], {"numpy"}
+    ], {"numpy"} | _NOT_FOR_A_STUB
 
 
 def _compare_pairs(tmp_path):
@@ -1664,7 +1676,9 @@ def _build_cold_start_amino_acid_knn(tmp_path):
 
 
 def _evaluate_knn_stub_cold_start(tmp_path):
-    return ["evaluate", *_task_dirs(tmp_path, _write_toy_cold_start), "--stub", "knn"], {"numpy", "txf.chem"}
+    return ["evaluate", *_task_dirs(tmp_path, _write_toy_cold_start), "--stub", "knn"], {
+        "numpy", "txf.chem",
+    } | _NOT_FOR_A_STUB
 
 
 def _build_random_split_zero_shot(tmp_path):
@@ -1679,7 +1693,7 @@ def _evaluate_model_url(tmp_path):
     # http.client, with its email header parser, nor ssl.
     return ["evaluate", *_task_dirs(tmp_path, _write_toy_binary), "--model-url", _MODEL_URL], {
         "http.client", "email.parser", "ssl", "numpy",
-    }
+    } | _NO_EXECUTOR
 
 
 @pytest.mark.parametrize(

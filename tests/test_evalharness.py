@@ -4,6 +4,7 @@ import random
 import re
 import socket
 import sys
+import threading
 import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -16,7 +17,7 @@ import golden_tasks
 from conftest import CANONICAL_WORST_CASES, FIXTURES, SYMMETRIC_MOLECULES
 from keepalive_server import CountingServer, RawReplyServer, serving
 from knn_reference import naive_nearest
-from txf import atomic, evalharness
+from txf import atomic, evalharness, transport
 from txf.chem import Reactants, parse_smiles, write_canonical
 from txf.cli import main
 from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest, write_manifest, write_split_audit
@@ -617,6 +618,50 @@ def test_unparseable_generation_truth_fails_before_any_model_call():
     assert client.calls == 1
 
 
+class _ThreadWatchingClient:
+    """Answers "(B)" after a short pause, noting the thread of each call and
+    the number of threads alive during it; raises ``error`` for one prompt."""
+
+    def __init__(self, failing_prompt=None, error=None):
+        self.failing_prompt, self.error = failing_prompt, error
+        self.threads, self.alive = [], []
+
+    def generate(self, prompt):
+        self.threads.append(threading.get_ident())
+        self.alive.append(threading.active_count())
+        time.sleep(0.02)
+        if prompt == self.failing_prompt:
+            raise self.error
+        return GenerationResponse("(B)")
+
+
+def test_a_failing_call_is_raised_after_every_worker_ends():
+    manifest, _, prompts = _binary_task(6)
+    error = ValueError("the third prompt")
+    client = _ThreadWatchingClient(prompts[2].prompt, error)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as caught:
+        evaluate_task(manifest, prompts, client, concurrency=4)
+    assert caught.value is error
+    assert threading.active_count() == before
+
+
+def test_no_more_threads_than_prompts_run_at_once():
+    manifest, _, prompts = _binary_task(3)
+    client = _ThreadWatchingClient()
+    before = threading.active_count()
+    evaluate_task(manifest, prompts, client, concurrency=8)
+    # The calling thread takes one prompt, so two workers at most.
+    assert max(client.alive) <= before + 2
+
+
+def test_concurrency_1_calls_the_model_on_the_calling_thread():
+    manifest, _, prompts = _binary_task(5)
+    client = _ThreadWatchingClient()
+    evaluate_task(manifest, prompts, client, concurrency=1)
+    assert client.threads == [threading.get_ident()] * 5
+
+
 class _ScriptedClient:
     """Answers each prompt with its scripted text or response, or raises its
     scripted TransportError."""
@@ -812,7 +857,7 @@ def test_http_client_retries_a_stale_connection_at_once(monkeypatch, max_attempt
     def no_sleep(seconds):
         raise AssertionError(f"slept {seconds} s")
 
-    monkeypatch.setattr(evalharness.time, "sleep", no_sleep)
+    monkeypatch.setattr(transport.time, "sleep", no_sleep)
     with serving(CountingServer(close_after_reply=True)) as server:
         with HttpModelClient(server.url, max_attempts=max_attempts) as client:
             answers = [client.generate(f"p{i}").text for i in range(3)]
@@ -917,7 +962,7 @@ def _padded_body(size: int) -> bytes:
     return b'{"text": "(B)", "pad": "' + b"x" * (size - 26) + b'"}'
 
 
-_OVER_CAP = _padded_body(evalharness.MAX_REPLY_BYTES + 1)
+_OVER_CAP = _padded_body(transport.MAX_REPLY_BYTES + 1)
 _TRICKLE = _reply(_padded_body(35))
 
 # Replies that would hold a worker or its memory without bound; each must
@@ -931,7 +976,7 @@ _ADVERSARIAL = {
     "chunked-body-over-the-cap": ((_chunked(_OVER_CAP),), 0, False),
     "content-length-past-the-close": ((b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + _OK,), 0, True),
     "unterminated-chunked-body": ((b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nf\r\n" + _OK + b"\r\n",), 0, True),
-    "header-line-over-the-cap": ((_reply(_OK, b"X-Pad: " + b"x" * evalharness._MAX_LINE),), 0, False),
+    "header-line-over-the-cap": ((_reply(_OK, b"X-Pad: " + b"x" * transport._MAX_LINE),), 0, False),
     "too-many-header-lines": ((_reply(_OK, *[b"X-Pad: x"] * 1000),), 0, False),
     "body-not-utf-8": ((_reply(b'{"text": "\xff"}'),), 0, False),
     "bad-status-line": ((b"HTTP/1.1 OK\r\n\r\n",), 0, False),
@@ -939,7 +984,7 @@ _ADVERSARIAL = {
     "bad-chunk-size": ((b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n" + _OK + b"\r\n0\r\n\r\n",), 0, False),
     "chunk-data-past-its-size": ((b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n" + _OK + b"\r\n0\r\n\r\n",), 0, False),
     # The server then waits, so only the cap ends the line.
-    "status-line-over-the-cap-before-its-newline": ((b"HTTP/1.1 200 " + b"x" * evalharness._MAX_LINE,), 0, False),
+    "status-line-over-the-cap-before-its-newline": ((b"HTTP/1.1 200 " + b"x" * transport._MAX_LINE,), 0, False),
     "body-to-the-close-over-the-cap": ((b"HTTP/1.1 200 OK\r\n\r\n" + _OVER_CAP,), 0, False),
     "no-content-204": ((b"HTTP/1.1 204 No Content\r\n\r\n",), 0, False),
 }
@@ -1010,7 +1055,7 @@ def test_a_204_reply_fails_as_a_bad_json_response_without_waiting_for_a_body():
 
 
 def test_a_body_at_the_cap_is_read():
-    body = _padded_body(evalharness.MAX_REPLY_BYTES)
+    body = _padded_body(transport.MAX_REPLY_BYTES)
     for reply in (_reply(body), _chunked(body)):
         with serving(RawReplyServer(reply)) as server:
             with HttpModelClient(server.url, max_attempts=1) as client:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from txf import analysis, contamination
+from txf import analysis, contamination, evalharness, transport
 from txf.analysis import wilcoxon_signed_rank
 from txf.bioseq import BioSequence, top_k_identity
 from txf.chem import Atom, Bond, Fingerprint, Molecule, top_k_tanimoto
@@ -11,7 +11,7 @@ from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest, assign_
 from txf.evalharness import MajorityClient, accuracy, evaluate_task
 from txf.promptgen import BinningSpec, NeighborIndex, build_mixture, select_shots_random
 
-LAYERS = ("chem", "bioseq", "corpus", "promptgen", "evalharness", "analysis", "contamination")
+LAYERS = ("chem", "bioseq", "corpus", "promptgen", "evalharness", "transport", "analysis", "contamination")
 
 # Public names deleted as unused or duplicate; each must stay gone.
 REMOVED = {
@@ -79,6 +79,13 @@ def test_analysis_re_exports_the_one_scan(name):
     # The benchmark's traced run wraps the scan through analysis.__all__.
     assert name in analysis.__all__
     assert getattr(analysis, name) is getattr(contamination, name)
+
+
+def test_evalharness_re_exports_the_http_client():
+    # The benchmark's traced run takes HttpModelClient from evalharness and
+    # wraps its generate.
+    assert "HttpModelClient" in evalharness.__all__
+    assert evalharness.HttpModelClient is transport.HttpModelClient
 
 
 _TASK = TaskManifest(
