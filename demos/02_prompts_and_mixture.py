@@ -10,7 +10,6 @@ from collections import Counter
 from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest, assign_splits
 from txf.promptgen import (
     INPUT_BUDGET,
-    BinningSpec,
     NeighborIndex,
     bin_label,
     build_mixture,
@@ -52,10 +51,9 @@ by_split = Counter(r.split for r in records)
 print("split sizes:", dict(by_split))
 
 print("\n=== Label binning ===")
-spec = BinningSpec.from_manifest(manifest)
 for y in (0.0, 7.88 * 2, 19.0, 25.0):
-    b, text = bin_label(y, spec)
-    print(f"y={y:6.2f} -> bin {b:4d} rendered {text!r} -> back to {unbin_label(b, spec):.3f}")
+    b, text = bin_label(y, manifest.label_range)
+    print(f"y={y:6.2f} -> bin {b:4d} rendered {text!r} -> back to {unbin_label(b, manifest.label_range):.3f}")
 
 print("\n=== A rendered prompt ===")
 test_records = [r for r in records if r.split == "test"]

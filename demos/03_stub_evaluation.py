@@ -5,10 +5,11 @@ interface in process. Also shows contamination filtering of a result.
 Run from the repo root:  python demos/03_stub_evaluation.py
 """
 
-from txf.analysis import contamination_scan, filtered_eval
+from txf.analysis import contamination_scan
 from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest
 from txf.evalharness import (
     EchoClient,
+    EvalResult,
     MajorityClient,
     NearestNeighborClient,
     evaluate_task,
@@ -59,14 +60,16 @@ print("\n=== Contamination filtering ===")
 # Pretend a pretraining corpus contains a few of the test molecules verbatim.
 leaked = [test[i].features["drug"] for i in (0, 1, 4, 9)]
 corpus_text = "lorem ipsum " + " ... ".join(leaked) + " dolor sit amet"
-report = contamination_scan(
+flags = contamination_scan(
     [(r.record_id, [r.features["drug"]]) for r in test], [corpus_text]
 )
-flagged = sorted(rid for rid, hit in report.flags.items() if hit)
-print(f"flagged {report.n_flagged}/{report.n_records} records "
-      f"({report.percent_overlap:.1f}% overlap): {', '.join(flagged)}")
+flagged = sorted(rid for rid, hit in flags.items() if hit)
+print(f"flagged {len(flagged)}/{len(flags)} records "
+      f"({100.0 * len(flagged) / len(flags):.1f}% overlap): {', '.join(flagged)}")
 
+# Re-score the same rows without the flagged records.
 knn_result = evaluate_task(manifest, prompts, knn, concurrency=4)
-filtered = filtered_eval(knn_result, report.flags)
+kept = [row for row in knn_result.rows if not flags[row.record_id]]
+filtered = EvalResult(knn_result.task_id, knn_result.metric, kept)
 print(f"unfiltered auroc={knn_result.value:.3f} over n={knn_result.n}")
 print(f"filtered   auroc={filtered.value:.3f} over n={filtered.n}")

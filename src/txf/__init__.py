@@ -10,7 +10,7 @@ Subpackages and modules:
 - ``txf.promptgen``     prompt rendering, label binning, shots, mixtures
 - ``txf.evalharness``   model stubs, answer parsing, metrics, task evaluation
 - ``txf.transport``     the HTTP/1.1 model client, loaded only for ``--model-url``
-- ``txf.analysis``      scoreboards, signed-rank comparisons, filtered re-scoring
+- ``txf.analysis``      scoreboards, signed-rank comparisons
 - ``txf.contamination`` the contamination scan, re-exported by ``txf.analysis``
 - ``txf.atomic``        atomic output files, shared by every writer
 - ``txf.ranks``         average ranks, shared by the metrics and the signed-rank test

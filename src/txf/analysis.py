@@ -1,9 +1,8 @@
 """Cross-model statistics: a scoreboard verdict per task against state of
-the art, paired signed-rank comparisons, and evaluation over the records a
-contamination scan left unflagged.
+the art and paired signed-rank comparisons.
 
-The scan itself lives in ``txf.contamination``, which the contamination
-command loads alone; its public names are re-exported here.
+The contamination scan lives in ``txf.contamination``, which the
+contamination command loads alone; it is re-exported here.
 """
 
 from __future__ import annotations
@@ -11,16 +10,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .contamination import ContaminationReport, contamination_scan
+from .contamination import contamination_scan
 from .ranks import LOWER_IS_BETTER_METRICS, average_ranks, lower_is_better_for, parse_direction
-
-# evalharness (and chem, corpus and promptgen with it) is imported only by
-# the functions that need it, so scoreboard and compare --pairs runs never
-# load it.
-if TYPE_CHECKING:
-    from .evalharness import EvalResult
 
 __all__ = [
     "ScoreRow",
@@ -32,9 +25,7 @@ __all__ = [
     "median_relative_difference_by_feature_type",
     "wilcoxon_signed_rank",
     "compare_pairs",
-    "ContaminationReport",
     "contamination_scan",
-    "filtered_eval",
     "load_score_rows",
     "load_pair_rows",
 ]
@@ -251,22 +242,6 @@ def compare_pairs(pairs: Sequence[PairRow]) -> ComparisonResult:
             else:
                 result.wins_b += 1
     return result
-
-
-# ---------------------------------------------------------------------------
-# Contamination-filtered evaluation
-# ---------------------------------------------------------------------------
-
-
-def filtered_eval(result: EvalResult, flags: dict[str, bool]) -> EvalResult:
-    """Recompute the metric over rows whose record is not flagged."""
-    from .evalharness import EvalResult
-
-    kept = [r for r in result.rows if not flags.get(r.record_id, False)]
-    filtered = EvalResult(result.task_id, result.metric, kept)
-    if not kept:
-        filtered.undefined_reason = "all rows flagged"
-    return filtered
 
 
 # ---------------------------------------------------------------------------

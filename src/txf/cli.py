@@ -342,16 +342,18 @@ def cmd_contamination(args) -> int:
                     return
                 yield block
 
-    report = contamination.contamination_scan(features, chunks(), max_chars=args.max_chars)
+    flags = contamination.contamination_scan(features, chunks(), max_chars=args.max_chars)
+    n_records = len(flags)
+    n_flagged = sum(flags.values())
     payload = {
-        "n_records": report.n_records,
-        "n_flagged": report.n_flagged,
-        "percent_overlap": round(report.percent_overlap, 4),
+        "n_records": n_records,
+        "n_flagged": n_flagged,
+        "percent_overlap": round(100.0 * n_flagged / n_records, 4),
     }
     print(json.dumps(payload, indent=2))
     if args.out:
         def write(fh):
-            for record_id, flagged in report.flags.items():
+            for record_id, flagged in flags.items():
                 fh.write(f"{record_id}\t{int(flagged)}\n")
 
         write_atomically(args.out, write)

@@ -3,7 +3,8 @@ occur verbatim in a text corpus.
 
 The contamination command runs once per dataset, so its time on a small
 corpus is mostly start-up. This module therefore imports nothing but ``re``
-and ``collections.abc``; ``txf.analysis`` re-exports its public names.
+and ``collections.abc``; ``txf.analysis`` re-exports the scan. The
+contamination command counts the flags it returns.
 """
 
 from __future__ import annotations
@@ -11,30 +12,11 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 
-__all__ = ["ContaminationReport", "contamination_scan"]
+__all__ = ["contamination_scan"]
 
 # The scan's regex spells only each pattern's first _DEPTH characters:
 # re.compile recurses once per nested group and fails at about 500 of them.
 _DEPTH = 32
-
-
-class ContaminationReport:
-    """Whether each record occurs in the corpus; the counts are read from the flags."""
-
-    def __init__(self, flags: dict[str, bool]):
-        self.flags = flags
-
-    @property
-    def n_records(self) -> int:
-        return len(self.flags)
-
-    @property
-    def n_flagged(self) -> int:
-        return sum(self.flags.values())
-
-    @property
-    def percent_overlap(self) -> float:
-        return 100.0 * self.n_flagged / self.n_records if self.flags else 0.0
 
 
 def _longest_key_regex(keys: Iterable[str]) -> re.Pattern:
@@ -65,8 +47,9 @@ def contamination_scan(
     features: Sequence[tuple[str, Sequence[str]]],
     corpus_chunks: Iterable[str],
     max_chars: int = 512,
-) -> ContaminationReport:
-    """Flag records whose feature strings occur verbatim in a text corpus.
+) -> dict[str, bool]:
+    """Flag records whose feature strings occur verbatim in a text corpus:
+    {record_id: flagged} for every record, in the order of features.
 
     Each feature contributes its first max_chars characters as a search
     pattern; a record is flagged when any of its patterns appears as a
@@ -131,4 +114,4 @@ def contamination_scan(
         carry = text[max(0, len(text) - longest + 1) :]
 
     flagged = {record_id for pattern in found for record_id in records[pattern]}
-    return ContaminationReport({record_id: record_id in flagged for record_id, _ in features})
+    return {record_id: record_id in flagged for record_id, _ in features}

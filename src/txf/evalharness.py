@@ -29,9 +29,9 @@ from .promptgen import (
     ANSWER_NEGATIVE,
     ANSWER_POSITIVE,
     BIN_LEVELS,
-    BinningSpec,
     NeighborIndex,
     PromptRecord,
+    _label_range,
     render_target,
     unbin_label,
 )
@@ -183,15 +183,16 @@ def parse_binary_answer(
 _INT = re.compile(r"\d+")
 
 
-def parse_regression_answer(completion: str, spec: BinningSpec) -> tuple[float, bool]:
-    """First integer token, clamped to the bin range and unbinned.
+def parse_regression_answer(completion: str, label_range: tuple[float, float]) -> tuple[float, bool]:
+    """First integer token, clamped to the bin range and unbinned into
+    label_range, (min, max).
 
     Unparseable output falls back to the midpoint bin so n stays constant;
     callers report the invalid rate alongside the metric.
     """
     match = _INT.search(completion)
     if match is None:
-        return unbin_label(BIN_LEVELS // 2, spec), False
+        return unbin_label(BIN_LEVELS // 2, label_range), False
     # int() refuses more than 4,300 digits, so a run with more significant
     # digits than the top bin is clamped without converting it. \d also
     # matches non-ASCII decimal digits, whose zeros lstrip("0") would miss.
@@ -204,7 +205,7 @@ def parse_regression_answer(completion: str, spec: BinningSpec) -> tuple[float, 
         b = BIN_LEVELS
     else:
         b = min(int(digits), BIN_LEVELS)
-    return unbin_label(b, spec), True
+    return unbin_label(b, label_range), True
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +429,9 @@ def _row_for_prompt(
         truth = prompt.target == ANSWER_POSITIVE
         prediction, score, valid = parse_binary_answer(completion, scores)
     elif manifest.task_kind == "regression":
-        spec = BinningSpec.from_manifest(manifest)
-        truth = unbin_label(min(int(prompt.target), BIN_LEVELS), spec)
-        prediction, valid = parse_regression_answer(completion, spec)
+        label_range = _label_range(manifest)
+        truth = unbin_label(min(int(prompt.target), BIN_LEVELS), label_range)
+        prediction, valid = parse_regression_answer(completion, label_range)
         score = 0.0
     else:
         from .chem import score_reactant_prediction

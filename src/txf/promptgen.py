@@ -24,7 +24,6 @@ __all__ = [
     "ANSWER_NEGATIVE",
     "ANSWER_POSITIVE",
     "BIN_LEVELS",
-    "BinningSpec",
     "PromptRecord",
     "ZERO_SHOT_FRACTION",
     "SHOT_RANGE",
@@ -55,44 +54,34 @@ INPUT_BUDGET = 2048
 BIN_LEVELS = 1000
 
 
-@dataclass(frozen=True)
-class BinningSpec:
-    """Uniform binning of a numeric label range onto integer bins 0..BIN_LEVELS."""
-
-    minimum: float
-    maximum: float
-
-    def __post_init__(self):
-        if not (self.minimum < self.maximum):
-            raise ValueError("binning needs minimum < maximum")
-
-    @classmethod
-    def from_manifest(cls, manifest: TaskManifest) -> "BinningSpec":
-        if manifest.label_range is None:
-            raise ValueError(f"{manifest.task_id}: no label range to bin with")
-        lo, hi = manifest.label_range
-        return cls(minimum=lo, maximum=hi)
+def _label_range(manifest: TaskManifest) -> tuple[float, float]:
+    """The (min, max) range a regression manifest bins with; the manifest
+    has already checked min < max."""
+    if manifest.label_range is None:
+        raise ValueError(f"{manifest.task_id}: no label range to bin with")
+    return manifest.label_range
 
 
-def bin_label(y: float, spec: BinningSpec) -> tuple[int, str]:
-    """Clamp y into the range and round to the nearest bin.
+def bin_label(y: float, label_range: tuple[float, float]) -> tuple[int, str]:
+    """Clamp y into label_range, (min, max), and round to the nearest bin.
 
     Rendered zero-padded to three digits; the top bin renders as "1000".
     Rounding is half-up so the mapping is monotone and platform-independent.
     """
     if math.isnan(y):
         raise ValueError("cannot bin NaN")
-    clamped = min(max(y, spec.minimum), spec.maximum)
-    t = (clamped - spec.minimum) / (spec.maximum - spec.minimum)
+    lo, hi = label_range
+    t = (min(max(y, lo), hi) - lo) / (hi - lo)
     b = math.floor(t * BIN_LEVELS + 0.5)
     return b, f"{b:03d}"
 
 
-def unbin_label(b: int, spec: BinningSpec) -> float:
-    """Map a bin index back to the original label space."""
+def unbin_label(b: int, label_range: tuple[float, float]) -> float:
+    """Map a bin index back into label_range, (min, max)."""
     if not (0 <= b <= BIN_LEVELS):
         raise ValueError(f"bin {b} outside 0..{BIN_LEVELS}")
-    return spec.minimum + (b / BIN_LEVELS) * (spec.maximum - spec.minimum)
+    lo, hi = label_range
+    return lo + (b / BIN_LEVELS) * (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -112,7 +101,7 @@ def render_target(record: DataRecord, manifest: TaskManifest) -> str:
     if manifest.task_kind == "binary":
         return ANSWER_POSITIVE if record.label else ANSWER_NEGATIVE
     if manifest.task_kind == "regression":
-        _, text = bin_label(float(record.label), BinningSpec.from_manifest(manifest))
+        _, text = bin_label(float(record.label), _label_range(manifest))
         return text
     return str(record.label)
 

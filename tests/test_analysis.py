@@ -11,7 +11,6 @@ from txf.analysis import (
     ScoreRow,
     compare_pairs,
     contamination_scan,
-    filtered_eval,
     load_pair_rows,
     load_score_rows,
     median_relative_difference_by_feature_type,
@@ -19,7 +18,6 @@ from txf.analysis import (
     scoreboard,
     wilcoxon_signed_rank,
 )
-from txf.evalharness import EvalResult, EvalRow
 
 
 # --- relative difference -----------------------------------------------
@@ -263,26 +261,21 @@ def test_tie_winner_is_read_in_any_case_around_whitespace(tmp_path):
 
 
 def test_contamination_simple_hit():
-    report = contamination_scan([("r1", ["ABCD"])], ["xxABCDyy"])
-    assert report.flags == {"r1": True}
-    assert report.percent_overlap == 100.0
+    assert contamination_scan([("r1", ["ABCD"])], ["xxABCDyy"]) == {"r1": True}
 
 
 def test_contamination_cap_rule():
     feature = "A" * 512 + "TAIL_NEVER_PRESENT"
     corpus = "noise " + "A" * 512 + " more noise"
-    report = contamination_scan([("r1", [feature])], [corpus])
-    assert report.flags["r1"] is True
+    assert contamination_scan([("r1", [feature])], [corpus]) == {"r1": True}
 
 
 def test_contamination_any_feature_flags_record():
-    report = contamination_scan(
+    flags = contamination_scan(
         [("r1", ["MISSING", "HIT"]), ("r2", ["ALSOMISSING"])],
         ["...HIT..."],
     )
-    assert report.flags == {"r1": True, "r2": False}
-    assert report.n_flagged == 1
-    assert report.percent_overlap == 50.0
+    assert flags == {"r1": True, "r2": False}
 
 
 @pytest.mark.parametrize("max_chars", [0, -1])
@@ -295,14 +288,11 @@ def test_contamination_rejects_a_cap_below_one(max_chars):
 
 def test_contamination_chunk_boundaries():
     # Pattern split across streamed chunks must still match.
-    report = contamination_scan([("r1", ["HELLOWORLD"])], ["xxHELLO", "WORLDyy"])
-    assert report.flags["r1"] is True
+    assert contamination_scan([("r1", ["HELLOWORLD"])], ["xxHELLO", "WORLDyy"]) == {"r1": True}
 
 
 def test_contamination_empty_corpus():
-    report = contamination_scan([("r1", ["ABC"])], [])
-    assert report.n_flagged == 0
-    assert report.percent_overlap == 0.0
+    assert contamination_scan([("r1", ["ABC"])], []) == {"r1": False}
 
 
 def _chunked(text, rng):
@@ -339,16 +329,24 @@ def test_contamination_matches_naive_oracle():
                     features.extend((f"r{r}.{k}", [p]) for k, p in enumerate(chain))
                 else:
                     features.append((f"r{r}", [pattern]))
-            report = contamination_scan(features, _chunked(corpus, rng), max_chars=max_chars)
+            flags = contamination_scan(features, _chunked(corpus, rng), max_chars=max_chars)
             for record_id, patterns in features:
                 expected = any(p[:max_chars] in corpus for p in patterns)
-                assert report.flags[record_id] == expected, (record_id, patterns, max_chars)
+                assert flags[record_id] == expected, (record_id, patterns, max_chars)
 
 
 def test_contamination_overlapping_patterns():
     features = [(p, [p]) for p in ["he", "she", "his", "hers"]]
-    report = contamination_scan(features, ["ushers"])
-    assert report.flags == {"he": True, "she": True, "his": False, "hers": True}
+    flags = contamination_scan(features, ["ushers"])
+    assert flags == {"he": True, "she": True, "his": False, "hers": True}
+
+
+def test_contamination_flags_follow_the_features_order():
+    # The contamination command writes its flags file in this order, so it
+    # is the features order, not the order the corpus reveals the hits.
+    features = [("z", ["LATE"]), ("a", ["NEVER"]), ("m", ["EARLY"])]
+    flags = contamination_scan(features, ["EARLY then LATE"])
+    assert list(flags.items()) == [("z", True), ("a", False), ("m", True)]
 
 
 # Each residue is drawn from a freshly seeded generator, so this is 512 "Y"s,
@@ -386,9 +384,9 @@ def test_contamination_adversarial_inputs_finish(patterns, corpus, flagged):
     features = [(f"r{i}", [p]) for i, p in enumerate(patterns)]
     started = time.perf_counter()
     chunks = [corpus[i : i + 65536] for i in range(0, len(corpus), 65536)]
-    report = contamination_scan(features, chunks)
+    flags = contamination_scan(features, chunks)
     assert time.perf_counter() - started < 2.0
-    assert report.n_flagged == flagged
+    assert sum(flags.values()) == flagged
 
 
 def test_contamination_fixture_consistency():
@@ -405,73 +403,3 @@ def test_contamination_fixture_consistency():
         float(row["unfiltered"])
         float(row["filtered"])
     assert {r["task"] for r in rows} >= {"TAP", "HuRI", "phase3"}
-
-
-# --- filtered eval ------------------------------------------------------
-
-
-def _result_with_rows(metric, rows):
-    return EvalResult(task_id="toy", metric=metric, rows=rows)
-
-
-def _row(record_id, truth, score, prediction=None, target=""):
-    return EvalRow(
-        record_id=record_id, subtask=None, target=target, completion="",
-        prediction=prediction, truth=truth, score=score, valid=True,
-    )
-
-
-def test_filtered_eval_identity_when_no_flags():
-    rows = [_row(str(i), i % 2 == 0, 1.0 if i % 2 == 0 else 0.0) for i in range(10)]
-    result = _result_with_rows("auroc", rows)
-    filtered = filtered_eval(result, {})
-    assert filtered.n == 10
-    assert filtered.value == 1.0
-
-
-def test_filtered_eval_degenerate_reported():
-    rows = [
-        _row("0", True, 1.0),
-        _row("1", True, 0.9),
-        _row("2", False, 0.2),
-    ]
-    result = _result_with_rows("auroc", rows)
-    filtered = filtered_eval(result, {"2": True})
-    assert filtered.value is None
-    assert filtered.undefined_reason
-
-
-def test_filtered_eval_improves_when_flagged_rows_were_errors():
-    rows = []
-    for i in range(10):
-        truth = i % 2 == 0
-        prediction = "(B)" if truth else "(A)"
-        rows.append(_row(f"good{i}", truth, 1.0, prediction=prediction, target=prediction))
-    for i in range(4):
-        truth = i % 2 == 0
-        wrong = "(A)" if truth else "(B)"
-        rows.append(_row(f"bad{i}", truth, 0.0, prediction=wrong, target="(B)" if truth else "(A)"))
-    result = _result_with_rows("accuracy", rows)
-    unfiltered = filtered_eval(result, {})
-    filtered = filtered_eval(result, {f"bad{i}": True for i in range(4)})
-    assert unfiltered.value < filtered.value == 1.0
-
-
-def test_filtered_eval_keeps_the_failures_of_the_rows_it_keeps():
-    rows = [_row(str(i), i % 2 == 0, 0.5) for i in range(6)]
-    rows[1] = replace(rows[1], valid=False, failure="boom")
-    rows[4] = replace(rows[4], valid=False, failure="timed out")
-    result = _result_with_rows("auroc", rows)
-    assert result.failures == ["1: boom", "4: timed out"]
-    filtered = filtered_eval(result, {"4": True})
-    assert filtered.failures == ["1: boom"]
-    assert (filtered.n, filtered.invalid_rate) == (5, 0.2)
-
-
-def test_filtered_eval_all_flagged():
-    rows = [_row("0", True, 1.0)]
-    result = _result_with_rows("auroc", rows)
-    filtered = filtered_eval(result, {"0": True})
-    assert filtered.value is None
-    assert filtered.n == 0
-    assert filtered.undefined_reason == "all rows flagged"

@@ -373,7 +373,7 @@ def _regression_task_without_range(tmp_path):
 
 def test_build_fit_ranges_fits_the_train_split_range(tmp_path):
     from txf.corpus import read_manifest
-    from txf.promptgen import BinningSpec, bin_label
+    from txf.promptgen import bin_label
 
     manifests, data, labels = _regression_task_without_range(tmp_path)
     out = tmp_path / "out"
@@ -390,11 +390,10 @@ def test_build_fit_ranges_fits_the_train_split_range(tmp_path):
     fitted = read_manifest(out / "perm.manifest")
     assert fitted.label_range == (min(train), max(train))
     assert fitted.label_range != (min(labels), max(labels))  # valid/test labels left out
-    spec = BinningSpec(min(train), max(train))
     for split in ("train", "valid", "test"):
         for line in (out / f"perm.{split}.jsonl").read_text().splitlines():
             record = json.loads(line)
-            assert record["target"] == bin_label(labels[int(record["record_id"])], spec)[1]
+            assert record["target"] == bin_label(labels[int(record["record_id"])], fitted.label_range)[1]
 
 
 def test_build_without_fit_ranges_needs_a_label_range(tmp_path, capsys):
@@ -581,6 +580,23 @@ def test_contamination_command(tmp_path, capsys):
     assert payload["n_flagged"] == 1
     assert payload["percent_overlap"] == 50.0
     assert flags_out.read_text() == "r1\t1\nr2\t0\n"
+
+
+def test_contamination_command_counts_the_flags_and_rounds_the_percent(tmp_path, capsys):
+    features = tmp_path / "features.tsv"
+    corpus = tmp_path / "corpus.txt"
+    features.write_text("r3\tABSENT\nr1\tNEEDLE\nr2\tMISSING\n")
+    corpus.write_text("hay NEEDLE hay")
+    flags_out = tmp_path / "flags.tsv"
+    code = main([
+        "contamination", "--features", str(features), "--corpus", str(corpus),
+        "--out", str(flags_out),
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "n_records": 3, "n_flagged": 1, "percent_overlap": 33.3333,
+    }
+    assert flags_out.read_text() == "r3\t0\nr1\t1\nr2\t0\n"
 
 
 BOM = "\ufeff".encode("utf-8")

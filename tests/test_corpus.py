@@ -24,7 +24,7 @@ from txf.corpus import (
     write_manifest,
     write_split_audit,
 )
-from txf.promptgen import BinningSpec
+from txf.promptgen import render_target
 from txf.ranks import KIND_METRICS
 
 
@@ -417,7 +417,7 @@ def test_a_regression_manifest_builds_without_a_label_range():
     manifest = _binary_manifest(task_kind="regression", metric="mae")
     assert manifest.label_range is None
     with pytest.raises(ValueError, match="toy: no label range to bin with"):
-        BinningSpec.from_manifest(manifest)
+        render_target(DataRecord("r0", {"drug": "CCO"}, 0.5), manifest)
 
 
 @pytest.mark.parametrize("label_range", [(float("-inf"), 1.0), (0.0, float("inf")), (float("nan"), 1.0)])

@@ -46,7 +46,6 @@ from txf.evalharness import (
 )
 from txf.promptgen import (
     BIN_LEVELS,
-    BinningSpec,
     NeighborIndex,
     render_prompt,
     render_target,
@@ -77,42 +76,42 @@ def test_parse_binary_model_scores_preferred():
 
 
 def test_parse_regression():
-    spec = BinningSpec(0.0, 10.0)
-    assert parse_regression_answer("788", spec) == (pytest.approx(7.88), True)
-    assert parse_regression_answer("1200", spec) == (10.0, True)
-    value, valid = parse_regression_answer("n/a", spec)
+    label_range = (0.0, 10.0)
+    assert parse_regression_answer("788", label_range) == (pytest.approx(7.88), True)
+    assert parse_regression_answer("1200", label_range) == (10.0, True)
+    value, valid = parse_regression_answer("n/a", label_range)
     assert not valid
     assert value == pytest.approx(5.0)
 
 
 def test_parse_regression_clamps_huge_integers():
     # int() refuses strings of more than 4,300 digits.
-    spec = BinningSpec(0.0, 1.0)
-    assert parse_regression_answer("9" * 5000, spec) == (1.0, True)
-    assert parse_regression_answer("0" * 5000 + "7", spec) == (pytest.approx(0.007), True)
-    assert parse_regression_answer("0" * 5000, spec) == (0.0, True)
+    label_range = (0.0, 1.0)
+    assert parse_regression_answer("9" * 5000, label_range) == (1.0, True)
+    assert parse_regression_answer("0" * 5000 + "7", label_range) == (pytest.approx(0.007), True)
+    assert parse_regression_answer("0" * 5000, label_range) == (0.0, True)
     # Non-ASCII decimal zeros are leading zeros too.
-    assert parse_regression_answer("\u0660" * 6 + "\u0665", spec) == (pytest.approx(0.005), True)
+    assert parse_regression_answer("\u0660" * 6 + "\u0665", label_range) == (pytest.approx(0.005), True)
 
 
-def _parse_regression_by_int(completion, spec):
+def _parse_regression_by_int(completion, label_range):
     match = re.search(r"\d+", completion)
     if match is None:
-        return unbin_label(BIN_LEVELS // 2, spec), False
-    return unbin_label(min(int(match.group()), BIN_LEVELS), spec), True
+        return unbin_label(BIN_LEVELS // 2, label_range), False
+    return unbin_label(min(int(match.group()), BIN_LEVELS), label_range), True
 
 
 @given(st.text())
 def test_parse_regression_never_raises(completion):
-    value, valid = parse_regression_answer(completion, BinningSpec(0.0, 1.0))
+    value, valid = parse_regression_answer(completion, (0.0, 1.0))
     assert 0.0 <= value <= 1.0
     assert valid == (re.search(r"\d", completion) is not None)
 
 
 @given(st.text(alphabet=st.characters(categories=["Nd", "Zs", "L"]), max_size=60))
 def test_parse_regression_agrees_with_int_below_its_limit(completion):
-    spec = BinningSpec(0.0, 1.0)
-    assert parse_regression_answer(completion, spec) == _parse_regression_by_int(completion, spec)
+    label_range = (0.0, 1.0)
+    assert parse_regression_answer(completion, label_range) == _parse_regression_by_int(completion, label_range)
 
 
 # Symmetric molecules, among them those whose canonical search once stalled.
@@ -518,6 +517,13 @@ def test_regression_task_with_echo():
     assert result.value == pytest.approx(0.0)
 
 
+def test_evaluating_a_regression_task_without_a_label_range_names_the_task():
+    manifest = golden_tasks.CACO2_MANIFEST
+    prompts = [render_prompt(DataRecord("0", {"drug": "CCO"}, 100.0, split="test"), manifest)]
+    with pytest.raises(ValueError, match="caco2_wang: no label range to bin with"):
+        evaluate_task(replace(manifest, label_range=None), prompts, EchoClient(prompts), concurrency=1)
+
+
 def test_subtask_unweighted_average():
     manifest = TaskManifest(
         task_id="subt",
@@ -566,6 +572,41 @@ def test_transport_failures_kept_as_invalid_rows():
     failed_rows = [r for r in result.rows if r.failure is not None]
     assert [r.record_id for r in failed_rows] == [records[3].record_id]
     assert all(not r.valid and r.failure == "boom" for r in failed_rows)
+
+
+# --- re-scoring the rows a contamination scan left unflagged -------------
+
+
+def _unflagged(result, flags):
+    kept = [r for r in result.rows if not flags.get(r.record_id, False)]
+    return EvalResult(result.task_id, result.metric, kept)
+
+
+def test_rescoring_the_unflagged_rows_keeps_only_their_failures():
+    # Records 0 and 7 carry the drug "C"; both fail transport.
+    manifest, records, prompts = _binary_task(10)
+    result = evaluate_task(manifest, prompts, _FlakyClient(["Drug SMILES: C\n"]), concurrency=1)
+    assert result.failures == ["0: boom", "7: boom"]
+    rescored = _unflagged(result, {"7": True})
+    assert rescored.failures == ["0: boom"]
+    assert (rescored.n, rescored.invalid_rate) == (9, pytest.approx(1 / 9))
+
+
+def test_rescoring_single_class_unflagged_rows_leaves_auroc_undefined():
+    manifest, records, prompts = _binary_task(6)
+    result = evaluate_task(manifest, prompts, MajorityClient(), concurrency=1)
+    negatives = {r.record_id: True for r in records if not r.label}
+    rescored = _unflagged(result, negatives)
+    assert rescored.n == 3
+    assert rescored.value is None
+    assert rescored.undefined_reason == "metric undefined (degenerate labels or scores)"
+
+
+def test_rescoring_with_every_row_flagged_has_no_rows():
+    manifest, records, prompts = _binary_task(4)
+    result = evaluate_task(manifest, prompts, MajorityClient(), concurrency=1)
+    rescored = _unflagged(result, {r.record_id: True for r in records})
+    assert (rescored.n, rescored.value, rescored.undefined_reason) == (0, None, "no rows")
 
 
 def test_a_transport_error_without_a_message_is_a_failure():

@@ -21,7 +21,6 @@ from knn_reference import naive_nearest
 from txf.corpus import CorpusError, DataRecord, FeatureTable, RoleSpec, TaskManifest, assign_splits
 from txf.promptgen import (
     BIN_LEVELS,
-    BinningSpec,
     NeighborIndex,
     PromptRecord,
     bin_label,
@@ -38,41 +37,38 @@ from txf.promptgen import (
 
 
 def test_bin_label_examples():
-    spec = BinningSpec(0.0, 10.0)
-    assert bin_label(7.88, spec) == (788, "788")
-    assert bin_label(0.0, spec) == (0, "000")
-    assert bin_label(15.0, spec) == (1000, "1000")
+    assert bin_label(7.88, (0.0, 10.0)) == (788, "788")
+    assert bin_label(0.0, (0.0, 10.0)) == (0, "000")
+    assert bin_label(15.0, (0.0, 10.0)) == (1000, "1000")
 
 
 def test_bin_label_rejects_nan():
     with pytest.raises(ValueError):
-        bin_label(float("nan"), BinningSpec(0.0, 1.0))
+        bin_label(float("nan"), (0.0, 1.0))
 
 
 def test_bin_label_monotone():
-    spec = BinningSpec(-4.0, 9.0)
     values = [-6.0, -4.0, -1.3, 0.0, 2.7, 8.999, 9.0, 12.0]
-    bins = [bin_label(v, spec)[0] for v in values]
+    bins = [bin_label(v, (-4.0, 9.0))[0] for v in values]
     assert bins == sorted(bins)
 
 
 def test_unbin_examples():
-    spec = BinningSpec(0.0, 10.0)
-    assert unbin_label(788, spec) == pytest.approx(7.88)
-    assert unbin_label(0, spec) == 0.0
-    assert unbin_label(1000, spec) == 10.0
+    assert unbin_label(788, (0.0, 10.0)) == pytest.approx(7.88)
+    assert unbin_label(0, (0.0, 10.0)) == 0.0
+    assert unbin_label(1000, (0.0, 10.0)) == 10.0
     with pytest.raises(ValueError):
-        unbin_label(1001, spec)
+        unbin_label(1001, (0.0, 10.0))
 
 
 def test_bin_round_trip_error_bound():
     rng = random.Random(97)
-    spec = BinningSpec(-3.0, 17.0)
-    half_step = (spec.maximum - spec.minimum) / (2 * BIN_LEVELS)
+    lo, hi = -3.0, 17.0
+    half_step = (hi - lo) / (2 * BIN_LEVELS)
     for _ in range(10_000):
-        y = rng.uniform(spec.minimum, spec.maximum)
-        b, _ = bin_label(y, spec)
-        assert abs(unbin_label(b, spec) - y) <= half_step + 1e-12
+        y = rng.uniform(lo, hi)
+        b, _ = bin_label(y, (lo, hi))
+        assert abs(unbin_label(b, (lo, hi)) - y) <= half_step + 1e-12
 
 
 # --- rendering ---------------------------------------------------------
