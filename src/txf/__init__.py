@@ -14,6 +14,7 @@ Subpackages and modules:
 - ``txf.contamination`` the contamination scan, re-exported by ``txf.analysis``
 - ``txf.atomic``        atomic output files, shared by every writer
 - ``txf.ranks``         average ranks, shared by the metrics and the signed-rank test
+- ``txf.value``         value classes: equality, hash and repr by field, shared by the records
 - ``txf.cli``           the ``txf`` command-line entry point
 """
 

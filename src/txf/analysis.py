@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .contamination import contamination_scan
 from .ranks import LOWER_IS_BETTER_METRICS, average_ranks, lower_is_better_for, parse_direction
+from .value import Frozen, Value, set_fields
 
 __all__ = [
     "ScoreRow",
@@ -39,24 +39,23 @@ NEAR_THRESHOLD = 0.1
 EXACT_LIMIT = 25
 
 
-@dataclass(frozen=True)
-class ScoreRow:
-    task: str
-    feature_type: str
-    metric: str
-    lower_is_better: bool
-    sota: float | None
-    model: float
+class ScoreRow(Frozen):
+    __slots__ = ("task", "feature_type", "metric", "lower_is_better", "sota", "model")
+
+    def __init__(
+        self, task: str, feature_type: str, metric: str, lower_is_better: bool, sota: float | None, model: float
+    ):
+        set_fields(self, (task, feature_type, metric, lower_is_better, sota, model))
 
 
-@dataclass(frozen=True)
-class PairRow:
-    task: str
-    metric: str
-    lower_is_better: bool
-    a: float
-    b: float
-    tie_winner: str | None = None  # "a" or "b" when the rounded values tie
+class PairRow(Frozen):
+    __slots__ = ("task", "metric", "lower_is_better", "a", "b", "tie_winner")
+
+    def __init__(
+        self, task: str, metric: str, lower_is_better: bool, a: float, b: float,
+        tie_winner: str | None = None,  # "a" or "b" when the rounded values tie
+    ):
+        set_fields(self, (task, metric, lower_is_better, a, b, tie_winner))
 
 
 def relative_difference(row: ScoreRow) -> float:
@@ -122,16 +121,16 @@ def median_relative_difference_by_feature_type(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ComparisonResult:
-    n_input: int
-    n_used: int
-    wins_a: int
-    wins_b: int
-    zeros: int
-    statistic: float
-    p_value: float
-    differences: list[float] = field(default_factory=list)
+class ComparisonResult(Value):
+    __slots__ = ("n_input", "n_used", "wins_a", "wins_b", "zeros", "statistic", "p_value", "differences")
+
+    def __init__(
+        self, n_input: int, n_used: int, wins_a: int, wins_b: int, zeros: int, statistic: float, p_value: float,
+        differences: list[float] | None = None,  # a new empty list by default
+    ):
+        self.n_input, self.n_used, self.wins_a, self.wins_b = n_input, n_used, wins_a, wins_b
+        self.zeros, self.statistic, self.p_value = zeros, statistic, p_value
+        self.differences = [] if differences is None else differences
 
 
 def _signed_rank_p_exact(ranks: list[float], w_min: float, n: int) -> float:

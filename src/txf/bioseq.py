@@ -8,8 +8,9 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
+
+from .value import Frozen, set_fields
 
 __all__ = [
     "BioSequence",
@@ -33,23 +34,19 @@ MISMATCH_SCORE = -1
 GAP_SCORE = -2
 
 
-@dataclass(frozen=True)
-class BioSequence:
-    residues: str
-    kind: str = AMINO_ACID
+class BioSequence(Frozen):
+    __slots__ = ("residues", "kind")
 
-    def __post_init__(self):
-        if self.kind not in _ALPHABETS:
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
-        if not self.residues:
+    def __init__(self, residues: str, kind: str = AMINO_ACID):
+        if kind not in _ALPHABETS:
+            raise ValueError(f"unknown sequence kind {kind!r}")
+        if not residues:
             raise ValueError("empty sequence")
-        if not self.residues.isupper():
-            object.__setattr__(self, "residues", self.residues.upper())
-        bad = set(self.residues) - _ALPHABETS[self.kind]
+        residues = residues.upper()
+        bad = set(residues) - _ALPHABETS[kind]
         if bad:
-            raise ValueError(
-                f"characters {sorted(bad)} not in the {self.kind} alphabet"
-            )
+            raise ValueError(f"characters {sorted(bad)} not in the {kind} alphabet")
+        set_fields(self, (residues, kind))
 
     def __len__(self) -> int:
         return len(self.residues)

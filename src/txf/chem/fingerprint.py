@@ -11,10 +11,10 @@ pinned by ``tests/fixtures/fingerprint_golden.json``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from ..value import Frozen, set_fields
 from .smiles import Molecule
 
 __all__ = [
@@ -44,17 +44,15 @@ def _hash_ints(values: Iterable[int]) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(Frozen):
     """2048-bit vector with a cached popcount."""
 
-    bits: int
-    popcount: int = field(init=False)
+    __slots__ = ("bits", "popcount")
 
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> _NBITS:
+    def __init__(self, bits: int):
+        if bits < 0 or bits >> _NBITS:
             raise ValueError(f"bits exceed {_NBITS}-bit width")
-        object.__setattr__(self, "popcount", self.bits.bit_count())
+        set_fields(self, (bits, bits.bit_count()))
 
 
 # A pure function of the atom type, which a corpus repeats thousands of

@@ -10,7 +10,8 @@ no perception or kekulization is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+
+from ..value import Frozen, set_field, set_fields
 
 __all__ = [
     "Atom",
@@ -65,53 +66,57 @@ class SmilesParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Atom:
-    symbol: str
-    aromatic: bool = False
-    charge: int = 0
-    isotope: int | None = None
-    hcount: int = 0
-    map_num: int | None = None
-    chirality: str | None = None  # "@" or "@@" as written
-    bracket: bool = False  # written in [] with an explicit H count
+class Atom(Frozen):
+    # chirality: "@" or "@@" as written; bracket: written in [] with an
+    # explicit H count.
+    __slots__ = ("symbol", "aromatic", "charge", "isotope", "hcount", "map_num", "chirality", "bracket")
+
+    def __init__(
+        self, symbol: str, aromatic: bool = False, charge: int = 0, isotope: int | None = None,
+        hcount: int = 0, map_num: int | None = None, chirality: str | None = None, bracket: bool = False,
+    ):
+        set_field(self, "symbol", symbol)
+        set_field(self, "aromatic", aromatic)
+        set_field(self, "charge", charge)
+        set_field(self, "isotope", isotope)
+        set_field(self, "hcount", hcount)
+        set_field(self, "map_num", map_num)
+        set_field(self, "chirality", chirality)
+        set_field(self, "bracket", bracket)
 
 
-@dataclass(frozen=True)
-class Bond:
-    a: int
-    b: int
-    order: int = SINGLE
-    direction: str | None = None  # "/" or "\\", oriented from a to b
+class Bond(Frozen):
+    __slots__ = ("a", "b", "order", "direction")  # direction: "/" or "\\", oriented from a to b
+
+    def __init__(self, a: int, b: int, order: int = SINGLE, direction: str | None = None):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "order", order)
+        set_field(self, "direction", direction)
 
 
-@dataclass(frozen=True)
-class Molecule:
-    """Attributed molecular graph. Immutable once constructed."""
+class Molecule(Frozen):
+    """Attributed molecular graph. Immutable once constructed: assigning or
+    deleting a field raises AttributeError."""
 
-    atoms: tuple[Atom, ...]
-    bonds: tuple[Bond, ...]
-    # As-written neighbor lists (atom indices, with "H" marking a bracket
-    # hydrogen slot); needed to interpret tetrahedral annotations.
-    written_order: tuple[tuple, ...] = ()
+    # written_order: as-written neighbor lists (atom indices, "H" marking a bracket hydrogen
+    # slot), for tetrahedral annotations; by default one empty tuple per atom.
+    __slots__ = ("atoms", "bonds", "written_order")
 
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(self, atoms: tuple[Atom, ...], bonds: tuple[Bond, ...], written_order: tuple[tuple, ...] = ()):
+        if not atoms:
             raise ValueError("molecule must contain at least one atom")
         seen = set()
-        for bond in self.bonds:
+        for bond in bonds:
             if bond.a == bond.b:
                 raise ValueError("self-bond")
-            if not (0 <= bond.a < len(self.atoms) and 0 <= bond.b < len(self.atoms)):
+            if not (0 <= bond.a < len(atoms) and 0 <= bond.b < len(atoms)):
                 raise ValueError("bond references missing atom")
             key = (min(bond.a, bond.b), max(bond.a, bond.b))
             if key in seen:
                 raise ValueError("duplicate bond")
             seen.add(key)
-        if not self.written_order:
-            object.__setattr__(
-                self, "written_order", tuple(() for _ in self.atoms)
-            )
+        set_fields(self, (atoms, bonds, written_order or tuple(() for _ in atoms)))
 
     def neighbors(self) -> list[list[tuple[int, Bond]]]:
         adj: list[list[tuple[int, Bond]]] = [[] for _ in self.atoms]
@@ -452,7 +457,10 @@ def strip_atom_maps(mol: Molecule) -> Molecule:
     if all(a.map_num is None for a in mol.atoms):
         return mol
     return Molecule(
-        atoms=tuple(replace(a, map_num=None) for a in mol.atoms),
+        atoms=tuple(
+            Atom(a.symbol, a.aromatic, a.charge, a.isotope, a.hcount, None, a.chirality, a.bracket)
+            for a in mol.atoms
+        ),
         bonds=mol.bonds,
         written_order=mol.written_order,
     )

@@ -13,11 +13,11 @@ import math
 import random
 import re
 import threading
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .atomic import write_atomically
 from .ranks import KIND_METRICS, METRICS, lower_is_better_for, parse_direction
+from .value import Frozen, Value, set_fields
 
 # txf.chem and txf.bioseq are imported by the FeatureTable helpers that
 # convert, so a command that converts no SMILES never loads the
@@ -51,35 +51,34 @@ class CorpusError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RoleSpec:
-    name: str
-    kind: str
-    column: str
-    label: str  # display label used as the prompt role line prefix
+class RoleSpec(Frozen):
+    __slots__ = ("name", "kind", "column", "label")  # label: the prompt role line prefix
+
+    def __init__(self, name: str, kind: str, column: str, label: str):
+        set_fields(self, (name, kind, column, label))
 
 
-@dataclass(frozen=True)
-class TaskManifest:
-    task_id: str
-    task_kind: str
-    roles: tuple[RoleSpec, ...]
-    instruction: str
-    context: str
-    question: str
-    label_column: str
-    metric: str
-    split_method: str
-    label_range: tuple[float, float] | None = None
-    cold_start_role: str | None = None
-    combination_roles: tuple[str, str] | None = None
-    timestamp_column: str | None = None
-    subtask_column: str | None = None
+class TaskManifest(Frozen):
+    __slots__ = (
+        "task_id", "task_kind", "roles", "instruction", "context", "question", "label_column", "metric",
+        "split_method", "label_range", "cold_start_role", "combination_roles", "timestamp_column",
+        "subtask_column",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self, task_id: str, task_kind: str, roles: tuple[RoleSpec, ...], instruction: str, context: str,
+        question: str, label_column: str, metric: str, split_method: str,
+        label_range: tuple[float, float] | None = None, cold_start_role: str | None = None,
+        combination_roles: tuple[str, str] | None = None, timestamp_column: str | None = None,
+        subtask_column: str | None = None,
+    ):
         """Raise one ``CorpusError``, a ``<task_id>: <problem>`` line per
         broken invariant. A regression manifest may lack its label range:
         ``fit_label_range`` can fill it in after the split."""
+        set_fields(self, (
+            task_id, task_kind, roles, instruction, context, question, label_column, metric, split_method,
+            label_range, cold_start_role, combination_roles, timestamp_column, subtask_column,
+        ))
         problems = []
         if self.task_kind not in TASK_KINDS:
             problems.append(f"unknown task_kind {self.task_kind!r}")
@@ -144,20 +143,22 @@ class TaskManifest:
         return "", []
 
 
-@dataclass
-class DataRecord:
-    record_id: str
-    features: dict[str, str]
-    label: bool | float | str
-    subtask: str | None = None
-    timestamp: str | None = None
-    split: str | None = None
+class DataRecord(Value):
+    __slots__ = ("record_id", "features", "label", "subtask", "timestamp", "split")
+
+    def __init__(
+        self, record_id: str, features: dict[str, str], label: bool | float | str, subtask: str | None = None,
+        timestamp: str | None = None, split: str | None = None,
+    ):
+        self.record_id, self.features, self.label = record_id, features, label
+        self.subtask, self.timestamp, self.split = subtask, timestamp, split
 
 
-@dataclass
-class LoadedTable:
-    records: list[DataRecord]
-    dropped: int
+class LoadedTable(Value):
+    __slots__ = ("records", "dropped")
+
+    def __init__(self, records: list[DataRecord], dropped: int):
+        self.records, self.dropped = records, dropped
 
 
 _MISSING = object()
@@ -499,6 +500,13 @@ def _group_records(records, key_fn) -> dict:
     return groups
 
 
+def _with_splits(records: list[DataRecord], splits: list[str]) -> list[DataRecord]:
+    return [
+        DataRecord(r.record_id, r.features, r.label, r.subtask, r.timestamp, split)
+        for r, split in zip(records, splits)
+    ]
+
+
 def assign_splits(
     records: list[DataRecord],
     manifest: TaskManifest,
@@ -542,7 +550,7 @@ def assign_splits(
                 counts[bucket] += len(members)
             for idx in members:
                 assignment[idx] = bucket
-        return [replace(record, split=assignment[i]) for i, record in enumerate(records)]
+        return _with_splits(records, assignment)
 
     if method == "random":
         order = list(range(n))
@@ -577,7 +585,7 @@ def assign_splits(
         for idx in members:
             assignment[idx] = bucket
         assigned += len(members)
-    return [replace(record, split=assignment[i]) for i, record in enumerate(records)]
+    return _with_splits(records, assignment)
 
 
 def fit_label_range(records: list[DataRecord], manifest: TaskManifest) -> TaskManifest:
@@ -590,7 +598,12 @@ def fit_label_range(records: list[DataRecord], manifest: TaskManifest) -> TaskMa
     lo, hi = min(train_labels), max(train_labels)
     if lo == hi:
         raise CorpusError(f"{manifest.task_id}: degenerate label range [{lo}, {hi}]")
-    return replace(manifest, label_range=(float(lo), float(hi)))
+    m = manifest
+    return TaskManifest(
+        m.task_id, m.task_kind, m.roles, m.instruction, m.context, m.question, m.label_column, m.metric,
+        m.split_method, (float(lo), float(hi)), m.cold_start_role, m.combination_roles, m.timestamp_column,
+        m.subtask_column,
+    )
 
 
 def write_split_audit(records: list[DataRecord], path) -> None:

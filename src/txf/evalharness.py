@@ -18,7 +18,6 @@ import math
 import re
 import sys
 import threading
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING, Protocol, Sequence
@@ -36,6 +35,7 @@ from .promptgen import (
     unbin_label,
 )
 from .ranks import _floats, average_ranks, lower_is_better_for
+from .value import Frozen, Value, set_fields
 
 if TYPE_CHECKING:  # txf.chem loads only for generation tasks
     from .chem import Reactants
@@ -73,11 +73,11 @@ MAX_TOKENS = 512
 TEMPERATURE = 0.0
 
 
-@dataclass(frozen=True)
-class GenerationResponse:
-    text: str
-    option_scores: dict[str, float] | None = None
-    latency: float = 0.0
+class GenerationResponse(Frozen):
+    __slots__ = ("text", "option_scores", "latency")
+
+    def __init__(self, text: str, option_scores: dict[str, float] | None = None, latency: float = 0.0):
+        set_fields(self, (text, option_scores, latency))
 
 
 class TransportError(RuntimeError):
@@ -322,34 +322,27 @@ def spearman(predictions, targets) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EvalRow:
-    record_id: str
-    subtask: str | None
-    target: str
-    completion: str
-    prediction: object
-    truth: object
-    score: float
-    valid: bool
-    failure: str | None = None  # the transport error's text
+class EvalRow(Value):
+    __slots__ = ("record_id", "subtask", "target", "completion", "prediction", "truth", "score", "valid", "failure")
+
+    def __init__(
+        self, record_id: str, subtask: str | None, target: str, completion: str, prediction: object,
+        truth: object, score: float, valid: bool, failure: str | None = None,  # the transport error's text
+    ):
+        self.record_id, self.subtask, self.target, self.completion = record_id, subtask, target, completion
+        self.prediction, self.truth, self.score, self.valid, self.failure = prediction, truth, score, valid, failure
 
 
-@dataclass
-class EvalResult:
+class EvalResult(Value):
     """A task's metric over its rows: value, subtask_values and undefined_reason
     are scored when the result is made; n, invalid_rate and failures are read
     from the rows on each access."""
 
-    task_id: str
-    metric: str
-    rows: list[EvalRow]
-    value: float | None = field(init=False)
-    subtask_values: dict[str, float | None] | None = field(init=False)
-    undefined_reason: str | None = field(init=False)
+    __slots__ = ("task_id", "metric", "rows", "value", "subtask_values", "undefined_reason")
 
-    def __post_init__(self) -> None:
-        self.value, self.subtask_values, self.undefined_reason = score_rows(self.metric, self.rows)
+    def __init__(self, task_id: str, metric: str, rows: list[EvalRow]):
+        self.task_id, self.metric, self.rows = task_id, metric, rows
+        self.value, self.subtask_values, self.undefined_reason = score_rows(metric, rows)
 
     @property
     def n(self) -> int:

@@ -14,11 +14,11 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .atomic import write_atomically
 from .corpus import _PLACEHOLDER, DataRecord, FeatureTable, TaskManifest
+from .value import Frozen, set_fields
 
 __all__ = [
     "ANSWER_NEGATIVE",
@@ -84,17 +84,16 @@ def unbin_label(b: int, label_range: tuple[float, float]) -> float:
     return lo + (b / BIN_LEVELS) * (hi - lo)
 
 
-@dataclass(frozen=True)
-class PromptRecord:
-    task_id: str
-    record_id: str
-    split: str
-    prompt: str
-    target: str
-    shot_ids: tuple[str, ...] = ()
-    estimated_length: int = 0
-    over_budget: bool = False
-    subtask: str | None = None
+class PromptRecord(Frozen):
+    __slots__ = (
+        "task_id", "record_id", "split", "prompt", "target", "shot_ids", "estimated_length", "over_budget", "subtask",
+    )
+
+    def __init__(
+        self, task_id: str, record_id: str, split: str, prompt: str, target: str, shot_ids: tuple[str, ...] = (),
+        estimated_length: int = 0, over_budget: bool = False, subtask: str | None = None,
+    ):
+        set_fields(self, (task_id, record_id, split, prompt, target, shot_ids, estimated_length, over_budget, subtask))
 
 
 def render_target(record: DataRecord, manifest: TaskManifest) -> str:
@@ -380,6 +379,10 @@ def build_mixture(
         yield render_prompt(record, manifest, shots, budget=INPUT_BUDGET)
 
 
+# json.dumps(obj, ensure_ascii=False) builds a new encoder per call.
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def write_prompt_jsonl(records: Iterable[PromptRecord], path) -> None:
     """One UTF-8 JSON object per line; the contract with trainers/evaluators."""
 
@@ -397,7 +400,7 @@ def write_prompt_jsonl(records: Iterable[PromptRecord], path) -> None:
             }
             if r.subtask is not None:
                 obj["subtask"] = r.subtask
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(_encode_json(obj) + "\n")
 
     write_atomically(path, write)
 

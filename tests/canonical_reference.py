@@ -14,7 +14,7 @@ two by their first direction token. Over all 2^k inputs the least string
 written is thus the least respelling as stored.
 """
 
-from dataclasses import replace
+from rebuild import replace
 
 from txf.chem.smiles import (
     _dense_ranks,

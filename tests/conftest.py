@@ -2,7 +2,7 @@
 molecules, graph permutation."""
 
 import random
-from dataclasses import replace
+from rebuild import replace
 from pathlib import Path
 
 import pytest

@@ -2,7 +2,7 @@
 tests: the molecule is cut into one Molecule per connected component, and
 each component is map-stripped and written canonically on its own."""
 
-from dataclasses import replace
+from rebuild import replace
 
 from txf.chem import Molecule, SmilesParseError, parse_smiles, strip_atom_maps, write_canonical
 

@@ -1,7 +1,7 @@
 import itertools
 import random
 import time
-from dataclasses import replace
+from rebuild import replace
 
 import pytest
 

@@ -1604,10 +1604,10 @@ def _build_zero_shot(tmp_path):
     ], {"numpy", "txf.evalharness", "txf.analysis"}
 
 
-# The contamination command runs once per dataset, so it loads the scan alone:
-# not dataclasses with inspect, nor csv and the scoreboard code. typing is not
-# pinned: a site module may load it before txf runs.
-_NOT_FOR_THE_SCAN = {"dataclasses", "inspect", "csv", "txf.ranks", "txf.analysis"}
+# The contamination command runs once per dataset, so it loads the scan alone,
+# not csv and the scoreboard code. typing is not pinned: a site module may
+# load it before txf runs.
+_NOT_FOR_THE_SCAN = {"csv", "txf.ranks", "txf.analysis"}
 
 
 def _contamination_of_the_table(tmp_path):
@@ -1739,7 +1739,9 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, case):
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["code"] == 0
-    assert absent & set(report["modules"]) == set()
+    # txf's value classes are plain __slots__ classes, so no command loads
+    # dataclasses with inspect.
+    assert (absent | {"dataclasses", "inspect"}) & set(report["modules"]) == set()
 
 
 _EDITS = st.lists(

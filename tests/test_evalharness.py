@@ -6,7 +6,7 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import replace
+from rebuild import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -299,7 +299,7 @@ def test_echo_stub_perfect_set_accuracy():
 
 
 def test_majority_stub_balanced_binary():
-    from dataclasses import replace
+    from rebuild import replace
 
     manifest, _, prompts = _binary_task(100)
     result = evaluate_task(manifest, prompts, MajorityClient(), concurrency=4)
@@ -470,7 +470,7 @@ def test_knn_stub_shared_index_under_threads():
 def test_knn_stub_aligns_each_distinct_pair_once_under_threads(monkeypatch):
     # A slow alignment makes the worker threads overlap, so an unguarded
     # check-then-set in the feature table's pair memo would align a pair twice.
-    from dataclasses import replace
+    from rebuild import replace
 
     import txf.bioseq as bioseq
 
@@ -624,7 +624,7 @@ def test_a_transport_error_without_a_message_is_a_failure():
     (golden_tasks.USPTO_MANIFEST, golden_tasks.USPTO_QUERY),
 ], ids=["binary", "regression", "generation"])
 def test_failed_record_scores_as_the_empty_completion(manifest, query):
-    from dataclasses import replace
+    from rebuild import replace
 
     prompts = [render_prompt(query, manifest)]
     [failed] = evaluate_task(manifest, prompts, _FlakyClient([prompts[0].prompt])).rows

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import replace
+from rebuild import replace
 from pathlib import Path
 
 import pytest

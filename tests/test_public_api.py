@@ -1,5 +1,5 @@
 import importlib
-from dataclasses import replace
+from rebuild import replace
 
 import pytest
 

@@ -1,7 +1,7 @@
 import json
 import random
 import time
-from dataclasses import replace
+from rebuild import replace
 
 import pytest
 from hypothesis import assume, given, settings
