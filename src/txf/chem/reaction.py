@@ -15,7 +15,10 @@ class Reactants:
     canonical string spells every one of those, so two sets with different
     compositions cannot have equal canonical component sets. The canonical
     set is written on the first call to ``canonical`` and kept; that call
-    is not locked, so one thread scores with a given instance.
+    is not locked, so one thread scores with a given instance. The strings
+    come from ``write_canonical``'s process-wide memo, so a component that
+    recurs in one atom order across answers and truths, atom-mapped or
+    not, is searched once.
     """
 
     def __init__(self, molecule: Molecule):

@@ -553,9 +553,48 @@ def _rank_component(mol: Molecule, adj, comp: list[int]) -> dict[int, int]:
     return _refine(adj, _dense_ranks({a: _initial_invariant(mol.atoms[a], len(adj[a])) for a in comp}))
 
 
+# Canonical strings of the components written so far in this process, keyed
+# by _component_key. Emptied when full. Each read, write and clear is one
+# dict operation, atomic under the GIL, so threads need no lock: two that
+# miss at once both search and store the same string, and the memo may pass
+# its cap by one entry per such thread until the next clear.
+_COMPONENT_MEMO_SIZE = 4096
+_component_memo: dict[tuple, str] = {}
+
+
+def _component_key(mol: Molecule, comp: list[int]) -> tuple:
+    """Every field the writer reads of a component, with atoms numbered by
+    their position in ``comp``.
+
+    A chiral atom adds its written neighbour order if it is a bracket atom,
+    and None if not. ``bracket`` and ``written_order`` are read nowhere
+    else, so a bare atom and a bracket atom that spell the same atom share
+    a key."""
+    local = {a: i for i, a in enumerate(comp)}
+    atoms = []
+    for a in comp:
+        atom = mol.atoms[a]
+        fields = (atom.symbol, atom.aromatic, atom.charge, atom.isotope, atom.hcount, atom.map_num, atom.chirality)
+        if atom.chirality:
+            # "H", like any entry outside the component, is wrapped so that it
+            # cannot pass for a local position.
+            order = tuple(local.get(v, (v,)) for v in mol.written_order[a]) if atom.bracket else None
+            fields += (order,)
+        atoms.append(fields)
+    bonds = tuple((local[b.a], local[b.b], b.order, b.direction) for b in mol.bonds if b.a in local)
+    return tuple(atoms), bonds
+
+
 def _canonical_component(mol: Molecule, adj, comp: list[int]) -> str:
-    ranks = _rank_component(mol, adj, comp)
-    return _canonical_search(mol, adj, comp, ranks, _direction_clusters(mol, comp))
+    key = _component_key(mol, comp)
+    text = _component_memo.get(key)
+    if text is None:
+        ranks = _rank_component(mol, adj, comp)
+        text = _canonical_search(mol, adj, comp, ranks, _direction_clusters(mol, comp))
+        if len(_component_memo) >= _COMPONENT_MEMO_SIZE:
+            _component_memo.clear()
+        _component_memo[key] = text
+    return text
 
 
 def _direction_clusters(mol: Molecule, comp: list[int]) -> dict[tuple[int, int], int]:
@@ -819,6 +858,14 @@ def write_canonical(mol: Molecule) -> str:
     changes only its own tokens, so this is the smallest of all respellings,
     and equivalent direction spellings give one string for any number of
     stereo bonds.
+
+    Each component's string is kept in one bounded memo per process, keyed
+    by the fields the writer reads, so a component is searched once however
+    many molecules and spellings contain it. Spellings share an entry when
+    they list the component's atoms in the same order: a bare atom and its
+    bracket spelling do, as do an atom-mapped component after
+    ``strip_atom_maps`` and its unmapped spelling. A component spelled in
+    another atom order is searched again, to the same string.
     """
     adj = mol.neighbors()
     parts = [_canonical_component(mol, adj, comp) for comp in mol.components()]

@@ -170,12 +170,10 @@ class FeatureTable:
     One table serves one task for one command: the scaffold split, every
     shot pool's ``NeighborIndex`` and the knn stub read from it, so each
     distinct SMILES is parsed, scaffold-keyed and fingerprinted once, each
-    distinct scaffold ``Molecule`` is written canonically once, each
     distinct sequence becomes a ``BioSequence`` once, and each distinct
-    sequence pair is scored once per pair function. Two scaffold
-    ``Molecule``s are equal when their cores are spelled in the same atom
-    order, so members of a series share one write only then; a core
-    respelled in another order is written again, to the same string.
+    sequence pair is scored once per pair function. Scaffold strings are
+    kept per SMILES; a scaffold that several SMILES spell in one atom order
+    is searched once, through ``write_canonical``'s process-wide memo.
     Entries are made on first use. A string that does not convert maps to
     None, and its scaffold key is "". The knn stub queries from worker
     threads, so an entry is made under a lock, after a second look.
@@ -184,7 +182,6 @@ class FeatureTable:
     def __init__(self):
         self._molecules: dict[str, object] = {}
         self._scaffolds: dict[str, str] = {}
-        self._scaffold_strings: dict[object, str] = {}
         self._fingerprints: dict[str, object] = {}
         self._sequences: dict[tuple[str, str], object] = {}
         self._pairs: dict[tuple, float] = {}
@@ -230,9 +227,7 @@ class FeatureTable:
 
         mol = self.molecule(text)
         scaffold = None if mol is None else murcko_scaffold(mol)
-        if scaffold is None:
-            return ""
-        return self._entry(self._scaffold_strings, scaffold, write_canonical)
+        return "" if scaffold is None else write_canonical(scaffold)
 
     def _fingerprint_of(self, text: str):
         from .chem import morgan_fingerprint

@@ -139,3 +139,14 @@ CANONICAL_WORST_CASES = {
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture(autouse=True)
+def fresh_component_memo(monkeypatch) -> dict:
+    """An empty canonical-component memo for each test, so a test's writes
+    search as they would in a new process."""
+    from txf.chem import smiles
+
+    memo: dict = {}
+    monkeypatch.setattr(smiles, "_component_memo", memo)
+    return memo

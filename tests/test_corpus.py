@@ -219,19 +219,19 @@ def test_feature_table_converts_each_string_once_under_threads(monkeypatch):
     assert len(calls) == len(strings) + 3 and max(calls.values()) == 1
 
 
-def test_scaffold_split_writes_each_distinct_scaffold_once(monkeypatch):
+def test_scaffold_split_writes_each_distinct_scaffold_once(monkeypatch, fresh_component_memo):
     from txf import chem
     from txf.chem import scaffold
 
-    written = []
+    written = []  # the string of each canonical component search
     write = chem.write_canonical
+    search = chem.smiles._canonical_search
 
-    def counting_write(mol):
-        written.append(mol)
-        return write(mol)
+    def counting_search(*args):
+        written.append(search(*args))
+        return written[-1]
 
-    for module in (chem, scaffold):
-        monkeypatch.setattr(module, "write_canonical", counting_write)
+    monkeypatch.setattr(chem.smiles, "_canonical_search", counting_search)
     # Three decorated members of each of two series, each series sharing one
     # scaffold Molecule, plus an acyclic and an unparseable feature.
     series = ["c1ccc2ccccc2c1", "O=C1CN=C(c2ccccc2)c2cc(Cl)ccc2N1"]
