@@ -126,23 +126,28 @@ class Molecule(Frozen):
         return adj
 
     def components(self) -> list[list[int]]:
-        adj = self.neighbors()
-        seen = [False] * len(self.atoms)
-        comps = []
-        for start in range(len(self.atoms)):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v, _ in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            comps.append(sorted(comp))
-        return comps
+        return _components(self.neighbors())
+
+
+def _components(adj) -> list[list[int]]:
+    """The sorted atom indices of each connected part of the molecule whose
+    neighbor lists are adj, in order of their lowest atom."""
+    seen = [False] * len(adj)
+    comps = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v, _ in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        comps.append(sorted(comp))
+    return comps
 
 
 def implied_hydrogens(symbol: str, aromatic: bool, bond_orders) -> int:
@@ -868,5 +873,5 @@ def write_canonical(mol: Molecule) -> str:
     another atom order is searched again, to the same string.
     """
     adj = mol.neighbors()
-    parts = [_canonical_component(mol, adj, comp) for comp in mol.components()]
+    parts = [_canonical_component(mol, adj, comp) for comp in _components(adj)]
     return ".".join(sorted(parts))

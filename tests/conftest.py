@@ -150,3 +150,21 @@ def fresh_component_memo(monkeypatch) -> dict:
     memo: dict = {}
     monkeypatch.setattr(smiles, "_component_memo", memo)
     return memo
+
+
+@pytest.fixture
+def scan_compiles(monkeypatch) -> list[int]:
+    """The number of keys each regex the contamination scan compiles
+    spells, in the order the scan compiles them."""
+    from txf import contamination
+
+    counts: list[int] = []
+    compile_keys = contamination._longest_key_regex
+
+    def counting(keys):
+        keys = list(keys)
+        counts.append(len(keys))
+        return compile_keys(keys)
+
+    monkeypatch.setattr(contamination, "_longest_key_regex", counting)
+    return counts

@@ -4,6 +4,8 @@ import time
 from rebuild import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from txf.analysis import (
@@ -387,6 +389,85 @@ def test_contamination_adversarial_inputs_finish(patterns, corpus, flagged):
     flags = contamination_scan(features, chunks)
     assert time.perf_counter() - started < 2.0
     assert sum(flags.values()) == flagged
+
+
+def test_contamination_compiles_only_groups_the_corpus_holds(scan_compiles):
+    # Keys are grouped by first character, and a group is compiled only
+    # when a chunk holds that character.
+    features = [("r1", ["CCO"]), ("r2", ["N#N"]), ("r3", ["[Na+]"]), ("r4", ["CCN"])]
+    assert contamination_scan(features, []) == dict.fromkeys(["r1", "r2", "r3", "r4"], False)
+    assert contamination_scan(features, ["water", "", "salt"]) == dict.fromkeys(["r1", "r2", "r3", "r4"], False)
+    assert scan_compiles == []
+    flags = contamination_scan(features, ["water", "", "CCO"])
+    assert flags == {"r1": True, "r2": False, "r3": False, "r4": False}
+    assert scan_compiles == [2]
+
+
+def test_contamination_recompiles_a_group_only_after_half_its_keys_retire(scan_compiles):
+    # 64 keys with one first character, on both sides of the 32-character
+    # key length, found one chunk after another: a group rebuilt on every
+    # retired key would compile 64 + 63 + ... + 1 keys.
+    patterns = [f"C{i:03d}" + "N" * (i % 40) for i in range(64)]
+    chunks = [f"..{p}.." for p in patterns]
+    flags = contamination_scan([(p, [p]) for p in patterns], chunks)
+    assert all(flags.values())
+    assert sum(scan_compiles) <= 2 * len(patterns)
+    assert scan_compiles == [64, 32, 16, 8, 4, 2, 1]
+
+
+_SCAN_ALPHABETS = [
+    "CNOcn()[]=#@+-12",  # SMILES
+    ".*+?|^$\\()[]{}",  # regex metacharacters
+    "Aé☃𝔸\n",  # non-ASCII and a newline
+    "CNOcn()[]=#@+-12.*?|^$\\{}é☃𝔸\n",  # many first characters at once
+]
+
+
+@st.composite
+def _scan_cases(draw):
+    """(features, corpus, chunks, max_chars): patterns on both sides of the
+    32-character keys, most taken from the corpus and some of those with one
+    character changed, prefix chains, and the corpus cut at random points
+    into chunks that may be empty or one character long. The corpus repeats
+    words that share a stem, so a key recurs with other text after it before
+    the place where a longer pattern that begins with it occurs."""
+    alphabet = draw(st.sampled_from(_SCAN_ALPHABETS))
+    stem = draw(st.text(alphabet, max_size=40))
+    words = [stem + tail for tail in draw(st.lists(st.text(alphabet, min_size=1, max_size=40), min_size=1, max_size=3))]
+    pieces = draw(st.lists(st.sampled_from(words) | st.text(alphabet, max_size=40), max_size=16))
+    corpus = "".join(pieces)
+    # Where each piece begins: a pattern taken there starts with a stem.
+    starts = [n for n in itertools.accumulate(map(len, pieces), initial=0) if n < len(corpus)]
+    features = []
+    for r in range(draw(st.integers(1, 12))):
+        if starts and draw(st.booleans()):
+            start = draw(st.sampled_from(starts) | st.integers(0, len(corpus) - 1))
+            pattern = corpus[start : start + draw(st.integers(1, 80))]
+            if draw(st.booleans()):
+                k = draw(st.integers(0, len(pattern) - 1))
+                pattern = pattern[:k] + draw(st.sampled_from(alphabet)) + pattern[k + 1 :]
+        else:
+            pattern = draw(st.text(alphabet, min_size=1, max_size=80))
+        if draw(st.booleans()):
+            step = draw(st.integers(1, 9))
+            chain = [pattern[:k] for k in range(1, len(pattern) + 1, step)]
+            features.extend((f"r{r}.{k}", [p]) for k, p in enumerate(chain))
+        features.append((f"r{r}", [pattern, *draw(st.lists(st.text(alphabet, max_size=40), max_size=2))]))
+    cuts = sorted(draw(st.lists(st.integers(0, len(corpus)), max_size=12)))
+    chunks = [corpus[a:b] for a, b in zip([0, *cuts], [*cuts, len(corpus)])]
+    return features, corpus, chunks, draw(st.integers(1, 90))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_cases())
+def test_contamination_flags_match_a_find_per_pattern(case):
+    features, corpus, chunks, max_chars = case
+    flags = contamination_scan(features, chunks, max_chars=max_chars)
+    expected = {
+        record_id: any(corpus.find(p[:max_chars]) >= 0 for p in patterns if p)
+        for record_id, patterns in features
+    }
+    assert flags == expected
 
 
 def test_contamination_fixture_consistency():

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -597,6 +598,41 @@ def test_contamination_command_counts_the_flags_and_rounds_the_percent(tmp_path,
         "n_records": 3, "n_flagged": 1, "percent_overlap": 33.3333,
     }
     assert flags_out.read_text() == "r3\t0\nr1\t1\nr2\t0\n"
+
+
+def test_contamination_command_matches_a_find_per_pattern_across_blocks(tmp_path, capsys, scan_compiles):
+    # The command reads its corpus in 1 MiB blocks. Over a corpus of more
+    # than 2 MiB, patterns are found one block after another, so keys retire
+    # and regexes are rebuilt between blocks, and two patterns span a block
+    # boundary.
+    block = 1 << 20
+    rng = random.Random(34)
+    filler = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz \n") for _ in range(1 << 15))
+    patterns = ["".join(rng.choice("CNOc1=()[]") for _ in range(rng.randint(3, 70))) for _ in range(200)]
+    parts, size, straddled = [], 0, 0
+    for pattern in patterns[:150]:
+        gap = rng.randrange(1 << 15)
+        for boundary in (block, 2 * block):
+            if size < boundary < size + gap + len(pattern):
+                gap = max(0, boundary - size - len(pattern) // 2)
+                straddled += 1
+        parts += [filler[:gap], pattern]
+        size += gap + len(pattern)
+    corpus = "".join(parts)
+    assert len(corpus) > 2 * block and straddled == 2
+    (tmp_path / "corpus.txt").write_text(corpus, encoding="utf-8")
+    (tmp_path / "features.tsv").write_text(
+        "".join(f"r{i}\t{p}\n" for i, p in enumerate(patterns)), encoding="utf-8"
+    )
+    flags_out = tmp_path / "flags.tsv"
+    assert main([
+        "contamination", "--features", str(tmp_path / "features.tsv"),
+        "--corpus", str(tmp_path / "corpus.txt"), "--out", str(flags_out),
+    ]) == 0
+    expected = "".join(f"r{i}\t{int(corpus.find(p) >= 0)}\n" for i, p in enumerate(patterns))
+    assert flags_out.read_text(encoding="utf-8") == expected
+    assert json.loads(capsys.readouterr().out)["n_flagged"] >= 150
+    assert len(scan_compiles) > len({p[0] for p in patterns})
 
 
 BOM = "\ufeff".encode("utf-8")

@@ -455,6 +455,24 @@ def test_canonical_search_visits_few_leaves(text, monkeypatch):
     write_canonical(parse_smiles(text))
 
 
+def test_write_canonical_builds_the_adjacency_once(monkeypatch):
+    # The component walk reuses the writer's neighbor lists.
+    mol = parse_smiles("CN1C(=O)CN=C(c2ccccc2F)c2cc(Cl)ccc21.CCO")
+    neighbors = smiles.Molecule.neighbors
+    calls = 0
+
+    def counting_neighbors(self):
+        nonlocal calls
+        calls += 1
+        return neighbors(self)
+
+    monkeypatch.setattr(smiles.Molecule, "neighbors", counting_neighbors)
+    assert write_canonical(mol) == "C(C)O.C(CN=C(c(c(ccc1)F)c1)c(c2ccc3Cl)c3)(N2C)=O"
+    assert calls == 1
+    assert [len(c) for c in mol.components()] == [21, 3]
+    assert calls == 2
+
+
 @pytest.mark.parametrize("text", CANONICAL_WORST_CASES.values(), ids=CANONICAL_WORST_CASES.keys())
 def test_worst_case_canonical_writes_take_under_a_quarter_second(text, fresh_component_memo):
     mol = parse_smiles(text)
