@@ -109,6 +109,8 @@ def _fill(template: str, record: DataRecord) -> tuple[str, set[str]]:
     """Substitute {role} and {subtask} placeholders, which a ``TaskManifest``
     only holds for its declared roles; returns used role names."""
     used: set[str] = set()
+    if "{" not in template:
+        return template, used
 
     def sub(match):
         name = match.group(1)
@@ -118,6 +120,12 @@ def _fill(template: str, record: DataRecord) -> tuple[str, set[str]]:
         return record.features[name]
 
     return _PLACEHOLDER.sub(sub, template), used
+
+
+def _utf8_size(text: str) -> int:
+    """UTF-8 bytes of ``text``: its length when ASCII, a flag CPython keeps on
+    the string, so only non-ASCII text is encoded."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
 def _role_lines(record: DataRecord, manifest: TaskManifest, skip: set[str]) -> list[str]:
@@ -165,13 +173,13 @@ def render_prompt(
 
     # The estimate ceil(size / 4) exceeds the budget exactly when size
     # exceeds 4 * budget. Each dropped block takes its bytes and one "\n\n".
-    size = len(prompt.encode("utf-8"))
+    size = _utf8_size(prompt)
     kept = len(shots)
     if budget is not None and size > 4 * budget:
         while kept and size > 4 * budget:
             kept -= 1
             dropped = blocks[starts[kept] : starts[kept + 1]]
-            size -= sum(len(block.encode("utf-8")) + 2 for block in dropped)
+            size -= sum(_utf8_size(block) + 2 for block in dropped)
         prompt = "\n\n".join(blocks[: starts[kept]] + blocks[starts[-1] :])
     estimate = -(-size // 4)  # ceil(utf-8 bytes / 4)
     return PromptRecord(
@@ -337,6 +345,10 @@ def shot_source_splits(eval_split: str) -> tuple[str, ...]:
     return ("train",)
 
 
+# Rendered zero-shot records one mixture keeps for repeated draws.
+_ZERO_SHOT_MEMO_SIZE = 4096
+
+
 def build_mixture(
     tasks: dict[str, tuple[TaskManifest, Sequence[DataRecord]]],
     count: int,
@@ -349,8 +361,10 @@ def build_mixture(
     prompts are zero-shot; the rest take a uniform SHOT_RANGE count of random
     shots from the same task's train set, trimmed to INPUT_BUDGET; the query
     is passed to ``select_shots_random`` as ``exclude``, its position in the
-    pool, so each prompt costs O(shots), not O(pool size). Fully
-    reproducible from the seed.
+    pool, so each prompt costs O(shots), not O(pool size). A zero-shot draw
+    is rendered once per (task, pool position) and the same frozen record
+    yielded again for a repeat, from a memo of up to _ZERO_SHOT_MEMO_SIZE
+    records that is emptied when full. Fully reproducible from the seed.
     """
     if not tasks:
         raise ValueError("no tasks to mix")
@@ -366,21 +380,44 @@ def build_mixture(
     cum_weights = list(itertools.accumulate(len(pools[t][1]) for t in task_ids))
     rng = random.Random(seed)
     few_shot_fraction = 1.0 - ZERO_SHOT_FRACTION
+    zero_shot: dict[tuple[str, int], PromptRecord] = {}
 
     for _ in range(count):
         task_id = rng.choices(task_ids, cum_weights=cum_weights)[0]
         manifest, pool = pools[task_id]
         position = rng.randrange(len(pool))
         record = pool[position]
-        shots: Sequence[DataRecord] = ()
         if rng.random() < few_shot_fraction and len(pool) > 1:
             want = rng.randint(*SHOT_RANGE)
             shots = select_shots_random(pool, want, seed=rng.randrange(1 << 30), exclude=position)
-        yield render_prompt(record, manifest, shots, budget=INPUT_BUDGET)
+            yield render_prompt(record, manifest, shots, budget=INPUT_BUDGET)
+            continue
+        key = (task_id, position)
+        prompt = zero_shot.get(key)
+        if prompt is None:
+            if len(zero_shot) >= _ZERO_SHOT_MEMO_SIZE:
+                zero_shot.clear()
+            prompt = zero_shot[key] = render_prompt(record, manifest, budget=INPUT_BUDGET)
+        yield prompt
 
 
-# json.dumps(obj, ensure_ascii=False) builds a new encoder per call.
-_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+# The string escaper json.dumps(obj, ensure_ascii=False) calls: it escapes
+# '"', backslash and C0 controls and leaves every other character as it is.
+_json_string = json.encoder.encode_basestring
+
+
+def _jsonl_line(r: PromptRecord) -> str:
+    """``json.dumps(obj, ensure_ascii=False) + "\\n"`` for the record's object,
+    written without building it: keys in this order, ``subtask`` only when
+    the record has one."""
+    subtask = "" if r.subtask is None else f', "subtask": {_json_string(r.subtask)}'
+    return (
+        f'{{"task": {_json_string(r.task_id)}, "record_id": {_json_string(r.record_id)}, '
+        f'"split": {_json_string(r.split)}, "prompt": {_json_string(r.prompt)}, '
+        f'"target": {_json_string(r.target)}, "shots": [{", ".join(map(_json_string, r.shot_ids))}], '
+        f'"estimated_length": {r.estimated_length}, '
+        f'"over_budget": {"true" if r.over_budget else "false"}{subtask}}}\n'
+    )
 
 
 def write_prompt_jsonl(records: Iterable[PromptRecord], path) -> None:
@@ -388,19 +425,6 @@ def write_prompt_jsonl(records: Iterable[PromptRecord], path) -> None:
 
     def write(fh):
         for r in records:
-            obj = {
-                "task": r.task_id,
-                "record_id": r.record_id,
-                "split": r.split,
-                "prompt": r.prompt,
-                "target": r.target,
-                "shots": list(r.shot_ids),
-                "estimated_length": r.estimated_length,
-                "over_budget": r.over_budget,
-            }
-            if r.subtask is not None:
-                obj["subtask"] = r.subtask
-            fh.write(_encode_json(obj) + "\n")
+            fh.write(_jsonl_line(r))
 
     write_atomically(path, write)
-

@@ -1,19 +1,34 @@
 """Prompt rendering and budget fitting as txf did them when the budget was
-fitted by rendering the prompt again after each dropped shot. Kept
-unchanged as the oracle that tests/test_promptgen.py compares the one-pass
-``render_prompt(..., budget=)`` against."""
+fitted by rendering the prompt again after each dropped shot, and filled
+every template with one regex pass. Kept as the oracle that
+tests/test_promptgen.py compares the one-pass ``render_prompt(..., budget=)``
+against, with its own render loop and ``_fill``."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from txf.corpus import DataRecord, TaskManifest
+from txf.corpus import _PLACEHOLDER, DataRecord, TaskManifest
 from txf.promptgen import (
     PromptRecord,
-    _fill,
     _role_lines,
     render_target,
 )
+
+
+def _fill(template: str, record: DataRecord) -> tuple[str, set[str]]:
+    """Substitute {role} and {subtask} placeholders by one regex pass over
+    every template; returns used role names."""
+    used: set[str] = set()
+
+    def sub(match):
+        name = match.group(1)
+        if name == "subtask":
+            return record.subtask or ""
+        used.add(name)
+        return record.features[name]
+
+    return _PLACEHOLDER.sub(sub, template), used
 
 
 def render_prompt(

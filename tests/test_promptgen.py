@@ -21,6 +21,7 @@ from knn_reference import naive_nearest
 from txf.corpus import CorpusError, DataRecord, FeatureTable, RoleSpec, TaskManifest, assign_splits
 from txf.promptgen import (
     BIN_LEVELS,
+    _jsonl_line,
     NeighborIndex,
     PromptRecord,
     bin_label,
@@ -699,6 +700,44 @@ def test_mixture_equals_the_copying_mixture(sizes, count, seed):
     assert list(build_mixture(tasks, count, seed)) == expected
 
 
+def test_mixture_renders_a_zero_shot_draw_once_until_the_memo_empties(monkeypatch):
+    import txf.promptgen as promptgen
+
+    bound = 2
+    monkeypatch.setattr(promptgen, "_ZERO_SHOT_MEMO_SIZE", bound)
+    rendered = []
+    original = promptgen.render_prompt
+
+    def counting(record, manifest, shots=(), budget=None):
+        rendered.append((manifest.task_id, record.record_id))
+        return original(record, manifest, shots, budget)
+
+    monkeypatch.setattr(promptgen, "render_prompt", counting)
+    # Both pools hold positions 0..2, so a memo keyed by position alone
+    # yields one task's record for the other's draw.
+    tasks = _mixture_tasks({"a": 3, "b": 4})
+    expected = list(sampling_reference.build_mixture(tasks, 300, seed=5))
+    assert list(build_mixture(tasks, 300, seed=5)) == expected
+
+    # Every few-shot draw renders; a zero-shot draw renders unless its
+    # (task, position) is held, and the memo empties when it holds `bound`.
+    held: set[tuple[str, str]] = set()
+    renders = []
+    resets = 0
+    for prompt in expected:
+        key = (prompt.task_id, prompt.record_id)
+        if prompt.shot_ids:
+            renders.append(key)
+        elif key not in held:
+            if len(held) >= bound:
+                held.clear()
+                resets += 1
+            held.add(key)
+            renders.append(key)
+    assert resets > 0
+    assert rendered == renders
+
+
 def test_mixture_shots_come_from_same_task():
     tasks = _mixture_tasks({"a": 40, "b": 40})
     for prompt in build_mixture(tasks, 500, seed=13):
@@ -745,3 +784,50 @@ def test_jsonl_writes_a_subtask_key_only_for_a_record_with_a_subtask(tmp_path):
     with_subtask, without = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     assert with_subtask["subtask"] == "A-1"
     assert "subtask" not in without
+
+
+def _chars(lo, hi):
+    return st.integers(lo, hi).map(chr)
+
+
+# Text that JSON escapes ('"', backslash, C0 controls) or writes as it is
+# though other encoders escape it (DEL, U+2028/U+2029, non-BMP, lone
+# surrogates).
+_JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x7f\u2028\u2029'),
+        _chars(0, 0x1F),
+        _chars(0x10000, 0x10FFFF),
+        _chars(0xD800, 0xDFFF),
+        st.characters(),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fields=st.tuples(_JSON_TEXT, _JSON_TEXT, _JSON_TEXT, _JSON_TEXT, _JSON_TEXT),
+    shot_ids=st.lists(_JSON_TEXT, max_size=10),
+    estimated_length=st.integers(),
+    over_budget=st.booleans(),
+    subtask=st.one_of(st.none(), st.just(""), _JSON_TEXT),
+)
+def test_jsonl_line_equals_json_dumps(fields, shot_ids, estimated_length, over_budget, subtask):
+    task_id, record_id, split, prompt, target = fields
+    record = PromptRecord(
+        task_id, record_id, split, prompt, target, tuple(shot_ids), estimated_length, over_budget, subtask
+    )
+    obj = {
+        "task": task_id,
+        "record_id": record_id,
+        "split": split,
+        "prompt": prompt,
+        "target": target,
+        "shots": list(shot_ids),
+        "estimated_length": estimated_length,
+        "over_budget": over_budget,
+    }
+    if subtask is not None:
+        obj["subtask"] = subtask
+    assert _jsonl_line(record) == json.dumps(obj, ensure_ascii=False) + "\n"
