@@ -345,10 +345,6 @@ def shot_source_splits(eval_split: str) -> tuple[str, ...]:
     return ("train",)
 
 
-# Rendered zero-shot records one mixture keeps for repeated draws.
-_ZERO_SHOT_MEMO_SIZE = 4096
-
-
 def build_mixture(
     tasks: dict[str, tuple[TaskManifest, Sequence[DataRecord]]],
     count: int,
@@ -361,10 +357,8 @@ def build_mixture(
     prompts are zero-shot; the rest take a uniform SHOT_RANGE count of random
     shots from the same task's train set, trimmed to INPUT_BUDGET; the query
     is passed to ``select_shots_random`` as ``exclude``, its position in the
-    pool, so each prompt costs O(shots), not O(pool size). A zero-shot draw
-    is rendered once per (task, pool position) and the same frozen record
-    yielded again for a repeat, from a memo of up to _ZERO_SHOT_MEMO_SIZE
-    records that is emptied when full. Fully reproducible from the seed.
+    pool, so each prompt costs O(shots), not O(pool size). Fully
+    reproducible from the seed.
     """
     if not tasks:
         raise ValueError("no tasks to mix")
@@ -380,25 +374,17 @@ def build_mixture(
     cum_weights = list(itertools.accumulate(len(pools[t][1]) for t in task_ids))
     rng = random.Random(seed)
     few_shot_fraction = 1.0 - ZERO_SHOT_FRACTION
-    zero_shot: dict[tuple[str, int], PromptRecord] = {}
 
     for _ in range(count):
         task_id = rng.choices(task_ids, cum_weights=cum_weights)[0]
         manifest, pool = pools[task_id]
         position = rng.randrange(len(pool))
         record = pool[position]
+        shots: Sequence[DataRecord] = ()
         if rng.random() < few_shot_fraction and len(pool) > 1:
             want = rng.randint(*SHOT_RANGE)
             shots = select_shots_random(pool, want, seed=rng.randrange(1 << 30), exclude=position)
-            yield render_prompt(record, manifest, shots, budget=INPUT_BUDGET)
-            continue
-        key = (task_id, position)
-        prompt = zero_shot.get(key)
-        if prompt is None:
-            if len(zero_shot) >= _ZERO_SHOT_MEMO_SIZE:
-                zero_shot.clear()
-            prompt = zero_shot[key] = render_prompt(record, manifest, budget=INPUT_BUDGET)
-        yield prompt
+        yield render_prompt(record, manifest, shots, budget=INPUT_BUDGET)
 
 
 # The string escaper json.dumps(obj, ensure_ascii=False) calls: it escapes

@@ -700,44 +700,6 @@ def test_mixture_equals_the_copying_mixture(sizes, count, seed):
     assert list(build_mixture(tasks, count, seed)) == expected
 
 
-def test_mixture_renders_a_zero_shot_draw_once_until_the_memo_empties(monkeypatch):
-    import txf.promptgen as promptgen
-
-    bound = 2
-    monkeypatch.setattr(promptgen, "_ZERO_SHOT_MEMO_SIZE", bound)
-    rendered = []
-    original = promptgen.render_prompt
-
-    def counting(record, manifest, shots=(), budget=None):
-        rendered.append((manifest.task_id, record.record_id))
-        return original(record, manifest, shots, budget)
-
-    monkeypatch.setattr(promptgen, "render_prompt", counting)
-    # Both pools hold positions 0..2, so a memo keyed by position alone
-    # yields one task's record for the other's draw.
-    tasks = _mixture_tasks({"a": 3, "b": 4})
-    expected = list(sampling_reference.build_mixture(tasks, 300, seed=5))
-    assert list(build_mixture(tasks, 300, seed=5)) == expected
-
-    # Every few-shot draw renders; a zero-shot draw renders unless its
-    # (task, position) is held, and the memo empties when it holds `bound`.
-    held: set[tuple[str, str]] = set()
-    renders = []
-    resets = 0
-    for prompt in expected:
-        key = (prompt.task_id, prompt.record_id)
-        if prompt.shot_ids:
-            renders.append(key)
-        elif key not in held:
-            if len(held) >= bound:
-                held.clear()
-                resets += 1
-            held.add(key)
-            renders.append(key)
-    assert resets > 0
-    assert rendered == renders
-
-
 def test_mixture_shots_come_from_same_task():
     tasks = _mixture_tasks({"a": 40, "b": 40})
     for prompt in build_mixture(tasks, 500, seed=13):
