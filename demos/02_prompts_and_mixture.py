@@ -7,7 +7,7 @@ Run from the repo root:  python demos/02_prompts_and_mixture.py
 import statistics
 from collections import Counter
 
-from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest, assign_splits
+from txf.corpus import DataRecord, RoleSpec, TaskManifest, assign_splits
 from txf.promptgen import (
     INPUT_BUDGET,
     NeighborIndex,
@@ -46,7 +46,7 @@ def _molecule(i: int) -> str:
 records = [
     DataRecord(str(i), {"drug": _molecule(i)}, float(i % 21)) for i in range(200)
 ]
-records = assign_splits(records, manifest, seed=1, table=FeatureTable())
+records = assign_splits(records, manifest, seed=1)
 by_split = Counter(r.split for r in records)
 print("split sizes:", dict(by_split))
 
@@ -59,7 +59,9 @@ print("\n=== A rendered prompt ===")
 test_records = [r for r in records if r.split == "test"]
 query = test_records[0]
 pool = [r for r in records if r.split in shot_source_splits("test")]
-index = NeighborIndex(manifest, pool, FeatureTable())
+# The index fingerprints each SMILES once; the split above already parsed
+# it, and txf.corpus keeps each conversion for the life of the process.
+index = NeighborIndex(manifest, pool)
 shots = [pool[i] for i, _ in index.nearest(query.features, 3)]
 prompt = render_prompt(query, manifest, shots, budget=INPUT_BUDGET)
 print(prompt.prompt)

@@ -6,7 +6,7 @@ Run from the repo root:  python demos/03_stub_evaluation.py
 """
 
 from txf.analysis import contamination_scan
-from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest
+from txf.corpus import DataRecord, RoleSpec, TaskManifest
 from txf.evalharness import (
     EchoClient,
     EvalResult,
@@ -42,7 +42,7 @@ for k in range(1, 21):
 
 prompts = [render_prompt(r, manifest) for r in test]
 # The nearest-neighbor stub answers from an index over the train records.
-knn = NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable()))
+knn = NearestNeighborClient(NeighborIndex(manifest, train))
 
 print("=== Three stubs on the same task ===")
 for name, client in (

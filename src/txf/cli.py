@@ -43,10 +43,10 @@ def _parse_shot_policy(text: str) -> tuple[str, int]:
 
 
 def _tasks(args):
-    """Yields (manifest, split records, dropped rows, feature table) for each
-    selected task, after creating the output directory. The table is the
-    task's own: its split, shot indexes and knn stub convert each distinct
-    feature once, and it is dropped with the task."""
+    """Yields (manifest, split records, dropped rows) for each selected task,
+    after creating the output directory. Features convert through
+    ``txf.corpus``'s per-process memos, so a string that many tasks share is
+    converted once per command."""
     from . import corpus
 
     manifests, data = Path(args.manifests), Path(args.data)
@@ -77,19 +77,17 @@ def _tasks(args):
         if file is None:
             raise ValueError(f"{manifest.task_id}: no table under {data}")
         loaded = corpus.load_table(file, manifest)
-        table = corpus.FeatureTable()
-        records = corpus.assign_splits(loaded.records, manifest, args.seed, table)
+        records = corpus.assign_splits(loaded.records, manifest, args.seed)
         if unranged:
             manifest = corpus.fit_label_range(records, manifest)
-        yield manifest, records, loaded.dropped, table
+        yield manifest, records, loaded.dropped
 
 
-def _render(manifest, records, splits, policy, seed, table):
+def _render(manifest, records, splits, policy, seed):
     """Yields (split, shot pool, neighbour index or None, prompts) for each
     split. Splits that draw shots from the same splits share one pool, one
-    record id -> pool position map and, for knn shots, one neighbour index
-    over the task's feature table. knn shots for a task with no
-    similarity-capable role are random shots."""
+    record id -> pool position map and, for knn shots, one neighbour index.
+    knn shots for a task with no similarity-capable role are random shots."""
     from . import promptgen
 
     kind, k = policy
@@ -104,7 +102,7 @@ def _render(manifest, records, splits, policy, seed, table):
         sources = promptgen.shot_source_splits(split)
         if sources not in pools:
             pool = [r for r in records if r.split in sources]
-            index = promptgen.NeighborIndex(manifest, pool, table) if kind == "knn" and pool else None
+            index = promptgen.NeighborIndex(manifest, pool) if kind == "knn" and pool else None
             positions = {r.record_id: i for i, r in enumerate(pool)}
             pools[sources] = pool, index, positions
         pool, index, positions = pools[sources]
@@ -137,17 +135,16 @@ def cmd_build(args) -> int:
     if args.mixture < 0:
         raise ValueError(f"--mixture must be at least 0, not {args.mixture}")
     out = Path(args.out)
-    mixture_tasks = {}
-    for manifest, records, dropped, table in _tasks(args):
+    mixture_tasks = {}  # train records, kept only for a mixture
+    for manifest, records, dropped in _tasks(args):
         if args.fit_ranges:
             corpus.write_manifest(manifest, out / f"{manifest.task_id}{MANIFEST_SUFFIX}")
         corpus.write_split_audit(records, out / f"{manifest.task_id}.splits.tsv")
-        for split, _, _, prompts in _render(manifest, records, SPLITS, policy, args.seed, table):
+        for split, _, _, prompts in _render(manifest, records, SPLITS, policy, args.seed):
             promptgen.write_prompt_jsonl(prompts, out / f"{manifest.task_id}.{split}.jsonl")
-        mixture_tasks[manifest.task_id] = (
-            manifest,
-            [r for r in records if r.split == "train"],
-        )
+        del _  # a knn shot index, which holds its pool's records
+        if args.mixture > 0:
+            mixture_tasks[manifest.task_id] = (manifest, [r for r in records if r.split == "train"])
         print(
             f"{manifest.task_id}: {len(records)} records "
             f"({dropped} dropped), splits and prompts written"
@@ -178,10 +175,8 @@ def cmd_evaluate(args) -> int:
         # One HTTP client serves every task, so its connections are reused.
         http_client = HttpModelClient(model_url)
     with http_client or contextlib.nullcontext():
-        for manifest, records, _, table in _tasks(args):
-            [(_, pool, index, prompts)] = _render(
-                manifest, records, (args.split,), policy, args.seed, table
-            )
+        for manifest, records, _ in _tasks(args):
+            [(_, pool, index, prompts)] = _render(manifest, records, (args.split,), policy, args.seed)
             if http_client:
                 client = http_client
             elif args.stub == "echo":
@@ -191,7 +186,7 @@ def cmd_evaluate(args) -> int:
             else:
                 # knn shots built an index over this pool; other shots did not.
                 client = evalharness.NearestNeighborClient(
-                    index or promptgen.NeighborIndex(manifest, pool, table)
+                    index or promptgen.NeighborIndex(manifest, pool)
                 )
             result = evalharness.evaluate_task(
                 manifest, prompts, client, concurrency=args.concurrency

@@ -1,4 +1,5 @@
-"""Task manifests, table ingestion, and train/valid/test split assignment.
+"""Task manifests, table ingestion, feature conversion, and train/valid/test
+split assignment.
 
 A manifest is the complete recipe for one dataset: what kind of task it is,
 which columns hold which features, the prompt texts, the metric, and how the
@@ -19,8 +20,8 @@ from .atomic import write_atomically
 from .ranks import KIND_METRICS, METRICS, lower_is_better_for, parse_direction
 from .value import Frozen, Value, set_fields
 
-# txf.chem and txf.bioseq are imported by the FeatureTable helpers that
-# convert, so a command that converts no SMILES never loads the
+# txf.chem and txf.bioseq are imported by the feature conversions below when
+# they first run, so a command that converts no SMILES never loads the
 # cheminformatics kernel.
 
 __all__ = [
@@ -28,12 +29,16 @@ __all__ = [
     "TaskManifest",
     "DataRecord",
     "LoadedTable",
-    "FeatureTable",
     "CorpusError",
     "read_manifest",
     "write_manifest",
     "load_table",
     "assign_splits",
+    "molecule",
+    "scaffold_key",
+    "fingerprint",
+    "sequence",
+    "pair_score",
     "fit_label_range",
     "write_split_audit",
 ]
@@ -161,79 +166,82 @@ class LoadedTable(Value):
         self.records, self.dropped = records, dropped
 
 
+# ---------------------------------------------------------------------------
+# Feature conversion
+# ---------------------------------------------------------------------------
+
+# Converted forms of feature strings, each made at most once per process and
+# kept for its life, without a size bound. Each conversion is a pure function
+# of its text, and a txf command is one process, so the scaffold split, every
+# shot pool's NeighborIndex and the knn stub of every task share them. A
+# string that does not convert maps to None, and its scaffold key is "".
+_molecules: dict[str, object] = {}
+_scaffolds: dict[str, str] = {}
+_fingerprints: dict[str, object] = {}
+_sequences: dict[tuple[str, str], object] = {}
+_pairs: dict[tuple, float] = {}
+# The knn stub converts from worker threads, so an entry is made under the
+# lock, after a second look. Reentrant: a fingerprint or scaffold key asks
+# for the molecule.
+_lock = threading.RLock()
 _MISSING = object()
 
 
-class FeatureTable:
-    """Converted forms of one task's feature strings, each made at most once.
+def _entry(cache: dict, key, make):
+    value = cache.get(key, _MISSING)
+    if value is _MISSING:
+        with _lock:
+            value = cache.get(key, _MISSING)
+            if value is _MISSING:
+                value = cache[key] = make(key)
+    return value
 
-    One table serves one task for one command: the scaffold split, every
-    shot pool's ``NeighborIndex`` and the knn stub read from it, so each
-    distinct SMILES is parsed, scaffold-keyed and fingerprinted once, each
-    distinct sequence becomes a ``BioSequence`` once, and each distinct
-    sequence pair is scored once per pair function. Scaffold strings are
-    kept per SMILES; a scaffold that several SMILES spell in one atom order
-    is searched once, through ``write_canonical``'s process-wide memo.
-    Entries are made on first use. A string that does not convert maps to
-    None, and its scaffold key is "". The knn stub queries from worker
-    threads, so an entry is made under a lock, after a second look.
-    """
 
-    def __init__(self):
-        self._molecules: dict[str, object] = {}
-        self._scaffolds: dict[str, str] = {}
-        self._fingerprints: dict[str, object] = {}
-        self._sequences: dict[tuple[str, str], object] = {}
-        self._pairs: dict[tuple, float] = {}
-        # Reentrant: a fingerprint or scaffold key asks for the molecule.
-        self._lock = threading.RLock()
+def molecule(text: str):
+    """The parsed ``chem.Molecule``, or None if ``text`` does not parse."""
+    return _entry(_molecules, text, _parse)
 
-    def _entry(self, cache: dict, key, make):
-        value = cache.get(key, _MISSING)
-        if value is _MISSING:
-            with self._lock:
-                value = cache.get(key, _MISSING)
-                if value is _MISSING:
-                    value = cache[key] = make(key)
-        return value
 
-    def molecule(self, text: str):
-        """The parsed ``chem.Molecule``, or None if ``text`` does not parse."""
-        return self._entry(self._molecules, text, _parse)
+def scaffold_key(text: str) -> str:
+    """``chem.scaffold_key`` of the molecule; "" if it does not parse.
 
-    def scaffold_key(self, text: str) -> str:
-        """``chem.scaffold_key`` of the molecule; "" if it does not parse."""
-        return self._entry(self._scaffolds, text, self._scaffold_of)
+    Kept per SMILES; a scaffold that several SMILES spell in one atom order
+    is searched once, through ``write_canonical``'s process-wide memo."""
+    return _entry(_scaffolds, text, _scaffold_of)
 
-    def fingerprint(self, text: str):
-        """``chem.morgan_fingerprint`` of the molecule, or None."""
-        return self._entry(self._fingerprints, text, self._fingerprint_of)
 
-    def sequence(self, text: str, kind: str):
-        """``bioseq.BioSequence(text, kind)``, or None if it is invalid."""
-        return self._entry(self._sequences, (text, kind), _sequence)
+def fingerprint(text: str):
+    """``chem.morgan_fingerprint`` of the molecule, or None."""
+    return _entry(_fingerprints, text, _fingerprint_of)
 
-    def pair_score(self, score, a, b) -> float:
-        """``score(a, b)`` of two ``BioSequence``s, kept by (score, a's
-        residues, b's residues). Equal residues give 100.0 without a call,
-        which is exact for ``bioseq.percent_identity`` and
-        ``bioseq.identity_bound``."""
-        if a.residues == b.residues:
-            return 100.0
-        return self._entry(self._pairs, (score, a.residues, b.residues), lambda _: score(a, b))
 
-    def _scaffold_of(self, text: str) -> str:
-        from .chem import murcko_scaffold, write_canonical
+def sequence(text: str, kind: str):
+    """``bioseq.BioSequence(text, kind)``, or None if it is invalid."""
+    return _entry(_sequences, (text, kind), _sequence)
 
-        mol = self.molecule(text)
-        scaffold = None if mol is None else murcko_scaffold(mol)
-        return "" if scaffold is None else write_canonical(scaffold)
 
-    def _fingerprint_of(self, text: str):
-        from .chem import morgan_fingerprint
+def pair_score(score, a, b) -> float:
+    """``score(a, b)`` of two ``BioSequence``s, kept by (score, a's residues,
+    b's residues). Equal residues give 100.0 without a call, which is exact
+    for ``bioseq.percent_identity`` and ``bioseq.identity_bound``."""
+    if a.residues == b.residues:
+        return 100.0
+    return _entry(_pairs, (score, a.residues, b.residues), lambda _: score(a, b))
 
-        mol = self.molecule(text)
-        return None if mol is None else morgan_fingerprint(mol)
+
+def _scaffold_of(text: str) -> str:
+    from .chem import murcko_scaffold, write_canonical
+
+    mol = molecule(text)
+    scaffold = None if mol is None else murcko_scaffold(mol)
+    return "" if scaffold is None else write_canonical(scaffold)
+
+
+def _fingerprint_of(text: str):
+    from .chem import morgan_fingerprint
+
+    mol = molecule(text)
+    return None if mol is None else morgan_fingerprint(mol)
 
 
 def _parse(text: str):
@@ -506,13 +514,12 @@ def assign_splits(
     records: list[DataRecord],
     manifest: TaskManifest,
     seed: int,
-    table: FeatureTable,
 ) -> list[DataRecord]:
     """Return copies of the records with train/valid/test assigned by the
     manifest's split method, in SPLIT_FRACTIONS.
 
-    The scaffold split reads scaffold keys from ``table``, the task's
-    feature table.
+    The scaffold split reads each SMILES's key from ``scaffold_key``, which
+    keys each distinct string once per process.
 
     scaffold: group by scaffold key, pack groups largest-first into train,
     then valid, then test. The other methods order groups of records and put
@@ -531,7 +538,7 @@ def assign_splits(
 
     if method == "scaffold":
         role = next(r.name for r in manifest.roles if r.kind == "smiles")
-        groups = _group_records(records, lambda record: table.scaffold_key(record.features[role]))
+        groups = _group_records(records, lambda record: scaffold_key(record.features[role]))
         ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
         counts = {"train": 0, "valid": 0}
         for _, members in ordered:

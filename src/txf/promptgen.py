@@ -17,7 +17,7 @@ import random
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .atomic import write_atomically
-from .corpus import _PLACEHOLDER, DataRecord, FeatureTable, TaskManifest
+from .corpus import _PLACEHOLDER, DataRecord, TaskManifest, fingerprint, pair_score, sequence
 from .value import Frozen, set_fields
 
 __all__ = [
@@ -237,27 +237,21 @@ class NeighborIndex:
     ``kind`` is empty, and ``roles`` too, when no role of the manifest
     supports similarity.
 
-    Converted features and sequence-pair scores come from ``table``, the
-    task's feature table, shared by every index of the task. Pool positions
-    are grouped by distinct converted features, so a query scores each
-    group once. The search is exact: it visits groups by descending ceiling
-    on similarity and stops once k records are held and the next ceiling is
-    strictly below the k-th best similarity (an equal ceiling may still tie
-    and win on a lower pool position). A sequence's ceiling is
-    ``bioseq.identity_bound``, which skips most alignments; a fingerprint's
-    is its Tanimoto itself: a popcount bound costs about as much and skips
-    almost no group.
+    Converted features and sequence-pair scores come from ``txf.corpus``'s
+    per-process memos, so all indexes of a command convert each distinct
+    feature and score each distinct pair once. Pool positions are grouped
+    by distinct converted features, so a query scores each group once. The
+    search is exact: it visits groups by descending ceiling on similarity and
+    stops once k records are held and the next ceiling is strictly below the
+    k-th best similarity (an equal ceiling may still tie and win on a lower
+    pool position). A sequence's ceiling is ``bioseq.identity_bound``, which
+    skips most alignments; a fingerprint's is its Tanimoto itself: a
+    popcount bound costs about as much and skips almost no group.
     """
 
-    def __init__(
-        self,
-        manifest: TaskManifest,
-        pool: Sequence[DataRecord],
-        table: FeatureTable,
-    ):
+    def __init__(self, manifest: TaskManifest, pool: Sequence[DataRecord]):
         self.manifest = manifest
         self.pool = pool
-        self._table = table
         self.kind, roles = manifest.similarity_roles()
         if self.kind == "smiles":
             from .chem import tanimoto
@@ -267,9 +261,8 @@ class NeighborIndex:
         else:
             from .bioseq import identity_bound, percent_identity
 
-            pair = self._table.pair_score
-            self._score = functools.partial(pair, percent_identity)
-            self._bound = functools.partial(pair, identity_bound)
+            self._score = functools.partial(pair_score, percent_identity)
+            self._bound = functools.partial(pair_score, identity_bound)
         self.roles = tuple(r.name for r in roles)
         groups: dict[tuple, list[int]] = {}
         for i, record in enumerate(pool):
@@ -279,8 +272,8 @@ class NeighborIndex:
     def _record_features(self, features: Mapping[str, str]) -> tuple:
         """Converted features, one per compared role; None where invalid."""
         if self.kind == "smiles":
-            return tuple(self._table.fingerprint(features[name]) for name in self.roles)
-        return tuple(self._table.sequence(features[name], self.kind) for name in self.roles)
+            return tuple(fingerprint(features[name]) for name in self.roles)
+        return tuple(sequence(features[name], self.kind) for name in self.roles)
 
     @staticmethod
     def _mean(pair, query: tuple, candidate: tuple) -> float:

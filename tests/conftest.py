@@ -152,6 +152,21 @@ def fresh_component_memo(monkeypatch) -> dict:
     return memo
 
 
+@pytest.fixture(autouse=True)
+def fresh_feature_memos(monkeypatch):
+    """Empty feature-conversion memos for each test, so a test converts each
+    string as it would in a new process; calling the returned function empties
+    them again, as for the next process."""
+    from txf import corpus
+
+    def empty():
+        for name in ("_molecules", "_scaffolds", "_fingerprints", "_sequences", "_pairs"):
+            monkeypatch.setattr(corpus, name, {})
+
+    empty()
+    return empty
+
+
 @pytest.fixture
 def scan_compiles(monkeypatch) -> list[int]:
     """The number of keys each regex the contamination scan compiles

@@ -483,7 +483,7 @@ def test_build_reports_a_missing_label_range_only_on_an_otherwise_valid_manifest
 
 
 def test_build_mixture_equals_build_mixture_over_the_train_records(tmp_path):
-    from txf.corpus import FeatureTable, assign_splits, load_table, read_manifest
+    from txf.corpus import assign_splits, load_table, read_manifest
     from txf.promptgen import build_mixture, write_prompt_jsonl
 
     manifests, data = tmp_path / "manifests", tmp_path / "data"
@@ -499,7 +499,7 @@ def test_build_mixture_equals_build_mixture_over_the_train_records(tmp_path):
     tasks = {}
     for task_id in ("toya", "toyb"):
         manifest = read_manifest(manifests / f"{task_id}.manifest")
-        records = assign_splits(load_table(data / f"{task_id}.tsv", manifest).records, manifest, 3, FeatureTable())
+        records = assign_splits(load_table(data / f"{task_id}.tsv", manifest).records, manifest, 3)
         tasks[task_id] = manifest, [r for r in records if r.split == "train"]
     write_prompt_jsonl(build_mixture(tasks, 200, seed=3), tmp_path / "expected.jsonl")
     assert (out / "mixture.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
@@ -1466,9 +1466,9 @@ def test_build_knn_shares_one_index_per_shot_pool(tmp_path, monkeypatch):
     real = promptgen.NeighborIndex
     built = []
 
-    def counting_index(manifest, pool, table):
+    def counting_index(manifest, pool):
         built.append(len(pool))
-        return real(manifest, pool, table)
+        return real(manifest, pool)
 
     monkeypatch.setattr(promptgen, "NeighborIndex", counting_index)
     out = tmp_path / "out"
@@ -1482,7 +1482,7 @@ def test_build_knn_shares_one_index_per_shot_pool(tmp_path, monkeypatch):
     # Every split's shots are the naive scan's top 3 over that split's pool.
     manifest = corpus.read_manifest(manifests / "knnpool.manifest")
     loaded = corpus.load_table(data / "knnpool.tsv", manifest)
-    records = corpus.assign_splits(loaded.records, manifest, seed=2, table=corpus.FeatureTable())
+    records = corpus.assign_splits(loaded.records, manifest, seed=2)
     by_id = {r.record_id: r for r in records}
     for split, sources in (("train", {"train"}), ("valid", {"train"}), ("test", {"train", "valid"})):
         pool = [r for r in records if r.split in sources]
@@ -1510,9 +1510,9 @@ def test_evaluate_knn_stub_reuses_the_shot_index(tmp_path, monkeypatch, shots):
     real = promptgen.NeighborIndex
     built = []
 
-    def counting_index(manifest, pool, table):
+    def counting_index(manifest, pool):
         built.append(len(pool))
-        return real(manifest, pool, table)
+        return real(manifest, pool)
 
     monkeypatch.setattr(promptgen, "NeighborIndex", counting_index)
     monkeypatch.setattr(evalharness, "NeighborIndex", counting_index)
@@ -1529,7 +1529,7 @@ def test_evaluate_knn_stub_reuses_the_shot_index(tmp_path, monkeypatch, shots):
     # Each answer is the target of the naive scan's nearest pool record.
     manifest = corpus.read_manifest(manifests / "knnev.manifest")
     loaded = corpus.load_table(data / "knnev.tsv", manifest)
-    records = corpus.assign_splits(loaded.records, manifest, seed=2, table=corpus.FeatureTable())
+    records = corpus.assign_splits(loaded.records, manifest, seed=2)
     pool = [r for r in records if r.split in ("train", "valid")]
     by_id = {r.record_id: r for r in records}
     with open(out / "knnev.rows.csv", encoding="utf-8", newline="") as fh:

@@ -14,7 +14,6 @@ from txf.corpus import (
     TASK_KINDS,
     CorpusError,
     DataRecord,
-    FeatureTable,
     RoleSpec,
     TaskManifest,
     assign_splits,
@@ -111,19 +110,19 @@ def test_load_table_not_utf8(tmp_path, name):
 def test_random_split_deterministic():
     manifest = _binary_manifest()
     records = _records(10)
-    first = assign_splits(records, manifest, seed=1, table=FeatureTable())
+    first = assign_splits(records, manifest, seed=1)
     counts = {s: sum(1 for r in first if r.split == s) for s in ("train", "valid", "test")}
     assert counts == {"train": 8, "valid": 1, "test": 1}
-    second = assign_splits(records, manifest, seed=1, table=FeatureTable())
+    second = assign_splits(records, manifest, seed=1)
     assert [r.split for r in first] == [r.split for r in second]
-    different = assign_splits(records, manifest, seed=2, table=FeatureTable())
+    different = assign_splits(records, manifest, seed=2)
     assert [r.split for r in first] != [r.split for r in different]
 
 
 def test_split_partition_properties():
     manifest = _binary_manifest()
     records = _records(53)
-    out = assign_splits(records, manifest, seed=7, table=FeatureTable())
+    out = assign_splits(records, manifest, seed=7)
     assert len(out) == 53
     assert {r.record_id for r in out} == {r.record_id for r in records}
     n_train = sum(1 for r in out if r.split == "train")
@@ -144,7 +143,7 @@ def test_scaffold_split_groups_never_straddle():
         "CCO", "CCCO", "CCCCO",                        # acyclic
     ]
     records = [DataRecord(str(i), {"drug": s}, True) for i, s in enumerate(smiles)]
-    out = assign_splits(records, manifest, seed=1, table=FeatureTable())
+    out = assign_splits(records, manifest, seed=1)
     from txf.chem import parse_smiles, scaffold_key
 
     by_scaffold = {}
@@ -158,19 +157,18 @@ def test_feature_table_entries_equal_the_chem_and_bioseq_values():
     from txf.bioseq import BioSequence
     from txf.chem import morgan_fingerprint, parse_smiles, scaffold_key
 
-    table = FeatureTable()
-    mol = table.molecule("c1ccccc1CCO")
-    assert table.molecule("c1ccccc1CCO") is mol
-    assert table.fingerprint("c1ccccc1CCO") == morgan_fingerprint(parse_smiles("c1ccccc1CCO"))
-    assert table.scaffold_key("c1ccccc1CCO") == scaffold_key(mol) != ""
-    assert table.scaffold_key("CCO") == ""  # acyclic
-    assert table.molecule("C1CC(") is None
-    assert table.fingerprint("C1CC(") is None
-    assert table.scaffold_key("C1CC(") == ""
-    assert table.sequence("acgu", "nucleotide") == BioSequence("ACGU", "nucleotide")
-    assert table.sequence("ACGU", "amino_acid") is None  # no U among amino acids
-    assert table.sequence("ACGT", "amino_acid") == BioSequence("ACGT", "amino_acid")
-    assert table.sequence("ACGB", "nucleotide") is None
+    mol = corpus.molecule("c1ccccc1CCO")
+    assert corpus.molecule("c1ccccc1CCO") is mol
+    assert corpus.fingerprint("c1ccccc1CCO") == morgan_fingerprint(parse_smiles("c1ccccc1CCO"))
+    assert corpus.scaffold_key("c1ccccc1CCO") == scaffold_key(mol) != ""
+    assert corpus.scaffold_key("CCO") == ""  # acyclic
+    assert corpus.molecule("C1CC(") is None
+    assert corpus.fingerprint("C1CC(") is None
+    assert corpus.scaffold_key("C1CC(") == ""
+    assert corpus.sequence("acgu", "nucleotide") == BioSequence("ACGU", "nucleotide")
+    assert corpus.sequence("ACGU", "amino_acid") is None  # no U among amino acids
+    assert corpus.sequence("ACGT", "amino_acid") == BioSequence("ACGT", "amino_acid")
+    assert corpus.sequence("ACGB", "nucleotide") is None
 
 
 def test_feature_table_converts_each_string_once_under_threads(monkeypatch):
@@ -194,15 +192,14 @@ def test_feature_table_converts_each_string_once_under_threads(monkeypatch):
 
     monkeypatch.setattr(chem, "parse_smiles", slow("parse", lambda text: text))
     monkeypatch.setattr(chem, "morgan_fingerprint", slow("fingerprint", id))
-    table = FeatureTable()
     strings = ["CCO", "c1ccccc1O", "CCN", "C1CC("]
     start = threading.Barrier(8, timeout=10)
 
     def worker(n):
         start.wait()
         for text in strings[n % 4 :] + strings[: n % 4]:
-            table.fingerprint(text)
-            table.scaffold_key(text)
+            corpus.fingerprint(text)
+            corpus.scaffold_key(text)
 
     threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
     interval = sys.getswitchinterval()
@@ -237,10 +234,9 @@ def test_scaffold_split_writes_each_distinct_scaffold_once(monkeypatch, fresh_co
     series = ["c1ccc2ccccc2c1", "O=C1CN=C(c2ccccc2)c2cc(Cl)ccc2N1"]
     smiles = [head + core for core in series for head in ("C", "CC", "OCC")] + ["CCO", "C1CC("]
     records = [DataRecord(str(i), {"drug": s}, True) for i, s in enumerate(smiles * 2)]
-    table = FeatureTable()
-    assign_splits(records, _binary_manifest(split_method="scaffold"), seed=1, table=table)
+    assign_splits(records, _binary_manifest(split_method="scaffold"), seed=1)
     assert len(written) == 2 and written[0] != written[1]
-    keys = [table.scaffold_key(text) for text in smiles]
+    keys = [corpus.scaffold_key(text) for text in smiles]
     assert len(written) == 2
     assert keys == [write(scaffold.murcko_scaffold(chem.parse_smiles(text))) for text in smiles[:6]] + ["", ""]
 
@@ -271,14 +267,14 @@ def _respell(mol):
 def test_feature_table_scaffold_key_equals_chem_scaffold_key(spellings):
     from txf.chem import SmilesParseError, parse_smiles, scaffold_key
 
-    table = FeatureTable()  # one table across the list, as one task shares it
+    # The memos outlive each example, as they outlive each task of a command.
     for smiles, head, rng in spellings:
         try:
             mol = parse_smiles(head + smiles)
         except SmilesParseError:
             continue
         text = head + smiles if rng is None else _respell(permute_molecule(mol, rng))
-        assert table.scaffold_key(text) == scaffold_key(parse_smiles(text))
+        assert corpus.scaffold_key(text) == scaffold_key(parse_smiles(text))
 
 
 def test_cold_start_split_keys_disjoint():
@@ -294,7 +290,7 @@ def test_cold_start_split_keys_disjoint():
         DataRecord(str(i), {"drug": "CCO", "target": f"SEQ{i % 7}"}, True)
         for i in range(40)
     ]
-    out = assign_splits(records, manifest, seed=1, table=FeatureTable())
+    out = assign_splits(records, manifest, seed=1)
     seen = {}
     for r in out:
         seen.setdefault(r.features["target"], set()).add(r.split)
@@ -324,7 +320,7 @@ _COMBINATION = _binary_manifest(
 @given(st.lists(st.integers(0, 12), min_size=1, max_size=60), st.integers(0, 10**6))
 def test_cold_start_split_fills_each_split_by_its_cumulative_target(targets, seed):
     records = [DataRecord(str(i), {"drug": "CCO", "target": f"SEQ{t}"}, True) for i, t in enumerate(targets)]
-    out = assign_splits(records, _COLD_START, seed=seed, table=FeatureTable())
+    out = assign_splits(records, _COLD_START, seed=seed)
     assert [r.split for r in out] == grouped_splits([r.features["target"] for r in records], seed)
 
 
@@ -332,7 +328,7 @@ def test_cold_start_split_fills_each_split_by_its_cumulative_target(targets, see
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=60), st.integers(0, 10**6))
 def test_combination_split_fills_each_split_by_its_cumulative_target(pairs, seed):
     records = [DataRecord(str(i), {"a": "C" * (a + 1), "b": "C" * (b + 1)}, True) for i, (a, b) in enumerate(pairs)]
-    out = assign_splits(records, _COMBINATION, seed=seed, table=FeatureTable())
+    out = assign_splits(records, _COMBINATION, seed=seed)
     keys = [tuple(sorted((r.features["a"], r.features["b"]))) for r in records]
     assert [r.split for r in out] == grouped_splits(keys, seed)
 
@@ -343,7 +339,7 @@ def test_a_train_group_that_overshoots_takes_from_valid_not_test():
     # goes to test, leaving valid empty.
     targets = ["SEQA"] * 5 + ["SEQB"] * 4 + ["SEQC"]
     records = [DataRecord(str(i), {"drug": "CCO", "target": t}, True) for i, t in enumerate(targets)]
-    out = assign_splits(records, _COLD_START, seed=5, table=FeatureTable())
+    out = assign_splits(records, _COLD_START, seed=5)
     assert [r.split for r in out] == ["train"] * 9 + ["test"]
 
 
@@ -361,7 +357,7 @@ def test_combination_split_unordered_pairs():
         x, y = f"C{'C' * (i % 4)}", f"N{'C' * (i % 3)}"
         records.append(DataRecord(f"f{i}", {"a": x, "b": y}, True))
         records.append(DataRecord(f"r{i}", {"a": y, "b": x}, True))
-    out = assign_splits(records, manifest, seed=1, table=FeatureTable())
+    out = assign_splits(records, manifest, seed=1)
     by_pair = {}
     for r in out:
         key = tuple(sorted((r.features["a"], r.features["b"])))
@@ -376,7 +372,7 @@ def test_temporal_split_ordering():
         DataRecord(str(i), {"drug": "CCO"}, True, timestamp=str(2000 + (i * 7) % 20))
         for i in range(20)
     ]
-    out = assign_splits(records, manifest, seed=1, table=FeatureTable())
+    out = assign_splits(records, manifest, seed=1)
     max_train = max(int(r.timestamp) for r in out if r.split == "train")
     min_test = min(int(r.timestamp) for r in out if r.split == "test")
     assert max_train <= min_test
@@ -391,7 +387,7 @@ def test_temporal_split_sorts_nan_after_every_number():
         stamps = [str(t) for t in range(20, 0, -1)]
         stamps.insert(nan_row, "nan")
         records = [DataRecord(stamp, {"drug": "CCO"}, True, timestamp=stamp) for stamp in stamps]
-        splits.append({r.timestamp: r.split for r in assign_splits(records, manifest, seed=1, table=FeatureTable())})
+        splits.append({r.timestamp: r.split for r in assign_splits(records, manifest, seed=1)})
     assert splits[0] == splits[1]
     assert {stamp for stamp, split in splits[0].items() if split == "test"} == {"20", "nan"}
 
@@ -400,7 +396,7 @@ def test_temporal_split_sorts_text_timestamps_after_numbers_by_their_text():
     manifest = _binary_manifest(split_method="temporal", timestamp_column="Date")
     stamps = ["2021-03", "7", "2020-11", "2020-02", "3", "late"] + [str(t) for t in range(10, 24)]
     records = [DataRecord(stamp, {"drug": "CCO"}, True, timestamp=stamp) for stamp in stamps]
-    out = assign_splits(records, manifest, seed=1, table=FeatureTable())
+    out = assign_splits(records, manifest, seed=1)
     # Of 20 records, the 16 numbers fill train; the text follows in its order.
     assert {r.timestamp for r in out if r.split == "train"} == {"3", "7", *stamps[6:]}
     assert {r.timestamp for r in out if r.split == "valid"} == {"2020-02", "2020-11"}

@@ -20,7 +20,7 @@ from knn_reference import naive_nearest
 from txf import atomic, evalharness, transport
 from txf.chem import Reactants, parse_smiles, write_canonical
 from txf.cli import main
-from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest, write_manifest, write_split_audit
+from txf.corpus import DataRecord, RoleSpec, TaskManifest, write_manifest, write_split_audit
 from txf.evalharness import (
     EchoClient,
     EvalResult,
@@ -347,7 +347,7 @@ def test_knn_stub_beats_majority_on_separable_task():
             test.append(DataRecord(f"te_a{i}", {"drug": "C" * rng.randint(8, 14)}, True, split="test"))
             test.append(DataRecord(f"te_b{i}", {"drug": "OC" + "C" * rng.randint(0, 3) + "O"}, False, split="test"))
     prompts = [render_prompt(r, manifest) for r in test]
-    knn = NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable()))
+    knn = NearestNeighborClient(NeighborIndex(manifest, train))
     knn_result = evaluate_task(manifest, prompts, knn, concurrency=2)
     majority_result = evaluate_task(manifest, prompts, MajorityClient(), concurrency=2)
     assert knn_result.value is not None
@@ -392,7 +392,7 @@ def _golden_train_pool(manifest, query):
 )
 def test_knn_stub_answers_match_naive_scan_on_golden_tasks(name, manifest, query):
     train = _golden_train_pool(manifest, query)
-    knn = NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable()))
+    knn = NearestNeighborClient(NeighborIndex(manifest, train))
     for probe in [query, *train[::3]]:
         prompt = render_prompt(probe, manifest).prompt
         [(best, _)] = naive_nearest(manifest, probe, train, 1)
@@ -416,7 +416,7 @@ def test_knn_stub_answers_a_question_that_templates_an_uncompared_role():
     prompt = render_prompt(query, manifest).prompt
     assert "Disease:" not in prompt
     [(best, _)] = naive_nearest(manifest, query, train, 1)
-    answer = NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable())).generate(prompt).text
+    answer = NearestNeighborClient(NeighborIndex(manifest, train)).generate(prompt).text
     assert answer == render_target(train[best], manifest)
 
 
@@ -427,7 +427,7 @@ def test_knn_stub_answers_empty_when_the_question_templates_its_compared_role():
         golden_tasks.BBB_MANIFEST, question="Does {drug} cross the blood-brain barrier?\n\n(A) no (B) yes"
     )
     train = list(golden_tasks.BBB_SHOTS)
-    knn = NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable()))
+    knn = NearestNeighborClient(NeighborIndex(manifest, train))
     prompts = [render_prompt(r, manifest).prompt for r in [golden_tasks.BBB_QUERY, *train]]
     assert not any("Drug SMILES:" in prompt for prompt in prompts)
     assert [knn.generate(prompt).text for prompt in prompts] == [""] * len(prompts)
@@ -439,9 +439,9 @@ def test_knn_stub_gives_the_empty_answer_when_it_has_nothing_to_compare():
     pool = list(golden_tasks.BBB_SHOTS)
     notes = replace(manifest, roles=(RoleSpec("drug", "text", "Drug", "Drug SMILES"),), split_method="random")
     answers = {
-        "empty pool": NearestNeighborClient(NeighborIndex(manifest, [], FeatureTable())).generate(prompt),
-        "no similarity role": NearestNeighborClient(NeighborIndex(notes, pool, FeatureTable())).generate(prompt),
-        "no role line": NearestNeighborClient(NeighborIndex(manifest, pool, FeatureTable())).generate(
+        "empty pool": NearestNeighborClient(NeighborIndex(manifest, [])).generate(prompt),
+        "no similarity role": NearestNeighborClient(NeighborIndex(notes, pool)).generate(prompt),
+        "no role line": NearestNeighborClient(NeighborIndex(manifest, pool)).generate(
             prompt.replace("Drug SMILES: ", "Drug: ")
         ),
     }
@@ -456,12 +456,12 @@ def test_knn_stub_shared_index_under_threads():
     prompts = [render_prompt(r, manifest) for r in train * 4]
     expected = [
         (r.record_id, r.prediction)
-        for r in evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable())), concurrency=1).rows
+        for r in evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train)), concurrency=1).rows
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        result = evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable())), concurrency=8)
+        result = evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train)), concurrency=8)
     finally:
         sys.setswitchinterval(interval)
     assert [(r.record_id, r.prediction) for r in result.rows] == expected
@@ -469,7 +469,7 @@ def test_knn_stub_shared_index_under_threads():
 
 def test_knn_stub_aligns_each_distinct_pair_once_under_threads(monkeypatch):
     # A slow alignment makes the worker threads overlap, so an unguarded
-    # check-then-set in the feature table's pair memo would align a pair twice.
+    # check-then-set in txf.corpus's pair memo would align a pair twice.
     from rebuild import replace
 
     import txf.bioseq as bioseq
@@ -501,7 +501,7 @@ def test_knn_stub_aligns_each_distinct_pair_once_under_threads(monkeypatch):
         for i in range(32)
     ]
     prompts = [render_prompt(r, manifest) for r in queries]
-    evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train, FeatureTable())), concurrency=8)
+    evaluate_task(manifest, prompts, NearestNeighborClient(NeighborIndex(manifest, train)), concurrency=8)
     assert len(calls) == len(set(calls)) == 4
 
 

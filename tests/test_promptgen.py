@@ -18,7 +18,7 @@ import render_reference
 import sampling_reference
 import txf
 from knn_reference import naive_nearest
-from txf.corpus import CorpusError, DataRecord, FeatureTable, RoleSpec, TaskManifest, assign_splits
+from txf.corpus import CorpusError, DataRecord, RoleSpec, TaskManifest, assign_splits
 from txf.promptgen import (
     BIN_LEVELS,
     _jsonl_line,
@@ -257,7 +257,7 @@ def test_random_shots_reject_an_exclude_outside_the_pool():
 def test_knn_duplicate_is_first_shot():
     pool = _pool(8)
     pool.append(DataRecord("dup", {"drug": golden_tasks.BBB_QUERY.features["drug"]}, True, split="train"))
-    ranked = NeighborIndex(golden_tasks.BBB_MANIFEST, pool, FeatureTable()).nearest(golden_tasks.BBB_QUERY.features, 3)
+    ranked = NeighborIndex(golden_tasks.BBB_MANIFEST, pool).nearest(golden_tasks.BBB_QUERY.features, 3)
     assert pool[ranked[0][0]].record_id == "dup"
 
 
@@ -268,7 +268,7 @@ def test_knn_matches_naive_scan():
     smiles = ["C" * rng.randint(1, 6) + "O" * rng.randint(0, 2) for _ in range(40)]
     pool = [DataRecord(f"p{i}", {"drug": s}, True, split="train") for i, s in enumerate(smiles)]
     query = DataRecord("q", {"drug": "CCCO"}, True, split="test")
-    got = [pool[i] for i, _ in NeighborIndex(golden_tasks.BBB_MANIFEST, pool, FeatureTable()).nearest(query.features, 5)]
+    got = [pool[i] for i, _ in NeighborIndex(golden_tasks.BBB_MANIFEST, pool).nearest(query.features, 5)]
     qfp = morgan_fingerprint(parse_smiles("CCCO"))
     naive = sorted(
         ((i, tanimoto(qfp, morgan_fingerprint(parse_smiles(s)))) for i, s in enumerate(smiles)),
@@ -283,7 +283,7 @@ def test_knn_sequence_averaging():
         DataRecord("near", {"peptide": "QLADETLLKV", "mhc": "YFAMYGEKVAHTHVDTLYVRYHYYTWAEWAYTWY"}, True, split="train"),
         DataRecord("far", {"peptide": "GGGGGGGGGG", "mhc": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}, True, split="train"),
     ]
-    [(best, _)] = NeighborIndex(manifest, pool, FeatureTable()).nearest(golden_tasks.MHC1_QUERY.features, 1)
+    [(best, _)] = NeighborIndex(manifest, pool).nearest(golden_tasks.MHC1_QUERY.features, 1)
     assert pool[best].record_id == "near"
 
 
@@ -344,7 +344,7 @@ _SMILES_POOL = [
 )
 def test_neighbor_index_matches_naive_scan(manifest, rows, queries):
     pool = _records(manifest, rows)
-    index = NeighborIndex(manifest, pool, FeatureTable())
+    index = NeighborIndex(manifest, pool)
     positions = {r.record_id: i for i, r in enumerate(pool)}
     candidates = _records(manifest, queries) + pool[:3]
     for query in candidates:
@@ -372,7 +372,7 @@ def test_neighbor_index_matches_naive_scan_on_random_smiles(pool, query, k):
     manifest = golden_tasks.BBB_MANIFEST
     records = _records(manifest, [(s,) for s in pool])
     probe = DataRecord("q", {"drug": query}, True)
-    got = NeighborIndex(manifest, records, FeatureTable()).nearest(probe.features, k)
+    got = NeighborIndex(manifest, records).nearest(probe.features, k)
     assert got == naive_nearest(manifest, probe, records, k)
 
 
@@ -392,7 +392,7 @@ def test_nearest_equals_a_full_scan(data, smiles):
         manifest, row = golden_tasks.MHC1_MANIFEST, st.tuples(_RESIDUES, _RESIDUES)
     pool = _records(manifest, data.draw(st.lists(row, min_size=1, max_size=8)))
     query = data.draw(st.sampled_from(pool) | row.map(lambda r: _records(manifest, [r])[0]))
-    index = NeighborIndex(manifest, pool, FeatureTable())
+    index = NeighborIndex(manifest, pool)
     for exclude in [None, *range(len(pool))]:
         exclude_id = None if exclude is None else pool[exclude].record_id
         expected = naive_nearest(manifest, query, pool, len(pool) + 2, exclude_id)
@@ -403,17 +403,17 @@ def test_nearest_equals_a_full_scan(data, smiles):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), smiles=st.booleans())
 def test_indexes_sharing_one_feature_table_equal_a_full_scan(data, smiles):
-    # As one command does per task: the split fills the table first (BBB is
-    # scaffold-split), then a train pool and a train + valid pool each get an
-    # index over that table. Queries come from the task and from outside it,
-    # and each index is asked in turn, so either may convert a query first.
+    # As one command does per task: the split fills the feature memos first
+    # (BBB is scaffold-split), then a train pool and a train + valid pool each
+    # get an index over the same memos. Queries come from the task and from
+    # outside it, and each index is asked in turn, so either may convert a
+    # query first.
     if smiles:
         manifest, row = golden_tasks.BBB_MANIFEST, st.tuples(_SMILES)
     else:
         manifest, row = golden_tasks.MHC1_MANIFEST, st.tuples(_RESIDUES, _RESIDUES)
-    table = FeatureTable()
     rows = data.draw(st.lists(row, min_size=1, max_size=10))
-    records = assign_splits(_records(manifest, rows), manifest, seed=1, table=table)
+    records = assign_splits(_records(manifest, rows), manifest, seed=1)
     names = [role.name for role in manifest.roles]
     outside = [
         DataRecord(f"q{i}", dict(zip(names, r)), True)
@@ -423,7 +423,7 @@ def test_indexes_sharing_one_feature_table_equal_a_full_scan(data, smiles):
     for sources in (("train",), ("train", "valid")):
         pool = [r for r in records if r.split in sources]
         if pool:
-            indexes.append((pool, NeighborIndex(manifest, pool, table)))
+            indexes.append((pool, NeighborIndex(manifest, pool)))
     for query in records + outside:
         for pool, index in indexes:
             positions = {r.record_id: i for i, r in enumerate(pool)}
@@ -443,7 +443,7 @@ def test_nearest_scores_a_group_whose_bound_ties_the_kth_best():
     manifest = golden_tasks.MIRTARBASE_MANIFEST
     pool = _records(manifest, [("CC", "MSVNMDELRH"), ("GAC", "MSVNMDELRH")])
     query = _records(manifest, [("ACGUA", "MSVNMDELRH")])[0]
-    assert NeighborIndex(manifest, pool, FeatureTable()).nearest(query.features, 1) == [(0, 20.0)]
+    assert NeighborIndex(manifest, pool).nearest(query.features, 1) == [(0, 20.0)]
     assert naive_nearest(manifest, query, pool, 1) == [(0, 20.0)]
 
 
@@ -460,7 +460,7 @@ def test_neighbor_index_fingerprints_each_distinct_smiles_once(monkeypatch):
     monkeypatch.setattr(chem, "morgan_fingerprint", counting)
     distinct = ["CCO", "CCCO", "c1ccccc1O", "OCCO", "CCN", "CC(=O)O"]
     pool = _records(golden_tasks.BBB_MANIFEST, [(distinct[i % 6],) for i in range(60)])
-    index = NeighborIndex(golden_tasks.BBB_MANIFEST, pool, FeatureTable())
+    index = NeighborIndex(golden_tasks.BBB_MANIFEST, pool)
     queries = [DataRecord(f"q{i}", {"drug": s}, True) for i, s in enumerate(distinct + ["CCCCN"] * 4)]
     for query in queries:
         index.nearest(query.features, 10)
@@ -487,7 +487,7 @@ def test_neighbor_index_aligns_each_distinct_pair_once(monkeypatch):
     manifest = golden_tasks.MHC1_MANIFEST
     peptides = ["QLADETLLKV", "GLADETLLKA", "QLADETLLKV", "GGGGGGGGGG"]
     pool = _records(manifest, [(peptides[i % 4], "YFAMYGEKVAHTHVDTLYVRYHYY") for i in range(40)])
-    index = NeighborIndex(manifest, pool, FeatureTable())
+    index = NeighborIndex(manifest, pool)
     # Query peptides differ from every pool peptide, and k covers the pool,
     # so no bound can prune: each query peptide meets the 3 distinct pool
     # peptides. The MHC roles are equal strings and need no alignment.
@@ -499,17 +499,15 @@ def test_neighbor_index_aligns_each_distinct_pair_once(monkeypatch):
 
 def test_indexes_sharing_one_feature_table_align_a_shared_pair_once(monkeypatch):
     # As one command does per task: a train pool and a train + valid pool
-    # each get an index over the task's table, and a query meets the same
-    # train record in both.
+    # each get an index, and a query meets the same train record in both.
     pairs = _count_alignments(monkeypatch)
     manifest = golden_tasks.MHC1_MANIFEST
     mhc = "YFAMYGEKVAHTHVDTLYVRYHYY"
     train = _records(manifest, [("QLADETLLKV", mhc)])
     valid = _records(manifest, [("GGGGGGGGGG", mhc)])
-    table = FeatureTable()
     query = _records(manifest, [("QLADETLLKW", mhc)])[0]
     for pool in (train, train + valid):
-        NeighborIndex(manifest, pool, table).nearest(query.features, 1)
+        NeighborIndex(manifest, pool).nearest(query.features, 1)
     assert pairs == Counter({("QLADETLLKW", "QLADETLLKV"): 1})
 
 
@@ -537,7 +535,7 @@ def test_neighbor_index_requires_a_similarity_role():
         split_method="random",
     )
     pool = [DataRecord(f"p{i}", {"note": f"n{i}"}, True, split="train") for i in range(3)]
-    index = NeighborIndex(manifest, pool, FeatureTable())
+    index = NeighborIndex(manifest, pool)
     assert index.kind == ""
     with pytest.raises(ValueError):
         index.nearest(pool[0].features, 1)
@@ -545,7 +543,7 @@ def test_neighbor_index_requires_a_similarity_role():
 
 def test_nearest_finds_nothing_in_a_pool_of_only_the_query():
     pool = _records(golden_tasks.BBB_MANIFEST, [("CCO",)])
-    assert NeighborIndex(golden_tasks.BBB_MANIFEST, pool, FeatureTable()).nearest(pool[0].features, 2, exclude=0) == []
+    assert NeighborIndex(golden_tasks.BBB_MANIFEST, pool).nearest(pool[0].features, 2, exclude=0) == []
 
 
 def test_shot_source_splits():

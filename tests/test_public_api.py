@@ -7,7 +7,7 @@ from txf import analysis, contamination, evalharness, transport
 from txf.analysis import wilcoxon_signed_rank
 from txf.bioseq import BioSequence, top_k_identity
 from txf.chem import Atom, Bond, Fingerprint, Molecule, top_k_tanimoto
-from txf.corpus import DataRecord, FeatureTable, RoleSpec, TaskManifest, assign_splits
+from txf.corpus import DataRecord, RoleSpec, TaskManifest, assign_splits
 from txf.evalharness import MajorityClient, accuracy, evaluate_task
 from txf.promptgen import NeighborIndex, build_mixture, select_shots_random
 
@@ -27,7 +27,9 @@ REMOVED = {
         "Bond.other",
         "canonical_reactant_set",
     ],
-    "corpus": ["replace_split", "TaskManifest.role", "SplitSpec", "TaskManifest.feature_type", "validate_manifest"],
+    "corpus": [
+        "replace_split", "TaskManifest.role", "SplitSpec", "TaskManifest.feature_type", "validate_manifest", "FeatureTable",
+    ],
     "promptgen": [
         "MixtureSpec",
         "select_shots_knn",
@@ -128,7 +130,7 @@ _INPUT_CHECKS = {
     ),
     "select-shots-n-0": (lambda: select_shots_random([_RECORD], 0, seed=1), "n must be >= 1"),
     "nearest-k-0": (
-        lambda: NeighborIndex(_TASK, [_RECORD], FeatureTable()).nearest(_RECORD.features, 0), "k must be >= 1",
+        lambda: NeighborIndex(_TASK, [_RECORD]).nearest(_RECORD.features, 0), "k must be >= 1",
     ),
     # build_mixture is a generator, so its checks run at the first prompt.
     "mixture-of-no-tasks": (lambda: next(build_mixture({}, 1)), "no tasks to mix"),
@@ -137,7 +139,7 @@ _INPUT_CHECKS = {
     ),
     "temporal-split-without-timestamps": (
         lambda: assign_splits(
-            [_RECORD], replace(_TASK, split_method="temporal", timestamp_column="Year"), 1, FeatureTable()
+            [_RECORD], replace(_TASK, split_method="temporal", timestamp_column="Year"), 1
         ),
         "temporal split needs timestamps on every record",
     ),
